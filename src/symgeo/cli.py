@@ -12,11 +12,13 @@ integer arithmetic.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
 from . import coverings, geography, manifolds
 from .errors import SymgeoError
+from .lattice import q_set
 from .manifolds import ManifoldDescriptor, derived_invariants
 from .recipes import execute_recipe, parse_recipe, serialize_recipe
 
@@ -90,22 +92,31 @@ def _emit(text: str, out: str | None) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
+# Constructors taking integer parameters only: CLI name -> (module, function).
+# The arity is read from the signature once, here; the function is fetched
+# from its module at each call, so a wrapper installed on the module
+# attribute sees the call.
+_INT_CONSTRUCTORS = {
+    "homotopy_elliptic": (geography, "homotopy_elliptic"),
+    "spin_surface": (geography, "spin_surface"),
+    "nonspin_surface": (geography, "nonspin_surface"),
+    "negative_c1": (geography, "negative_c1"),
+    "elliptic_surface": (manifolds, "elliptic_surface"),
+    "knot_product": (manifolds, "knot_product"),
+    "surface_bundle_Y": (manifolds, "surface_bundle_y"),
+    "singular_double_cover": (coverings, "singular_double_cover"),
+}
+_ARITY = {
+    name: len(inspect.signature(getattr(module, attr)).parameters)
+    for name, (module, attr) in _INT_CONSTRUCTORS.items()
+}
+
 
 def _cmd_construct(args) -> int:
     name = args.constructor
     p = args.params
     if name == "inequivalent_family":
         return _construct_family(p, args)
-    builders = {
-        "homotopy_elliptic": (2, lambda v: geography.homotopy_elliptic(v[0], v[1])),
-        "spin_surface": (3, lambda v: geography.spin_surface(v[0], v[1], v[2])),
-        "nonspin_surface": (3, lambda v: geography.nonspin_surface(v[0], v[1], v[2])),
-        "negative_c1": (2, lambda v: geography.negative_c1(v[0], v[1])),
-        "elliptic_surface": (3, lambda v: manifolds.elliptic_surface(v[0], v[1], v[2])),
-        "knot_product": (1, lambda v: manifolds.knot_product(v[0])),
-        "surface_bundle_Y": (2, lambda v: manifolds.surface_bundle_y(v[0], v[1])),
-        "singular_double_cover": (2, lambda v: coverings.singular_double_cover(v[0], v[1])),
-    }
     if name == "catalog":
         if not p:
             print("catalog needs an entry name", file=sys.stderr)
@@ -120,13 +131,12 @@ def _cmd_construct(args) -> int:
         cover = coverings.CoverParams.from_degrees(int(p[2]), int(p[1]))
         m = coverings.pluricanonical_cover(base, cover)
         params = f"base={p[0]} d={p[1]} m={p[2]}"
-    elif name in builders:
-        arity, fn = builders[name]
-        if len(p) != arity:
-            print(f"{name} needs {arity} integer parameters", file=sys.stderr)
+    elif name in _INT_CONSTRUCTORS:
+        module, attr = _INT_CONSTRUCTORS[name]
+        if len(p) != _ARITY[name]:
+            print(f"{name} needs {_ARITY[name]} integer parameters", file=sys.stderr)
             return 2
-        values = [int(x) for x in p]
-        m = fn(values)
+        m = getattr(module, attr)(*[int(x) for x in p])
         params = " ".join(p)
     else:
         print(f"unknown constructor {name!r}", file=sys.stderr)
@@ -261,8 +271,6 @@ def _cmd_tables(args) -> int:
 
 
 def _cmd_qset(args) -> int:
-    from .lattice import q_set
-
     divisors = [int(x) for x in args.divisors.split(",")]
     q = q_set(args.d, divisors)
     print(" ".join(str(v) for v in sorted(q, reverse=True)))

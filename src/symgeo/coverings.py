@@ -24,6 +24,7 @@ from .manifolds import (
     NOTE_GENERAL_TYPE,
     ConstructionRecipe,
     ManifoldDescriptor,
+    catalog,
 )
 
 
@@ -38,30 +39,28 @@ class CoverParams:
 
     m: int
     d: int
-    a: int
-    n: int
-    delta: int
 
     def __post_init__(self):
         if self.m < 2 or self.d < 2:
             raise CoveringError("cover degree and divisibility must be at least 2")
         if (self.d - 1) % (self.m - 1) != 0:
             raise CoveringError("degree minus one must divide divisibility minus one")
-        if self.a != (self.d - 1) // (self.m - 1) or self.n != self.m * self.a:
-            raise CoveringError("inconsistent cover parameters")
-        if self.d != self.n + 1 - self.a or self.n < 2:
-            raise CoveringError("inconsistent cover parameters")
-        if self.delta != (self.d - 1) * (self.d + self.a):
-            raise CoveringError("inconsistent cover parameters")
 
     @classmethod
     def from_degrees(cls, m: int, d: int) -> "CoverParams":
-        if m < 2 or d < 2:
-            raise CoveringError("cover degree and divisibility must be at least 2")
-        if (d - 1) % (m - 1) != 0:
-            raise CoveringError("degree minus one must divide divisibility minus one")
-        a = (d - 1) // (m - 1)
-        return cls(m, d, a, m * a, (d - 1) * (d + a))
+        return cls(m, d)
+
+    @property
+    def a(self) -> int:
+        return (self.d - 1) // (self.m - 1)
+
+    @property
+    def n(self) -> int:
+        return self.m * self.a
+
+    @property
+    def delta(self) -> int:
+        return (self.d - 1) * (self.d + self.a)
 
 
 def hirzebruch_signature(sigma_m: int, deg: int, d_square: int) -> int:
@@ -78,7 +77,6 @@ def branched_cover(
     d_square: int,
     k_dot_d: int,
     deg: int,
-    b_is_d_over_deg: bool = True,
 ) -> ManifoldDescriptor:
     """Cyclic cover of degree ``deg`` branched over a smooth connected
     divisor D with the stated square and canonical pairing.
@@ -90,8 +88,6 @@ def branched_cover(
     """
     if deg < 1:
         raise CoveringError("covering degree must be positive")
-    if not b_is_d_over_deg:
-        raise CoveringError("branch divisor must be divisible by the covering degree")
     if deg == 1:
         return m_desc
     e_d = -(k_dot_d + d_square)
@@ -99,9 +95,8 @@ def branched_cover(
     sigma = hirzebruch_signature(m_desc.sigma, deg, d_square)
     c1 = 2 * e + 3 * sigma
     # Cross-check against deg*(K + (deg-1) B)^2, a rational identity.
-    k_sq = 2 * m_desc.e + 3 * m_desc.sigma
     direct = (
-        deg * k_sq
+        deg * m_desc.c1_squared
         + 2 * (deg - 1) * k_dot_d
         + Fraction((deg - 1) ** 2 * d_square, deg)
     )
@@ -263,8 +258,6 @@ def persson_cover(p: CoverParams, x: int, y: int) -> ManifoldDescriptor:
     The single undecided point of the pluricanonical criterion (base
     p_g = 2, K^2 = 1 with a triple cover of divisibility 3) is rejected.
     """
-    from .manifolds import catalog
-
     if not persson_image_sector(p, x, y):
         raise CoveringError("outside transported Persson sector")
     e_base = x - p.delta * y

@@ -105,7 +105,7 @@ class ValidationReport:
 def validate(m: ManifoldDescriptor) -> ValidationReport:
     """Run every applicable numerical constraint; report, never raise."""
     entries: list[tuple[str, bool, str]] = []
-    c1 = 2 * m.e + 3 * m.sigma
+    c1 = m.c1_squared
     cert = divisibility(m)
     full = m.carries_full_canonical
     d = cert.lower if (m.lattice.primitive_summand and full) else 0
@@ -120,8 +120,7 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     add("c1sq_sigma_mod8", (c1 - m.sigma) % 8 == 0, f"c1^2 - sigma = {c1 - m.sigma}")
 
     if m.symplectic and m.simply_connected and (m.e + m.sigma) % 4 == 0:
-        b2_plus = (m.e - 2 + m.sigma) // 2
-        add("b2_plus_odd", b2_plus % 2 == 1, f"b2+ = {b2_plus}")
+        add("b2_plus_odd", m.b2_plus % 2 == 1, f"b2+ = {m.b2_plus}")
     else:
         skip("b2_plus_odd")
 

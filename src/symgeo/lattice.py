@@ -9,14 +9,14 @@ done with Python integers, so values are exact at any size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Iterable
 
 from .errors import LatticeError
 
-# Subset enumeration in q_set is exponential; inputs beyond this are a bug.
+# inequivalent_family enumerates 2^N sign patterns of an N-entry divisor
+# tail; inputs beyond this are a bug.
 _MAX_DIVISOR_LIST = 20
 
 
@@ -244,14 +244,13 @@ def q_set(d: int, divisors: list[int] | tuple[int, ...]) -> frozenset[int]:
         entries = [di if di % 4 == 0 else 2 * di for di in divisors]
     else:
         entries = divisors
-    out = set()
-    for r in range(1, len(entries) + 1):
-        for subset in itertools.combinations(entries, r):
-            g = 0
-            for x in subset:
-                g = gcd(g, x)
-            out.add(g)
-    return frozenset(out)
+    # A subset's gcd is gcd(last entry, gcd of the rest), so one pass that
+    # closes the reached set under each new entry finds them all.
+    reached: set[int] = set()
+    for x in entries:
+        reached |= {gcd(x, r) for r in reached}
+        reached.add(x)
+    return frozenset(reached)
 
 
 def odd_part(n: int) -> int:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import gcd
+from typing import Callable
 
 from .errors import ConstructionError
 from .lattice import (
@@ -31,7 +32,6 @@ from .lattice import (
     IntersectionLattice,
     Witness,
     block_diagonal,
-    coefficient_gcd,
     pairing,
 )
 
@@ -58,9 +58,6 @@ class ConstructionRecipe:
             if key == name:
                 return value
         raise KeyError(name)
-
-    def has_note(self, marker: str) -> bool:
-        return any(n.startswith(marker) for n in self.notes)
 
 
 @dataclass(frozen=True)
@@ -98,6 +95,13 @@ class ManifoldDescriptor:
         return (self.e + self.sigma) // 4
 
     @property
+    def b2_plus(self) -> int:
+        """b2+ = (b2 + sigma) / 2 with b2 = e - 2, valid when b1 = 0."""
+        if not self.simply_connected:
+            raise ConstructionError("b2+ from e and sigma needs simple connectivity")
+        return (self.e - 2 + self.sigma) // 2
+
+    @property
     def carries_full_canonical(self) -> bool:
         return NOTE_FULL_CANONICAL in self.recipe.notes
 
@@ -124,28 +128,16 @@ class Invariants:
 
 def derived_invariants(m: ManifoldDescriptor) -> Invariants:
     """Compute c1^2, chi_h and (for simply-connected manifolds) b2 data."""
-    c1 = 2 * m.e + 3 * m.sigma
-    if (m.e + m.sigma) % 4 != 0:
+    try:
+        chi = m.chi_h
+    except ConstructionError:
         if m.symplectic and m.simply_connected:
-            raise ConstructionError("not almost-complex consistent")
+            raise
         chi = None
-    else:
-        chi = (m.e + m.sigma) // 4
     if not m.simply_connected:
-        return Invariants(c1, chi, None, None, None)
-    b2 = m.e - 2
-    b2_plus = (m.e - 2 + m.sigma) // 2
-    return Invariants(c1, chi, b2, b2_plus, b2 - b2_plus)
-
-
-def spin_from_parity(m: ManifoldDescriptor) -> bool:
-    """Spin test via the canonical class: K is characteristic, so a
-    simply-connected manifold whose tracked lattice carries the full
-    canonical class over a primitive summand is spin iff K is even."""
-    if not (m.simply_connected and m.carries_full_canonical and m.lattice.primitive_summand):
-        raise ConstructionError("spin parity derivation needs a full primitive canonical class")
-    g = coefficient_gcd(m.canonical)
-    return g == 0 or g % 2 == 0
+        return Invariants(m.c1_squared, chi, None, None, None)
+    b2, b2_plus = m.e - 2, m.b2_plus
+    return Invariants(m.c1_squared, chi, b2, b2_plus, b2 - b2_plus)
 
 
 # --- elliptic surfaces -----------------------------------------------------
@@ -288,165 +280,109 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
 
 # --- catalog of general-type surfaces --------------------------------------
 
-CATALOG_NAMES = (
-    "barlow",
-    "lee_park",
-    "enriques_k1_pg1",
-    "enriques_k2_pg1",
-    "godeaux_like",
-    "horikawa_spin",
-    "horikawa_nonspin",
-    "persson",
-)
 
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One catalog surface, stored as invariants over a rank-one lattice;
+    its full cohomology is not modeled.
 
-def _rank_one_descriptor(
-    name: str,
-    params: tuple[tuple[str, ParamValue], ...],
-    chi_h: int,
-    c1_sq: int,
-    divisibility: int,
-    spin: bool,
-    notes: tuple[str, ...],
-    witnesses_mode: str,
-) -> ManifoldDescriptor:
-    """Catalog surfaces are stored as invariant tuples plus a rank-one
-    canonical lattice; their full cohomology is not modeled.
-
-    The single generator is the primitive class K/divisibility, so its
-    square is c1^2 / divisibility^2.
+    The single basis class is K / divisibility, so its square is
+    c1^2 / divisibility^2.  ``checks`` are (predicate, message) pairs over
+    the parameters; ``invariants`` maps the parameters to (chi_h, c1^2).
     """
-    e = 12 * chi_h - c1_sq
-    sigma = c1_sq - 8 * chi_h
-    d = divisibility
-    if d >= 1:
-        if c1_sq % (d * d) != 0:
-            raise ConstructionError("catalog divisibility inconsistent with c1^2")
-        gen_square = c1_sq // (d * d)
-        lat = IntersectionLattice(("A",), ((gen_square,),), primitive_summand=True)
-        canonical = lat.vector({"A": d})
-    else:
-        raise ConstructionError("catalog divisibility must be positive")
-    witnesses: tuple[Witness, ...]
-    if witnesses_mode == "dual":
+
+    params: tuple[str, ...]
+    checks: tuple[tuple[Callable[..., bool], str], ...]
+    invariants: Callable[..., tuple[int, int]]
+    divisibility: int  # K = divisibility * basis class
+    spin: bool
+    notes: tuple[str, ...]
+    witness: str | None  # "canonical_dual", "genus2_fibre" or none
+    basis: str = "A"
+    primitive: bool = True
+
+
+_GENUS2 = ("genus-2-fibration", "noether-line")
+
+# name -> (params, checks, (chi_h, c1^2), divisibility, spin, notes, witness)
+CATALOG: dict[str, CatalogEntry] = {
+    "barlow": CatalogEntry(
+        (), (), lambda: (1, 1), 1, False, ("numerical-Godeaux",), "canonical_dual"),
+    "lee_park": CatalogEntry(
+        (), (), lambda: (1, 2), 1, False, ("numerical-Campedelli",), "canonical_dual"),
+    "enriques_k1_pg1": CatalogEntry((), (), lambda: (2, 1), 1, False, (), "canonical_dual"),
+    "enriques_k2_pg1": CatalogEntry((), (), lambda: (2, 2), 1, False, (), "canonical_dual"),
+    "godeaux_like": CatalogEntry(
+        ("k_sq", "p_g"),
+        (
+            (lambda k_sq, p_g: k_sq in (1, 2), "godeaux_like covers K^2 = 1 or 2 only"),
+            (lambda k_sq, p_g: p_g >= 0 and k_sq >= 2 * p_g - 4,
+             "p_g violates the Noether inequality"),
+        ),
+        lambda k_sq, p_g: (p_g + 1, k_sq), 1, False, (), "canonical_dual"),
+    # Spin surface on the Noether line; the genus-2 fibration pins the
+    # divisibility to exactly 2.
+    "horikawa_spin": CatalogEntry(
+        ("r",), ((lambda r: r >= 1 and r % 2 == 1, "horikawa_spin requires odd r"),),
+        lambda r: (4 * r + 3, 8 * r), 2, True, _GENUS2, "genus2_fibre"),
+    "horikawa_nonspin": CatalogEntry(
+        ("s",), ((lambda s: s >= 1, "horikawa_nonspin requires s >= 1"),),
+        lambda s: (4 * s + 3, 8 * s), 1, False, _GENUS2, "genus2_fibre"),
+    # The genus-2 fibration bounds the divisibility by 2, but neither spin
+    # nor exact divisibility is pinned down: K_M is not known primitive, so
+    # the certificate stays open.
+    "persson": CatalogEntry(
+        ("x", "y"),
+        ((lambda x, y: x >= 3 and 2 * x - 6 <= y <= 4 * x - 8, "outside Persson sector"),),
+        lambda x, y: (x, y), 1, False,
+        ("genus-2-fibration", "divisibility-in-1-2", "spin-undetermined"), None,
+        basis="K_M", primitive=False),
+}
+
+
+def catalog(name: str, *params: int) -> ManifoldDescriptor:
+    """Catalog surfaces of general type used as covering bases; the
+    entries and their parameters are the keys and ``params`` of CATALOG."""
+    entry = CATALOG.get(name)
+    if entry is None:
+        raise ConstructionError(f"unknown catalog entry {name!r}")
+    if len(params) != len(entry.params):
+        raise ConstructionError(
+            f"catalog entry {name!r} takes parameters ({', '.join(entry.params)})"
+        )
+    for check, message in entry.checks:
+        if not check(*params):
+            raise ConstructionError(message)
+    chi_h, c1_sq = entry.invariants(*params)
+    d = entry.divisibility
+    if c1_sq % (d * d) != 0:
+        raise ConstructionError("catalog divisibility inconsistent with c1^2")
+    lat = IntersectionLattice(
+        (entry.basis,), ((c1_sq // (d * d),),), primitive_summand=entry.primitive
+    )
+    notes = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE) + entry.notes
+    witnesses: tuple[Witness, ...] = ()
+    if entry.witness == "canonical_dual":
         witnesses = (Witness("canonical_dual", (1,)),)
-    elif witnesses_mode == "genus2_fibre":
+        notes += ("axiomatic-dual:canonical_dual",)
+    elif entry.witness == "genus2_fibre":
         # A genus-2 fibre of square zero pairs 2 with K, i.e. 2/d with A.
         witnesses = (Witness("genus2_fibre", (2 // d,), 2, 0),)
-    else:
-        witnesses = ()
-    recipe = ConstructionRecipe("catalog", (("name", name),) + params, (), notes)
+    recipe = ConstructionRecipe(
+        "catalog", (("name", name),) + tuple(zip(entry.params, params)), (), notes
+    )
     return ManifoldDescriptor(
-        e=e,
-        sigma=sigma,
-        spin=spin,
+        e=12 * chi_h - c1_sq,
+        sigma=c1_sq - 8 * chi_h,
+        spin=entry.spin,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
         lattice=lat,
-        canonical=canonical,
+        canonical=lat.vector({entry.basis: d}),
         witnesses=witnesses,
         recipe=recipe,
     )
-
-
-def catalog(name: str, *params: int) -> ManifoldDescriptor:
-    """Catalog surfaces of general type used as covering bases.
-
-    Entries: barlow, lee_park, enriques_k1_pg1, enriques_k2_pg1,
-    godeaux_like(K^2, p_g), horikawa_spin(r), horikawa_nonspin(s),
-    persson(x, y).
-    """
-    base_notes = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE)
-    if name == "barlow":
-        return _rank_one_descriptor(
-            name, (), chi_h=1, c1_sq=1, divisibility=1, spin=False,
-            notes=base_notes + ("numerical-Godeaux", "axiomatic-dual:canonical_dual"),
-            witnesses_mode="dual",
-        )
-    if name == "lee_park":
-        return _rank_one_descriptor(
-            name, (), chi_h=1, c1_sq=2, divisibility=1, spin=False,
-            notes=base_notes + ("numerical-Campedelli", "axiomatic-dual:canonical_dual"),
-            witnesses_mode="dual",
-        )
-    if name == "enriques_k1_pg1":
-        return _rank_one_descriptor(
-            name, (), chi_h=2, c1_sq=1, divisibility=1, spin=False,
-            notes=base_notes + ("axiomatic-dual:canonical_dual",), witnesses_mode="dual",
-        )
-    if name == "enriques_k2_pg1":
-        return _rank_one_descriptor(
-            name, (), chi_h=2, c1_sq=2, divisibility=1, spin=False,
-            notes=base_notes + ("axiomatic-dual:canonical_dual",), witnesses_mode="dual",
-        )
-    if name == "godeaux_like":
-        if len(params) != 2:
-            raise ConstructionError("godeaux_like needs (K^2, p_g)")
-        k_sq, p_g = params
-        if k_sq not in (1, 2):
-            raise ConstructionError("godeaux_like covers K^2 = 1 or 2 only")
-        if p_g < 0 or k_sq < 2 * p_g - 4:
-            raise ConstructionError("p_g violates the Noether inequality")
-        return _rank_one_descriptor(
-            name, (("k_sq", k_sq), ("p_g", p_g)),
-            chi_h=p_g + 1, c1_sq=k_sq, divisibility=1, spin=False,
-            notes=base_notes + ("axiomatic-dual:canonical_dual",), witnesses_mode="dual",
-        )
-    if name == "horikawa_spin":
-        if len(params) != 1:
-            raise ConstructionError("horikawa_spin needs (r,)")
-        (r,) = params
-        if r < 1 or r % 2 == 0:
-            raise ConstructionError("horikawa_spin requires odd r")
-        # Spin surface on the Noether line; the genus-2 fibration pins the
-        # divisibility to exactly 2.
-        return _rank_one_descriptor(
-            name, (("r", r),), chi_h=4 * r + 3, c1_sq=8 * r, divisibility=2, spin=True,
-            notes=base_notes + ("genus-2-fibration", "noether-line"),
-            witnesses_mode="genus2_fibre",
-        )
-    if name == "horikawa_nonspin":
-        if len(params) != 1:
-            raise ConstructionError("horikawa_nonspin needs (s,)")
-        (s,) = params
-        if s < 1:
-            raise ConstructionError("horikawa_nonspin requires s >= 1")
-        return _rank_one_descriptor(
-            name, (("s", s),), chi_h=4 * s + 3, c1_sq=8 * s, divisibility=1, spin=False,
-            notes=base_notes + ("genus-2-fibration", "noether-line"),
-            witnesses_mode="genus2_fibre",
-        )
-    if name == "persson":
-        if len(params) != 2:
-            raise ConstructionError("persson needs (x, y)")
-        x, y = params
-        if x < 3 or not (2 * x - 6 <= y <= 4 * x - 8):
-            raise ConstructionError("outside Persson sector")
-        e = 12 * x - y
-        sigma = y - 8 * x
-        lat = IntersectionLattice(("K_M",), ((y,),), primitive_summand=False)
-        # Genus-2 fibration bounds the divisibility by 2, but neither spin
-        # nor exact divisibility is pinned down; certificate stays open.
-        recipe = ConstructionRecipe(
-            "catalog",
-            (("name", name), ("x", x), ("y", y)),
-            (),
-            base_notes + ("genus-2-fibration", "divisibility-in-1-2", "spin-undetermined"),
-        )
-        return ManifoldDescriptor(
-            e=e,
-            sigma=sigma,
-            spin=False,
-            simply_connected=True,
-            symplectic=True,
-            minimal="yes",
-            lattice=lat,
-            canonical=lat.vector({"K_M": 1}),
-            witnesses=(),
-            recipe=recipe,
-        )
-    raise ConstructionError(f"unknown catalog entry {name!r}")
 
 
 def with_recipe_notes(m: ManifoldDescriptor, *extra: str) -> ManifoldDescriptor:

@@ -15,6 +15,7 @@ descriptor identical to the original, including its provenance.
 
 from __future__ import annotations
 
+import inspect
 import re
 from dataclasses import replace
 from typing import Callable
@@ -32,29 +33,40 @@ _CLASS = "class"
 _STR = "str"
 _BOOL = "bool"
 
+_KINDS = {int: _INT, str: _STR, bool: _BOOL}
+
 # op -> (ordered (param, type, required), input arity, builder)
 _Builder = Callable[[ConstructionRecipe, list[ManifoldDescriptor]], ManifoldDescriptor]
 
 
-def _build_elliptic(node, children):
-    return manifolds.elliptic_surface(node.param("n"), node.param("p"), node.param("q"))
+def _signature_op(module, attr: str) -> tuple[tuple[tuple[str, str, bool], ...], int, _Builder]:
+    """Registry entry of an op whose recipe parameters are exactly its
+    constructor's parameters after the descriptor inputs, in order.
 
+    The schema and arity are read from the signature once; the constructor
+    is fetched from its module at each call, so a wrapper installed on the
+    module attribute sees recipe replays too.
+    """
+    params = list(inspect.signature(getattr(module, attr), eval_str=True).parameters.values())
+    arity = sum(1 for p in params if p.annotation is ManifoldDescriptor)
+    schema = tuple((p.name, _KINDS[p.annotation], True) for p in params[arity:])
 
-def _build_knot_product(node, children):
-    return manifolds.knot_product(node.param("h"))
+    def build(node, children):
+        return getattr(module, attr)(*children, **dict(node.params))
 
-
-def _build_bundle(node, children):
-    return manifolds.surface_bundle_y(node.param("g"), node.param("h"))
+    return schema, arity, build
 
 
 def _build_catalog(node, children):
-    args = [value for key, value in node.params if key != "name"]
-    return manifolds.catalog(node.param("name"), *args)
-
-
-def _build_singular(node, children):
-    return coverings.singular_double_cover(node.param("n"), node.param("m"))
+    name = node.param("name")
+    entry = manifolds.CATALOG.get(name)
+    given = tuple(key for key, _ in node.params if key != "name")
+    if entry is not None and given != entry.params:
+        raise RecipeError(
+            f"catalog entry {name!r} takes parameters ({', '.join(entry.params)}), "
+            f"got ({', '.join(given)})"
+        )
+    return manifolds.catalog(name, *(node.param(key) for key in given))
 
 
 def _build_fibre_sum(node, children):
@@ -85,50 +97,22 @@ def _build_gks(node, children):
     return surgery.generalized_knot_surgery(children[0], s, node.param("h"))
 
 
-def _build_log_transform(node, children):
-    return surgery.log_transform(children[0], node.param("p"))
-
-
-def _build_blow_up(node, children):
-    return surgery.blow_up(children[0])
-
-
-def _build_triple(node, children):
-    return surgery.lagrangian_triple_surgery(
-        children[0],
-        node.param("triple_index"),
-        node.param("a"),
-        node.param("em"),
-        node.param("h1"),
-        node.param("h2"),
-        node.param("sign"),
-    )
-
-
-def _build_branched(node, children):
-    return coverings.branched_cover(
-        children[0], node.param("d_square"), node.param("k_dot_d"), node.param("deg")
-    )
-
-
 def _build_pluricanonical(node, children):
     p = coverings.CoverParams.from_degrees(node.param("cover_m"), node.param("cover_d"))
     return coverings.pluricanonical_cover(children[0], p)
 
 
+# Catalog parameters in table order; each entry takes exactly its own.
+_CATALOG_PARAMS = tuple(dict.fromkeys(p for e in manifolds.CATALOG.values() for p in e.params))
+
 REGISTRY: dict[str, tuple[tuple[tuple[str, str, bool], ...], int, _Builder]] = {
-    "elliptic_surface": (
-        (("n", _INT, True), ("p", _INT, True), ("q", _INT, True)), 0, _build_elliptic),
-    "knot_product": ((("h", _INT, True),), 0, _build_knot_product),
-    "surface_bundle_Y": ((("g", _INT, True), ("h", _INT, True)), 0, _build_bundle),
+    "elliptic_surface": _signature_op(manifolds, "elliptic_surface"),
+    "knot_product": _signature_op(manifolds, "knot_product"),
+    "surface_bundle_Y": _signature_op(manifolds, "surface_bundle_y"),
     "catalog": (
-        (
-            ("name", _STR, True),
-            ("k_sq", _INT, False), ("p_g", _INT, False),
-            ("r", _INT, False), ("s", _INT, False),
-            ("x", _INT, False), ("y", _INT, False),
-        ), 0, _build_catalog),
-    "singular_double_cover": ((("n", _INT, True), ("m", _INT, True)), 0, _build_singular),
+        (("name", _STR, True),) + tuple((p, _INT, False) for p in _CATALOG_PARAMS),
+        0, _build_catalog),
+    "singular_double_cover": _signature_op(coverings, "singular_double_cover"),
     "fibre_sum": (
         (
             ("genus", _INT, True),
@@ -146,16 +130,10 @@ REGISTRY: dict[str, tuple[tuple[tuple[str, str, bool], ...], int, _Builder]] = {
             ("surface", _CLASS, True), ("genus", _INT, True),
             ("h", _INT, True), ("complement", _BOOL, True),
         ), 1, _build_gks),
-    "log_transform": ((("p", _INT, True),), 1, _build_log_transform),
-    "blow_up": ((), 1, _build_blow_up),
-    "lagrangian_triple_surgery": (
-        (
-            ("triple_index", _INT, True), ("a", _INT, True), ("em", _INT, True),
-            ("h1", _INT, True), ("h2", _INT, True), ("sign", _STR, True),
-        ), 1, _build_triple),
-    "branched_cover": (
-        (("d_square", _INT, True), ("k_dot_d", _INT, True), ("deg", _INT, True)),
-        1, _build_branched),
+    "log_transform": _signature_op(surgery, "log_transform"),
+    "blow_up": _signature_op(surgery, "blow_up"),
+    "lagrangian_triple_surgery": _signature_op(surgery, "lagrangian_triple_surgery"),
+    "branched_cover": _signature_op(coverings, "branched_cover"),
     "pluricanonical_cover": (
         (("cover_m", _INT, True), ("cover_d", _INT, True)), 1, _build_pluricanonical),
 }

@@ -165,6 +165,7 @@ def test_criterion_3_positive_chern_families(capsys):
 
 
 def _q_set_oracle(d, divisors):
+    from itertools import combinations
     from math import gcd
 
     if d % 4 == 0:
@@ -172,8 +173,12 @@ def _q_set_oracle(d, divisors):
     else:
         entries = list(divisors)
     reached: set[int] = set()
-    for x in entries:
-        reached |= {gcd(x, r) for r in reached} | {x}
+    for r in range(1, len(entries) + 1):
+        for subset in combinations(entries, r):
+            g = 0
+            for x in subset:
+                g = gcd(g, x)
+            reached.add(g)
     return frozenset(reached)
 
 

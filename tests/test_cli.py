@@ -1,3 +1,5 @@
+import pytest
+
 from symgeo.cli import run_command
 
 BARLOW_ROW_D3_M2 = "3,2,4,10,42,18,5,9,-22"
@@ -66,6 +68,11 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "octonion_surface")
         assert code == 2
 
+    def test_catalog_rejects_extra_parameter(self, capsys):
+        code, out, err = run(capsys, "construct", "catalog", "barlow", "7")
+        assert code == 2 and out == ""
+        assert "catalog entry 'barlow' takes parameters ()" in err
+
     def test_family(self, capsys):
         code, out, _ = run(
             capsys, "construct", "inequivalent_family", "45", "45,15,9,5",
@@ -90,6 +97,20 @@ class TestVerify:
         bad.write_text("version: 1\nop: wizardry\n", encoding="utf-8")
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2 and "unknown operation" in err
+
+    @pytest.mark.parametrize(
+        "body,expected",
+        [
+            ("name: horikawa_spin\nk_sq: 3\n", "takes parameters (r), got (k_sq)"),
+            ("name: barlow\nr: 3\n", "takes parameters (), got (r)"),
+        ],
+    )
+    def test_catalog_parameter_names_checked(self, capsys, tmp_path, body, expected):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("version: 1\nop: catalog\n" + body, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert expected in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))

@@ -1,12 +1,27 @@
+import inspect
 import random
 
 import pytest
 
-from symgeo.errors import RecipeError
+from symgeo.coverings import branched_cover, singular_double_cover
+from symgeo.errors import ConstructionError, RecipeError
 from symgeo.geography import homotopy_elliptic, nonspin_surface, spin_surface
-from symgeo.manifolds import ConstructionRecipe, catalog, elliptic_surface, knot_product
-from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
-from symgeo.surgery import SurfaceRef, blow_up, fibre_sum, log_transform
+from symgeo.manifolds import (
+    CATALOG,
+    ConstructionRecipe,
+    catalog,
+    elliptic_surface,
+    knot_product,
+    surface_bundle_y,
+)
+from symgeo.recipes import REGISTRY, execute_recipe, parse_recipe, serialize_recipe
+from symgeo.surgery import (
+    SurfaceRef,
+    blow_up,
+    fibre_sum,
+    lagrangian_triple_surgery,
+    log_transform,
+)
 
 
 def roundtrip(m):
@@ -138,3 +153,67 @@ def test_execute_rejects_unknown_node():
 
 def test_knot_product_roundtrip():
     roundtrip(knot_product(3))
+
+
+# One valid parameter tuple per catalog entry.
+CATALOG_SAMPLES = {
+    "barlow": (),
+    "lee_park": (),
+    "enriques_k1_pg1": (),
+    "enriques_k2_pg1": (),
+    "godeaux_like": (2, 3),
+    "horikawa_spin": (3,),
+    "horikawa_nonspin": (2,),
+    "persson": (4, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_entry_roundtrip(name):
+    assert set(CATALOG_SAMPLES) == set(CATALOG)
+    m = catalog(name, *CATALOG_SAMPLES[name])
+    assert [key for key, _ in m.recipe.params] == ["name", *CATALOG[name].params]
+    roundtrip(m)
+
+
+def test_catalog_rejects_wrong_parameter_count():
+    with pytest.raises(ConstructionError, match="takes parameters"):
+        catalog("barlow", 7)
+    with pytest.raises(ConstructionError, match=r"takes parameters \(k_sq, p_g\)"):
+        catalog("godeaux_like", 1)
+
+
+def test_catalog_schema_follows_table_order():
+    schema, _, _ = REGISTRY["catalog"]
+    assert [name for name, _, _ in schema] == ["name", "k_sq", "p_g", "r", "s", "x", "y"]
+
+
+# Ops replayed by calling the constructor with the recipe parameters as
+# keywords, each with a sample descriptor it builds.
+def _generic_samples():
+    e2 = elliptic_surface(2, 1, 1)
+    return {
+        "elliptic_surface": (elliptic_surface, e2),
+        "knot_product": (knot_product, knot_product(2)),
+        "surface_bundle_Y": (surface_bundle_y, surface_bundle_y(2, 2)),
+        "singular_double_cover": (singular_double_cover, singular_double_cover(3, 5)),
+        "log_transform": (log_transform, log_transform(e2, 3)),
+        "blow_up": (blow_up, blow_up(e2)),
+        "lagrangian_triple_surgery": (
+            lagrangian_triple_surgery, lagrangian_triple_surgery(e2, 1, 2, 3, 1, 1, "-")),
+        "branched_cover": (branched_cover, branched_cover(e2, 4, -4, 2)),
+    }
+
+
+@pytest.mark.parametrize(
+    "op",
+    ["elliptic_surface", "knot_product", "surface_bundle_Y", "singular_double_cover",
+     "log_transform", "blow_up", "lagrangian_triple_surgery", "branched_cover"],
+)
+def test_generic_op_schema_is_constructor_signature(op):
+    fn, sample = _generic_samples()[op]
+    schema, arity, _ = REGISTRY[op]
+    names = list(inspect.signature(fn).parameters)[arity:]
+    assert [name for name, _, _ in schema] == names
+    assert [key for key, _ in sample.recipe.params] == names
+    roundtrip(sample)
