@@ -112,6 +112,10 @@ _ARITY = {
 }
 
 
+def _catalog(words: list[str]) -> ManifoldDescriptor:
+    return manifolds.catalog(words[0], *[int(x) for x in words[1:]])
+
+
 def _cmd_construct(args) -> int:
     name = args.constructor
     p = args.params
@@ -121,16 +125,17 @@ def _cmd_construct(args) -> int:
         if not p:
             print("catalog needs an entry name", file=sys.stderr)
             return 2
-        m = manifolds.catalog(p[0], *[int(x) for x in p[1:]])
+        m = _catalog(p)
         params = " ".join(p)
     elif name == "pluricanonical_cover":
-        if len(p) != 3:
-            print("usage: construct pluricanonical_cover <base> <d> <m>", file=sys.stderr)
+        if len(p) < 3:
+            print("usage: construct pluricanonical_cover <base> [base params...] <d> <m>",
+                  file=sys.stderr)
             return 2
-        base = manifolds.catalog(p[0])
-        cover = coverings.CoverParams.from_degrees(int(p[2]), int(p[1]))
-        m = coverings.pluricanonical_cover(base, cover)
-        params = f"base={p[0]} d={p[1]} m={p[2]}"
+        *base, d, degree = p
+        cover = coverings.CoverParams.from_degrees(int(degree), int(d))
+        m = coverings.pluricanonical_cover(_catalog(base), cover)
+        params = f"base={' '.join(base)} d={d} m={degree}"
     elif name in _INT_CONSTRUCTORS:
         module, attr = _INT_CONSTRUCTORS[name]
         if len(p) != _ARITY[name]:
@@ -215,14 +220,12 @@ def _scan_points(args):
                     continue
                 for t in _parse_range(args.t):
                     yield "nonspin_surface", f"d={d};n={n};t={t}", geography.nonspin_surface(d, n, t)
-    elif regime == "negative_c1":
+    else:
         for n in _parse_range(args.n):
             for r in _parse_range(args.r):
                 if n < 1 or r < 1:
                     continue
                 yield "negative_c1", f"n={n};r={r}", geography.negative_c1(n, r)
-    else:
-        raise SymgeoError(f"unknown scan regime {regime!r}")
 
 
 def _cmd_scan(args) -> int:
@@ -256,16 +259,12 @@ def _table_lines(which: str) -> list[str]:
     return lines
 
 
+# tables --which value -> catalog bases, in output order.
+_TABLES = {"barlow": ("barlow",), "leepark": ("lee_park",), "both": ("barlow", "lee_park")}
+
+
 def _cmd_tables(args) -> int:
-    if args.which == "both":
-        lines = _table_lines("barlow") + _table_lines("lee_park")
-    elif args.which == "barlow":
-        lines = _table_lines("barlow")
-    elif args.which == "leepark":
-        lines = _table_lines("lee_park")
-    else:
-        print("tables --which must be barlow, leepark or both", file=sys.stderr)
-        return 2
+    lines = [line for base in _TABLES[args.which] for line in _table_lines(base)]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(fn=_cmd_scan)
 
     t = sub.add_parser("tables", help="print the branched-cover invariant tables")
-    t.add_argument("--which", required=True, choices=["barlow", "leepark", "both"])
+    t.add_argument("--which", required=True, choices=list(_TABLES))
     t.add_argument("--out")
     t.set_defaults(fn=_cmd_tables)
 
@@ -350,10 +349,7 @@ def run_command(argv: list[str]) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except SymgeoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+    except (SymgeoError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

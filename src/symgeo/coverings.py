@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ConstructionError, CoveringError
-from .lattice import IntersectionLattice, Witness
+from .lattice import IntersectionLattice, Witness, block_diagonal
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_GENERAL_TYPE,
@@ -103,7 +103,7 @@ def branched_cover(
     if direct.denominator != 1 or int(direct) != c1:
         raise CoveringError("inconsistent branch data")
 
-    lat = IntersectionLattice(("pullback",), ((c1,),), primitive_summand=False)
+    lat = IntersectionLattice(("pullback",), block_diagonal([((c1,),)]), primitive_summand=False)
     canonical = lat.vector({"pullback": 1})
     notes = [NOTE_FULL_CANONICAL]
     if m_desc.simply_connected and d_square > 0:
@@ -187,7 +187,7 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
         raise CoveringError("inconsistent branch data")
 
     # Pullback of the base canonical class: self-pairing m * c1^2(base).
-    lat = IntersectionLattice(("phiK",), ((m * c,),), primitive_summand=True)
+    lat = IntersectionLattice(("phiK",), block_diagonal([((m * c,),)]))
     canonical = lat.vector({"phiK": d})
     witnesses = (Witness("pullback_dual", (1,)),)
     recipe = ConstructionRecipe(
@@ -277,7 +277,7 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
         raise ConstructionError("line counts must be positive")
     e = 6 + 2 * (2 * m - 1) * (2 * n - 1)
     sigma = -4 * m * n
-    lat = IntersectionLattice(("F_1", "F_2"), ((0, 2), (2, 0)), primitive_summand=True)
+    lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
     canonical = lat.vector({"F_1": n - 2, "F_2": m - 2})
     witnesses: tuple[Witness, ...] = ()
     notes = [NOTE_FULL_CANONICAL, "divisibility-claim:gcd of fibre multiplicities"]

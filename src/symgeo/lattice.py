@@ -2,9 +2,11 @@
 
 An :class:`IntersectionLattice` is the tracked fragment of the second
 cohomology of a 4-manifold: a list of named basis classes together with
-the integer Gram matrix of their intersection pairing.  Class vectors and
-witness surfaces are integer vectors over that basis.  All arithmetic is
-done with Python integers, so values are exact at any size.
+their integer intersection form, stored by its nonzero entries so that a
+lattice of many small blocks costs in proportion to its entries, not to
+its rank squared.  Class vectors and witness surfaces are integer vectors
+over that basis.  All arithmetic is done with Python integers, so values
+are exact at any size.
 """
 
 from __future__ import annotations
@@ -78,7 +80,10 @@ class Witness:
 
 @dataclass(frozen=True)
 class IntersectionLattice:
-    """Named basis classes with a symmetric integer Gram matrix.
+    """Named basis classes with a symmetric integer intersection form.
+
+    The form is stored by its nonzero entries: ``rows[i]`` lists the pairs
+    ``(j, g_ij)`` with ``g_ij != 0`` by increasing ``j``.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
@@ -86,24 +91,42 @@ class IntersectionLattice:
     """
 
     basis_names: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
     primitive_summand: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "basis_names", tuple(self.basis_names))
-        object.__setattr__(self, "gram", tuple(map(tuple, self.gram)))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         n = len(self.basis_names)
         if len(set(self.basis_names)) != n:
             raise LatticeError("basis names must be pairwise distinct")
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
-            raise LatticeError("gram matrix must be square with side equal to basis size")
-        # Transpose comparison runs at C speed; ranks reach a few thousand.
-        if self.gram != tuple(zip(*self.gram)):
-            raise LatticeError("gram matrix must be symmetric")
+        if len(self.rows) != n:
+            raise LatticeError("intersection form must be square: one row per basis class")
+        # Symmetry: scanning rows in order, the entries (i, g) met in column
+        # j must be exactly row j, in order.  One cursor per row checks it in
+        # O(nnz); as every entry takes one slot, no slot is left over.
+        taken = [0] * n
+        for i, row in enumerate(self.rows):
+            last = -1
+            for j, g in row:
+                if not last < j < n or not g:
+                    raise LatticeError(
+                        f"row {i} must list nonzero entries by increasing index below {n}"
+                    )
+                last = j
+                mirror, k = self.rows[j], taken[j]
+                if k == len(mirror) or mirror[k] != (i, g):
+                    raise LatticeError("intersection form must be symmetric")
+                taken[j] = k + 1
 
     @property
     def rank(self) -> int:
         return len(self.basis_names)
+
+    @property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        """Dense Gram matrix; O(rank^2), meant for tests and tiny lattices."""
+        return tuple(self.pairing_row(self.basis_vector(name)) for name in self.basis_names)
 
     def index_of(self, name: str) -> int:
         try:
@@ -128,10 +151,8 @@ class IntersectionLattice:
             raise LatticeError("basis mismatch")
         row = [0] * self.rank
         for i, c in v.nonzero_items():
-            gi = self.gram[i]
-            for j in range(self.rank):
-                if gi[j]:
-                    row[j] += c * gi[j]
+            for j, g in self.rows[i]:
+                row[j] += c * g
         return tuple(row)
 
 
@@ -139,13 +160,11 @@ def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
     """Evaluate the intersection pairing of two class vectors."""
     if len(v) != lat.rank or len(w) != lat.rank:
         raise LatticeError("basis mismatch")
+    wc = w.coefficients
     total = 0
-    w_items = w.nonzero_items()
     for i, a in v.nonzero_items():
-        gi = lat.gram[i]
-        for j, b in w_items:
-            if gi[j]:
-                total += a * gi[j] * b
+        for j, g in lat.rows[i]:
+            total += a * g * wc[j]
     return total
 
 
@@ -156,37 +175,18 @@ def dot(v: ClassVector, pairings: tuple[int, ...]) -> int:
     return sum(a * pairings[i] for i, a in v.nonzero_items())
 
 
-def _zeros(n: int) -> tuple[int, ...]:
-    return (0,) * n
-
-
-def _trusted_lattice(
-    basis_names: tuple[str, ...],
-    gram: tuple[tuple[int, ...], ...],
-    primitive_summand: bool,
-) -> IntersectionLattice:
-    """Construct without validation.  Only for internal block assemblies
-    whose symmetry is structural; grams there can reach rank a few
-    thousand, where the transpose check dominates construction."""
-    lat = object.__new__(IntersectionLattice)
-    object.__setattr__(lat, "basis_names", basis_names)
-    object.__setattr__(lat, "gram", gram)
-    object.__setattr__(lat, "primitive_summand", primitive_summand)
-    return lat
-
-
-def block_diagonal(blocks: Iterable[tuple[tuple[int, ...], ...]]) -> tuple[tuple[int, ...], ...]:
-    """Assemble a block-diagonal Gram matrix from square integer blocks."""
-    blocks = list(blocks)
-    total = sum(len(b) for b in blocks)
-    rows: list[tuple[int, ...]] = []
-    offset = 0
+def block_diagonal(
+    blocks: Iterable[tuple[tuple[int, ...], ...]], offset: int = 0
+) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Sparse rows of a block-diagonal form built from square integer
+    blocks, the first block starting at index ``offset``."""
+    rows = []
     for b in blocks:
         size = len(b)
-        left = _zeros(offset)
-        right = _zeros(total - offset - size)
         for row in b:
-            rows.append(left + tuple(row) + right)
+            if len(row) != size:
+                raise LatticeError("gram blocks must be square")
+            rows.append(tuple((offset + j, g) for j, g in enumerate(row) if g))
         offset += size
     return tuple(rows)
 
@@ -205,8 +205,10 @@ def direct_sum(
     names = tuple(pa + n for n in a.basis_names) + tuple(pb + n for n in b.basis_names)
     if len(set(names)) != len(names):
         raise LatticeError("basis name collision in direct sum")
-    gram = block_diagonal([a.gram, b.gram])
-    return IntersectionLattice(names, gram, a.primitive_summand and b.primitive_summand)
+    shifted = tuple(tuple((a.rank + j, g) for j, g in row) for row in b.rows)
+    return IntersectionLattice(
+        names, a.rows + shifted, a.primitive_summand and b.primitive_summand
+    )
 
 
 def coefficient_gcd(v: ClassVector) -> int:

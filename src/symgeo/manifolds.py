@@ -148,6 +148,7 @@ def derived_invariants(m: ManifoldDescriptor) -> Invariants:
 # at surgery time.  Pairings between different triples, and between triples
 # and the fibre, are zero: the nuclei are pairwise disjoint.
 _NUCLEUS_BLOCK = ((0, 1), (1, -2))
+SPLIT_BLOCK = ((2, 1), (1, 0))
 
 
 def triple_names(i: int) -> tuple[str, str, str, str]:
@@ -223,7 +224,7 @@ def knot_product(h: int) -> ManifoldDescriptor:
     """
     if h < 0:
         raise ConstructionError("fibre genus must be non-negative")
-    lat = IntersectionLattice(("T_K", "B_K"), ((0, 1), (1, 0)))
+    lat = IntersectionLattice(("T_K", "B_K"), block_diagonal([((0, 1), (1, 0))]))
     canonical = lat.vector({"T_K": 2 * h - 2})
     witnesses = (
         Witness("section_torus", lat.pairing_row(lat.basis_vector("T_K")), 1, 0),
@@ -255,7 +256,7 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     blocks: list[tuple[tuple[int, ...], ...]] = [((0, 1), (1, 0))]
     for j in range(1, 2 * h * (g - 1) + 1):
         names.extend([f"V_{j}", f"W_{j}"])
-        blocks.append(((2, 1), (1, 0)))
+        blocks.append(SPLIT_BLOCK)
     lat = IntersectionLattice(tuple(names), block_diagonal(blocks))
     canonical = lat.vector({"Sigma_S": 2 * h - 2, "Sigma_F": 2 * g - 2})
     witnesses = (
@@ -358,7 +359,7 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
     if c1_sq % (d * d) != 0:
         raise ConstructionError("catalog divisibility inconsistent with c1^2")
     lat = IntersectionLattice(
-        (entry.basis,), ((c1_sq // (d * d),),), primitive_summand=entry.primitive
+        (entry.basis,), block_diagonal([((c1_sq // (d * d),),)]), primitive_summand=entry.primitive
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE) + entry.notes
     witnesses: tuple[Witness, ...] = ()
@@ -383,6 +384,12 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
         witnesses=witnesses,
         recipe=recipe,
     )
+
+
+def gating_notes(notes: tuple[str, ...]) -> tuple[str, ...]:
+    """The markers among ``notes`` that gate derived checks, in order."""
+    gates = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE)
+    return tuple(n for n in notes if n in gates or n.startswith(NOTE_PI1_SECTION))
 
 
 def with_recipe_notes(m: ManifoldDescriptor, *extra: str) -> ManifoldDescriptor:

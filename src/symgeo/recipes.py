@@ -10,7 +10,9 @@ rejected with the offending line number.  The format has no reference
 syntax, so cyclic documents cannot be expressed; nesting is capped at 64.
 
 Executing a parsed recipe replays the construction and yields a
-descriptor identical to the original, including its provenance.
+descriptor identical to the original, including its provenance.  A
+node's gating notes (``manifolds.gating_notes``) must be the ones its
+replay produces, so a file cannot switch checks on or off.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable
 from . import coverings, manifolds, surgery
 from .errors import RecipeError
 from .lattice import ClassVector
-from .manifolds import ConstructionRecipe, ManifoldDescriptor, ParamValue
+from .manifolds import ConstructionRecipe, ManifoldDescriptor, ParamValue, gating_notes
 
 SCHEMA_VERSION = 1
 MAX_DEPTH = 64
@@ -330,4 +332,10 @@ def execute_recipe(recipe: ConstructionRecipe, _depth: int = 0) -> ManifoldDescr
         raise RecipeError(f"operation {recipe.operation!r} expects {arity} inputs")
     children = [execute_recipe(child, _depth + 1) for child in recipe.inputs]
     descriptor = builder(recipe, children)
+    given, replayed = gating_notes(recipe.notes), gating_notes(descriptor.recipe.notes)
+    if given != replayed:
+        raise RecipeError(
+            f"operation {recipe.operation!r}: gating notes ({', '.join(given) or 'none'}) "
+            f"differ from the replay's ({', '.join(replayed) or 'none'})"
+        )
     return replace(descriptor, recipe=recipe)

@@ -23,8 +23,7 @@ from .lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
-    _trusted_lattice,
-    _zeros,
+    block_diagonal,
     coefficient_gcd,
     dot,
     pairing,
@@ -32,6 +31,7 @@ from .lattice import (
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_PI1_SECTION,
+    SPLIT_BLOCK,
     ConstructionRecipe,
     ManifoldDescriptor,
     elliptic_surface,
@@ -120,6 +120,7 @@ class _Side:
     b_witness: Witness | None  # or known only as a witness
     b_square: int
     b_genus: int | None
+    b_row: tuple[int, ...]  # pairings of the dual with the basis
     removed: frozenset[int]
 
     @property
@@ -135,32 +136,33 @@ def _resolve_side(desc: ManifoldDescriptor, ref: SurfaceRef, label: str) -> _Sid
         raise ConstructionError(
             f"fibre-sum surface on the {label} side must be a tracked basis class"
         )
-    partners = [j for j in range(lat.rank) if j != i and lat.gram[i][j] != 0]
+    partners = [(j, g) for j, g in lat.rows[i] if j != i]
     if len(partners) > 1:
         raise ConstructionError("fibre-sum surface pairs with more than one tracked class")
     if partners:
-        j = partners[0]
-        if lat.gram[i][j] != 1:
+        j, g = partners[0]
+        if g != 1:
             raise ConstructionError("tracked dual must meet the surface exactly once")
-        for k in range(lat.rank):
-            if k not in (i, j) and lat.gram[j][k] != 0:
-                raise ConstructionError(
-                    "tracked dual pairs with classes outside the surface pair"
-                )
+        if any(k not in (i, j) for k, _ in lat.rows[j]):
+            raise ConstructionError(
+                "tracked dual pairs with classes outside the surface pair"
+            )
         b_genus = None
         row_j = lat.pairing_row(lat.basis_vector(lat.basis_names[j]))
         for w in desc.witnesses:
             if w.pairings == row_j and w.genus is not None:
                 b_genus = w.genus
                 break
-        return _Side(desc, ref, i, j, None, lat.gram[j][j], b_genus, frozenset((i, j)))
+        return _Side(desc, ref, i, j, None, row_j[j], b_genus, row_j, frozenset((i, j)))
     for w in desc.witnesses:
         if dot(ref.class_vec, w.pairings) == 1:
             if w.self_intersection is None:
                 raise ConstructionError(
                     "dual surface self-intersection unknown; cannot form fibre sum"
                 )
-            return _Side(desc, ref, i, None, w, w.self_intersection, w.genus, frozenset((i,)))
+            return _Side(
+                desc, ref, i, None, w, w.self_intersection, w.genus, w.pairings, frozenset((i,))
+            )
     raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
 
 
@@ -214,54 +216,51 @@ def fibre_sum(
     n_names = [prefix + name for name in raw_n_names]
     new_names = tuple(m_names + [sigma_name, b_name] + n_names)
 
-    rank = len(new_names)
     sigma_pos = len(m_keep)
-    b_pos = sigma_pos + 1
-    n_offset = b_pos + 1
+    n_offset = sigma_pos + 2
     b_square = side_m.b_square + side_n.b_square
 
-    rows: list[tuple[int, ...]] = []
-    for i in m_keep:
-        gi = m.lattice.gram[i]
-        rows.append(tuple(gi[j] for j in m_keep) + (0, 0) + (0,) * len(n_keep))
-    rows.append((0,) * sigma_pos + (0, 1) + (0,) * len(n_keep))
-    rows.append((0,) * sigma_pos + (1, b_square) + (0,) * len(n_keep))
-    for i in n_keep:
-        gi = n.lattice.gram[i]
-        rows.append((0,) * n_offset + tuple(gi[j] for j in n_keep))
+    # No kept class pairs with a removed one, so re-indexing the kept rows
+    # of each side loses no entry.
+    def kept_rows(side: _Side, keep: list[int], offset: int) -> tuple:
+        new_index = {i: offset + pos for pos, i in enumerate(keep)}
+        rows = side.desc.lattice.rows
+        return tuple(tuple((new_index[j], g) for j, g in rows[i]) for i in keep)
+
     lattice = IntersectionLattice(
         new_names,
-        tuple(rows),
+        kept_rows(side_m, m_keep, 0)
+        + block_diagonal([((0, 1), (1, b_square))], sigma_pos)
+        + kept_rows(side_n, n_keep, n_offset),
         m.lattice.primitive_summand and n.lattice.primitive_summand,
     )
+
+    def embed(m_vec: tuple[int, ...], sigma: int, b: int, n_vec: tuple[int, ...]) -> tuple:
+        """A vector over the new basis from vectors over the old ones and
+        its Sigma_X and B_X entries."""
+        return tuple(m_vec[i] for i in m_keep) + (sigma, b) + tuple(n_vec[i] for i in n_keep)
 
     def old_coeff(side: _Side, index: int | None) -> int:
         if index is None:
             return 0
         return side.desc.canonical.coefficients[index]
 
-    coeffs = [0] * rank
-    for pos, i in enumerate(m_keep):
-        coeffs[pos] = m.canonical.coefficients[i]
-    for pos, i in enumerate(n_keep):
-        coeffs[n_offset + pos] = n.canonical.coefficients[i]
-    coeffs[sigma_pos] = (
+    canonical = ClassVector(embed(
+        m.canonical.coefficients,
         m.canonical.coefficients[side_m.sigma_index]
         + n.canonical.coefficients[side_n.sigma_index]
-        + 2
-    )
-    coeffs[b_pos] = (
+        + 2,
         old_coeff(side_m, side_m.b_basis_index)
         + old_coeff(side_n, side_n.b_basis_index)
-        - (2 * g - 2)
-    )
-    canonical = ClassVector(tuple(coeffs))
+        - (2 * g - 2),
+        n.canonical.coefficients,
+    ))
 
     witnesses: list[Witness] = []
     dropped: list[str] = []
     zero_notes = False
 
-    def embed_witnesses(side: _Side, keep: list[int], offset: int, name_prefix: str) -> None:
+    def embed_witnesses(side: _Side, name_prefix: str, place) -> None:
         nonlocal zero_notes
         for w in side.desc.witnesses:
             if w is side.b_witness:
@@ -275,35 +274,20 @@ def fibre_sum(
             else:
                 b_pair = 0
                 zero_notes = True
-            pairings = [0] * rank
-            for pos, i in enumerate(keep):
-                pairings[offset + pos] = w.pairings[i]
-            pairings[b_pos] = b_pair
-            witnesses.append(
-                Witness(name_prefix + w.name, tuple(pairings), w.genus, w.self_intersection)
-            )
+            witnesses.append(Witness(
+                name_prefix + w.name, place(w.pairings, b_pair), w.genus, w.self_intersection
+            ))
 
-    embed_witnesses(side_m, m_keep, 0, "")
-    embed_witnesses(side_n, n_keep, n_offset, prefix)
+    zeros_m, zeros_n = (0,) * m.lattice.rank, (0,) * n.lattice.rank
+    embed_witnesses(side_m, "", lambda p, b: embed(p, 0, b, zeros_n))
+    embed_witnesses(side_n, prefix, lambda p, b: embed(zeros_m, 0, b, p))
 
-    b_pairings = [0] * rank
-    for pos, i in enumerate(m_keep):
-        if side_m.b_basis_index is not None:
-            b_pairings[pos] = m.lattice.gram[side_m.b_basis_index][i]
-        else:
-            b_pairings[pos] = side_m.b_witness.pairings[i]
-    for pos, i in enumerate(n_keep):
-        if side_n.b_basis_index is not None:
-            b_pairings[n_offset + pos] = n.lattice.gram[side_n.b_basis_index][i]
-        else:
-            b_pairings[n_offset + pos] = side_n.b_witness.pairings[i]
-    b_pairings[sigma_pos] = 1
-    b_pairings[b_pos] = b_square
+    b_pairings = embed(side_m.b_row, 1, b_square, side_n.b_row)
     b_genus = None
     if side_m.b_genus is not None and side_n.b_genus is not None:
         b_genus = side_m.b_genus + side_n.b_genus
     witness_taken = {w.name for w in witnesses}
-    witnesses.append(Witness(_fresh(b_name, witness_taken), tuple(b_pairings), b_genus, b_square))
+    witnesses.append(Witness(_fresh(b_name, witness_taken), b_pairings, b_genus, b_square))
 
     simply_connected = (
         m.simply_connected and sm.complement_simply_connected and _pi1_collapses(n, sn)
@@ -457,15 +441,13 @@ def generalized_knot_surgery(
         new_names.extend([f"V_{j}", f"W_{j}"])
         taken.update((f"V_{j}", f"W_{j}"))
         j += 1
-    rank = old_rank + 2 * blocks
-    tail = _zeros(2 * blocks)
-    rows = [row + tail for row in m.lattice.gram]
-    for b in range(blocks):
-        off = old_rank + 2 * b
-        rows.append(_zeros(off) + (2, 1) + _zeros(rank - off - 2))
-        rows.append(_zeros(off) + (1, 0) + _zeros(rank - off - 2))
-    lattice = _trusted_lattice(tuple(new_names), tuple(rows), m.lattice.primitive_summand)
+    lattice = IntersectionLattice(
+        tuple(new_names),
+        m.lattice.rows + block_diagonal([SPLIT_BLOCK] * blocks, old_rank),
+        m.lattice.primitive_summand,
+    )
 
+    tail = (0,) * (2 * blocks)
     ext = ClassVector(m.canonical.coefficients + tail)
     sigma_ext = ClassVector(s.class_vec.coefficients + tail)
     canonical = ext + sigma_ext.scaled(2 * h)
@@ -539,10 +521,10 @@ def blow_up(m: ManifoldDescriptor) -> ManifoldDescriptor:
         k += 1
     name = f"E_{k}"
     rank = m.lattice.rank + 1
-    rows = [tuple(row) + (0,) for row in m.lattice.gram]
-    rows.append((0,) * (rank - 1) + (-1,))
     lattice = IntersectionLattice(
-        m.lattice.basis_names + (name,), tuple(rows), m.lattice.primitive_summand
+        m.lattice.basis_names + (name,),
+        m.lattice.rows + (((rank - 1, -1),),),
+        m.lattice.primitive_summand,
     )
     canonical = ClassVector(m.canonical.coefficients + (1,))
     witnesses = [replace(w, pairings=w.pairings + (0,)) for w in m.witnesses]

@@ -73,6 +73,13 @@ class TestConstruct:
         assert code == 2 and out == ""
         assert "catalog entry 'barlow' takes parameters ()" in err
 
+    def test_cover_of_parametrized_base(self, capsys):
+        code, out, _ = run(
+            capsys, "construct", "pluricanonical_cover", "godeaux_like", "2", "1", "3", "2"
+        )
+        assert code == 0
+        assert "divisibility: 3" in out and "certified: true" in out
+
     def test_family(self, capsys):
         code, out, _ = run(
             capsys, "construct", "inequivalent_family", "45", "45,15,9,5",
@@ -115,6 +122,30 @@ class TestVerify:
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
         assert code == 2
+
+    def test_deleted_gating_note_rejected(self, capsys, tmp_path):
+        # Without its full-canonical markers the recipe would skip five checks.
+        target = tmp_path / "r.txt"
+        run(capsys, "construct", "spin_surface", "4", "2", "2", "--recipe", str(target))
+        lines = target.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [line for line in lines if line.strip() != "note: full-canonical"]
+        assert len(kept) < len(lines)
+        target.write_text("".join(kept), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == 2 and out == ""
+        assert "gating notes" in err
+
+    def test_added_gating_note_rejected(self, capsys, tmp_path):
+        target = tmp_path / "r.txt"
+        run(capsys, "construct", "elliptic_surface", "2", "1", "1", "--recipe", str(target))
+        text = target.read_text(encoding="utf-8")
+        target.write_text(
+            text.replace("q: 1\n", "q: 1\nnote: pi1-normally-generated-by:f\n", 1),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "verify", str(target))
+        assert code == 2 and out == ""
+        assert "pi1-normally-generated-by:f" in err
 
 
 class TestScan:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -15,7 +16,14 @@ from symgeo.geography import (
     surgered_homotopy_elliptic,
     validate,
 )
-from symgeo.lattice import ClassVector, IntersectionLattice, Witness, pairing, q_set
+from symgeo.lattice import (
+    ClassVector,
+    IntersectionLattice,
+    Witness,
+    block_diagonal,
+    pairing,
+    q_set,
+)
 from symgeo.manifolds import (
     ConstructionRecipe,
     ManifoldDescriptor,
@@ -27,7 +35,7 @@ from symgeo.manifolds import (
 def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses=(),
               primitive=True, notes=("full-canonical",)):
     lat = IntersectionLattice(
-        tuple(f"g{i}" for i in range(len(gram))), tuple(gram), primitive
+        tuple(f"g{i}" for i in range(len(gram))), block_diagonal([gram]), primitive
     )
     return ManifoldDescriptor(
         e=e, sigma=sigma, spin=spin, simply_connected=sc, symplectic=True,
@@ -164,6 +172,20 @@ class TestSpinSurface:
     def test_odd_divisibility_rejected(self):
         with pytest.raises(ConstructionError, match="even"):
             spin_surface(3, 1, 1)
+
+    def test_peak_memory_scales_with_blocks(self):
+        # Doubling t doubles the split-class blocks, so the rank nearly
+        # doubles; storage quadratic in the rank would about quadruple.
+        def peak(*params):
+            elliptic_surface.cache_clear()
+            tracemalloc.start()
+            try:
+                spin_surface(*params)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20, 1, 8) <= 2.5 * peak(20, 1, 4)
 
 
 class TestNonspinSurface:

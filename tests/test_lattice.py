@@ -7,13 +7,14 @@ from symgeo.errors import LatticeError
 from symgeo.lattice import (
     ClassVector,
     IntersectionLattice,
+    block_diagonal,
     coefficient_gcd,
     direct_sum,
     pairing,
     q_set,
 )
 
-H = IntersectionLattice(("a", "b"), ((0, 1), (1, 0)))
+H = IntersectionLattice(("a", "b"), block_diagonal([((0, 1), (1, 0))]))
 
 
 def dense_pairing(gram, v, w):
@@ -30,7 +31,7 @@ def test_hyperbolic_pairing():
 
 
 def test_even_two_form_square():
-    lat = IntersectionLattice(("F_1", "F_2"), ((0, 2), (2, 0)))
+    lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
     for n, m in [(4, 4), (3, 5), (1, 2), (7, 3)]:
         v = ClassVector((n - 2, m - 2))
         assert pairing(lat, v, v) == 4 * (n - 2) * (m - 2)
@@ -56,7 +57,7 @@ def test_pairing_bilinear_symmetric_random():
             for j in range(i, r):
                 entries[i][j] = entries[j][i] = rng.randint(-5, 5)
         lat = IntersectionLattice(
-            tuple(f"x{i}" for i in range(r)), tuple(tuple(row) for row in entries)
+            tuple(f"x{i}" for i in range(r)), block_diagonal([entries])
         )
         v = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
         w = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
@@ -66,13 +67,45 @@ def test_pairing_bilinear_symmetric_random():
         assert pairing(lat, v.scaled(3), w) == 3 * pairing(lat, v, w)
 
 
+def test_pairing_row_matches_dense_random():
+    rng = random.Random(5)
+    for _ in range(40):
+        r = rng.randint(1, 6)
+        entries = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i, r):
+                entries[i][j] = entries[j][i] = rng.choice([0, 0, rng.randint(-5, 5)])
+        lat = IntersectionLattice(tuple(f"x{i}" for i in range(r)), block_diagonal([entries]))
+        assert lat.gram == tuple(map(tuple, entries))
+        v = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
+        units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
+        assert lat.pairing_row(v) == tuple(
+            dense_pairing(entries, v.coefficients, e) for e in units
+        )
+
+
+def test_rows_must_be_sorted_nonzero_and_in_range():
+    for rows in [
+        (((1, 1), (0, 2)), ((0, 1),)),  # unsorted
+        (((0, 0),), ()),  # stored zero
+        (((2, 1),), ()),  # index out of range
+        (((1, 1),), ((0, 1), (0, 1))),  # repeated index
+    ]:
+        with pytest.raises(LatticeError, match="increasing index"):
+            IntersectionLattice(("a", "b"), rows)
+    with pytest.raises(LatticeError, match="symmetric"):
+        IntersectionLattice(("a", "b"), (((1, 1),), ()))
+    with pytest.raises(LatticeError, match="square"):
+        block_diagonal([((0, 1),)])
+
+
 def test_gram_must_be_symmetric_and_square():
     with pytest.raises(LatticeError, match="symmetric"):
-        IntersectionLattice(("a", "b"), ((0, 1), (2, 0)))
+        IntersectionLattice(("a", "b"), block_diagonal([((0, 1), (2, 0))]))
     with pytest.raises(LatticeError, match="square"):
-        IntersectionLattice(("a", "b"), ((0, 1),))
+        IntersectionLattice(("a", "b"), block_diagonal([((0,),)]))
     with pytest.raises(LatticeError, match="distinct"):
-        IntersectionLattice(("a", "a"), ((0, 1), (1, 0)))
+        IntersectionLattice(("a", "a"), block_diagonal([((0, 1), (1, 0))]))
 
 
 def test_direct_sum_hyperbolic_pair():
@@ -90,7 +123,7 @@ def test_direct_sum_split_class_blocks():
     # Block form of the genus-1 bundle over a genus-2 surface: 2h(g-1) = 2
     # split blocks plus the hyperbolic (section, fibre) pair, total rank 6
     # (b2 = 4h(g-1) + 2).
-    split = IntersectionLattice(("v", "w"), ((2, 1), (1, 0)))
+    split = IntersectionLattice(("v", "w"), block_diagonal([((2, 1), (1, 0))]))
     acc = direct_sum(split, split, rename=("1.", "2."))
     acc = direct_sum(acc, H, rename=("", ""))
     assert acc.rank == 6

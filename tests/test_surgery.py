@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from symgeo import geography, surgery
 from symgeo.errors import ConstructionError
-from symgeo.geography import divisibility
+from symgeo.geography import divisibility, inequivalent_family
 from symgeo.lattice import ClassVector, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.surgery import (
@@ -328,3 +331,95 @@ class TestAdjunctionInvariant:
                     2 * w.genus - 2
                     == dot(m.canonical, w.pairings) + w.self_intersection
                 ), (m.recipe.operation, w.name)
+
+
+# --- dense reference assembly ----------------------------------------------
+# The Gram matrices fibre_sum, generalized_knot_surgery and blow_up built
+# when lattices stored dense rows padded with zeros, re-derived here from
+# the inputs' dense views and compared with the sparse result.
+
+
+def dense_side(m, ref):
+    """(kept indices, dual square) of one fibre-sum side, read densely."""
+    g = m.lattice.gram
+    i = ref.class_vec.coefficients.index(1)
+    partners = [j for j in range(len(g)) if j != i and g[i][j] != 0]
+    if partners:
+        j = partners[0]
+        return [k for k in range(len(g)) if k not in (i, j)], g[j][j]
+    dual = next(w for w in m.witnesses if dot(ref.class_vec, w.pairings) == 1)
+    return [k for k in range(len(g)) if k != i], dual.self_intersection
+
+
+def dense_fibre_sum_gram(m, sm, n, sn):
+    m_keep, m_square = dense_side(m, sm)
+    n_keep, n_square = dense_side(n, sn)
+    gm, gn = m.lattice.gram, n.lattice.gram
+    sigma_pos = len(m_keep)
+    pad = (0,) * len(n_keep)
+    rows = [tuple(gm[i][j] for j in m_keep) + (0, 0) + pad for i in m_keep]
+    rows.append((0,) * sigma_pos + (0, 1) + pad)
+    rows.append((0,) * sigma_pos + (1, m_square + n_square) + pad)
+    rows += [(0,) * (sigma_pos + 2) + tuple(gn[i][j] for j in n_keep) for i in n_keep]
+    return tuple(rows)
+
+
+def dense_gks_gram(m, s, h):
+    old_rank = m.lattice.rank
+    blocks = 2 * h * (s.genus - 1)
+    rank = old_rank + 2 * blocks
+    rows = [row + (0,) * (2 * blocks) for row in m.lattice.gram]
+    for b in range(blocks):
+        off = old_rank + 2 * b
+        rows.append((0,) * off + (2, 1) + (0,) * (rank - off - 2))
+        rows.append((0,) * off + (1, 0) + (0,) * (rank - off - 2))
+    return tuple(rows)
+
+
+def dense_blow_up_gram(m):
+    rank = m.lattice.rank + 1
+    return tuple(row + (0,) for row in m.lattice.gram) + ((0,) * (rank - 1) + (-1,),)
+
+
+def checked(op, reference, calls):
+    """Wrap ``op`` so that every call compares its Gram with the reference."""
+    def run(*args, **kwargs):
+        out = op(*args, **kwargs)
+        assert out.lattice.gram == reference(*args)
+        calls[op.__name__] = calls.get(op.__name__, 0) + 1
+        return out
+    return run
+
+
+class TestDenseReference:
+    def test_random_construction_trees(self, monkeypatch):
+        import conftest
+
+        calls = {}
+        monkeypatch.setattr(conftest, "fibre_sum", checked(fibre_sum, dense_fibre_sum_gram, calls))
+        monkeypatch.setattr(conftest, "blow_up", checked(blow_up, dense_blow_up_gram, calls))
+        rng = random.Random(2024)
+        for _ in range(60):
+            conftest.random_descriptor(rng)
+        assert calls["fibre_sum"] > 0 and calls["blow_up"] > 0
+
+    def test_fibre_sum_along_rim_torus_with_tracked_dual(self, monkeypatch):
+        # Triple surgery sums along R_i, whose dual sphere DR_i is a basis class.
+        calls = {}
+        monkeypatch.setattr(
+            surgery, "fibre_sum", checked(fibre_sum, dense_fibre_sum_gram, calls)
+        )
+        inequivalent_family(15, [15, 5, 3], "c1sq_zero", n=5)
+        assert calls["fibre_sum"] == 2
+
+    def test_spin_and_nonspin_points(self, monkeypatch):
+        calls = {}
+        monkeypatch.setattr(
+            geography, "generalized_knot_surgery",
+            checked(generalized_knot_surgery, dense_gks_gram, calls),
+        )
+        for d, m, t in [(2, 1, 1), (4, 1, 2), (4, 2, 1), (6, 1, 1)]:
+            geography.spin_surface(d, m, t)
+        for d, n, t in [(1, 2, 1), (3, 2, 1), (3, 3, 2), (5, 2, 1)]:
+            geography.nonspin_surface(d, n, t)
+        assert calls["generalized_knot_surgery"] == 8
