@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ConstructionError, CoveringError
-from .lattice import IntersectionLattice, Witness, block_diagonal
+from .lattice import IntersectionLattice, Witness, block_diagonal, coefficient_gcd
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_GENERAL_TYPE,
@@ -160,7 +160,9 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
     """Cover of degree m branched over a smooth divisor in |n K|, n = m a.
 
     The canonical class of the cover is d times the pulled-back canonical
-    class of the base, hence divisible by exactly d, and the cover is
+    class of the base.  With K = delta A for the base (delta the
+    coefficient gcd of its canonical class), it is d delta times the
+    pullback of A, hence divisible by exactly d delta, and the cover is
     again minimal, simply connected and of general type.
     """
     if not m_desc.simply_connected:
@@ -186,10 +188,13 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
     if (e + sigma) % 4 != 0 or (e + sigma) // 4 != chi_h:
         raise CoveringError("inconsistent branch data")
 
-    # Pullback of the base canonical class: self-pairing m * c1^2(base).
-    lat = IntersectionLattice(("phiK",), block_diagonal([((m * c,),)]))
-    canonical = lat.vector({"phiK": d})
-    witnesses = (Witness("pullback_dual", (1,)),)
+    # Pullback of A = K / delta for the base: self-pairing m * c1^2 / delta^2.
+    delta = coefficient_gcd(m_desc.canonical)
+    if delta == 0 or c % (delta * delta) != 0:
+        raise CoveringError("base canonical class inconsistent with c1^2")
+    lat = IntersectionLattice(("phiA",), block_diagonal([((m * c // (delta * delta),),)]))
+    canonical = lat.vector({"phiA": d * delta})
+    witnesses = (Witness("pullback_dual", ((0, 1),)),)
     recipe = ConstructionRecipe(
         "pluricanonical_cover",
         (("cover_m", m), ("cover_d", d)),
@@ -199,7 +204,7 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
     return ManifoldDescriptor(
         e=e,
         sigma=sigma,
-        spin=d % 2 == 0,
+        spin=d * delta % 2 == 0,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
@@ -286,7 +291,8 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
         # Dual class to the primitive part of K, by unimodularity of the
         # ambient cohomology; Bezout coefficients give the pairing values.
         u, v = _bezout((n - 2) // g, (m - 2) // g)
-        witnesses = (Witness("canonical_dual", (u, v)),)
+        pairs = tuple((i, x) for i, x in enumerate((u, v)) if x)
+        witnesses = (Witness("canonical_dual", pairs),)
         notes.append("axiomatic-dual:canonical_dual")
     recipe = ConstructionRecipe(
         "singular_double_cover", (("n", n), ("m", m)), (), tuple(notes)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConstructionError
+from .errors import ConstructionError, LatticeError
 from .lattice import (
     ClassVector,
     coefficient_gcd,
@@ -56,12 +56,14 @@ class DivisibilityCertificate:
 
 def certify_class(m: ManifoldDescriptor, k: ClassVector) -> DivisibilityCertificate:
     """Certificate for an arbitrary canonical class vector over m's lattice."""
+    if len(k) != m.lattice.rank:
+        raise LatticeError("basis mismatch")
     lower = coefficient_gcd(k)
     if k.is_zero():
         return DivisibilityCertificate(0, 0, True, "canonical class is zero")
     if not m.witnesses:
         return DivisibilityCertificate(lower, 0, False, "no witnesses")
-    upper = gcd_all(dot(k, w.pairings) for w in m.witnesses)
+    upper = gcd_all(dot(k, w) for w in m.witnesses)
     parity_note = "no parity constraint"
     if m.simply_connected and m.symplectic:
         if m.spin:
@@ -146,7 +148,7 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
         for w in m.witnesses:
             if w.genus is None or w.self_intersection is None:
                 continue
-            if 2 * w.genus - 2 != dot(m.canonical, w.pairings) + w.self_intersection:
+            if 2 * w.genus - 2 != dot(m.canonical, w) + w.self_intersection:
                 bad.append(w.name)
         add("adjunction_witnesses", not bad, "violations: " + ",".join(bad) if bad else "ok")
     else:

@@ -4,8 +4,10 @@ An :class:`IntersectionLattice` is the tracked fragment of the second
 cohomology of a 4-manifold: a list of named basis classes together with
 their integer intersection form, stored by its nonzero entries so that a
 lattice of many small blocks costs in proportion to its entries, not to
-its rank squared.  Class vectors and witness surfaces are integer vectors
-over that basis.  All arithmetic is done with Python integers, so values
+its rank squared.  A witness surface is stored the same way, by its
+nonzero pairings with the basis, so pairing a class with it costs in
+proportion to those pairings.  Class vectors stay dense integer vectors
+over the basis.  All arithmetic is done with Python integers, so values
 are exact at any size.
 """
 
@@ -61,19 +63,30 @@ class ClassVector:
 class Witness:
     """A named surface known only through its pairings with the basis.
 
-    ``pairings[i]`` is the intersection number of the witness with the
-    i-th basis class.  ``genus`` and ``self_intersection`` are declared
-    only when a concrete embedded representative of that type is known;
-    the adjunction validator skips witnesses with either field missing.
+    ``pairings`` lists the pairs ``(i, p)`` with ``p != 0`` the
+    intersection number of the witness with the i-th basis class, by
+    increasing ``i``: the shape of a row of
+    :attr:`IntersectionLattice.rows`.  The witness does not know the rank;
+    its descriptor checks that every index lies below it.  ``genus`` and
+    ``self_intersection`` are declared only when a concrete embedded
+    representative of that type is known; the adjunction validator skips
+    witnesses with either field missing.
     """
 
     name: str
-    pairings: tuple[int, ...]
+    pairings: tuple[tuple[int, int], ...]
     genus: int | None = None
     self_intersection: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "pairings", tuple(int(p) for p in self.pairings))
+        object.__setattr__(self, "pairings", tuple(map(tuple, self.pairings)))
+        last = -1
+        for i, p in self.pairings:
+            if not last < i or not p:
+                raise LatticeError(
+                    f"witness {self.name!r} must list nonzero pairings by increasing index"
+                )
+            last = i
         if self.genus is not None and self.genus < 0:
             raise LatticeError("witness genus must be non-negative")
 
@@ -126,7 +139,13 @@ class IntersectionLattice:
     @property
     def gram(self) -> tuple[tuple[int, ...], ...]:
         """Dense Gram matrix; O(rank^2), meant for tests and tiny lattices."""
-        return tuple(self.pairing_row(self.basis_vector(name)) for name in self.basis_names)
+        dense = []
+        for row in self.rows:
+            out = [0] * self.rank
+            for j, g in row:
+                out[j] = g
+            dense.append(tuple(out))
+        return tuple(dense)
 
     def index_of(self, name: str) -> int:
         try:
@@ -145,15 +164,17 @@ class IntersectionLattice:
             out[self.index_of(name)] = int(c)
         return ClassVector(tuple(out))
 
-    def pairing_row(self, v: ClassVector) -> tuple[int, ...]:
-        """The vector of pairings of ``v`` against every basis class."""
+    def pairing_row(self, v: ClassVector) -> tuple[tuple[int, int], ...]:
+        """The nonzero pairings ``(j, v . e_j)`` of ``v`` with the basis
+        classes, by increasing ``j``; for the i-th basis class this is
+        ``rows[i]``."""
         if len(v) != self.rank:
             raise LatticeError("basis mismatch")
-        row = [0] * self.rank
+        row: dict[int, int] = {}
         for i, c in v.nonzero_items():
             for j, g in self.rows[i]:
-                row[j] += c * g
-        return tuple(row)
+                row[j] = row.get(j, 0) + c * g
+        return tuple(sorted((j, x) for j, x in row.items() if x))
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
@@ -168,11 +189,14 @@ def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
     return total
 
 
-def dot(v: ClassVector, pairings: tuple[int, ...]) -> int:
-    """Pair a class vector with a precomputed pairing row (e.g. a witness)."""
-    if len(v) != len(pairings):
-        raise LatticeError("basis mismatch")
-    return sum(a * pairings[i] for i, a in v.nonzero_items())
+def dot(v: ClassVector, w: Witness) -> int:
+    """Pair a class vector with a witness over the same lattice, in
+    O(nnz) of the witness's pairings."""
+    c = v.coefficients
+    total = 0
+    for i, p in w.pairings:
+        total += c[i] * p
+    return total
 
 
 def block_diagonal(

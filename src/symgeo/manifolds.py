@@ -81,7 +81,7 @@ class ManifoldDescriptor:
         if len(self.canonical) != self.lattice.rank:
             raise ConstructionError("canonical class length does not match lattice rank")
         for w in self.witnesses:
-            if len(w.pairings) != self.lattice.rank:
+            if w.pairings and w.pairings[-1][0] >= self.lattice.rank:
                 raise ConstructionError(f"witness {w.name!r} pairing length mismatch")
 
     @property
@@ -179,7 +179,7 @@ def elliptic_surface(n: int, p: int = 1, q: int = 1) -> ManifoldDescriptor:
 
     witnesses: list[Witness] = []
     notes = [NOTE_FULL_CANONICAL, f"rim-torus-triples:{n - 1}"]
-    fibre_dual_row = lat.basis_vector("f").coefficients  # meets f once, nuclei not at all
+    fibre_dual_row = ((0, 1),)  # meets f once, nuclei not at all
     if p == 1 and q == 1:
         # Honest section: sphere of square -n meeting the fibre once.
         witnesses.append(Witness("section", fibre_dual_row, 0, -n))
@@ -189,9 +189,10 @@ def elliptic_surface(n: int, p: int = 1, q: int = 1) -> ManifoldDescriptor:
         witnesses.append(Witness("fibre_dual", fibre_dual_row))
         notes.append("axiomatic-dual:fibre_dual")
     for i in range(1, n):
-        t1, d1, r, dr = triple_names(i)
-        witnesses.append(Witness(f"sphere_{t1}", lat.pairing_row(lat.basis_vector(d1)), 0, -2))
-        witnesses.append(Witness(f"sphere_{r}", lat.pairing_row(lat.basis_vector(dr)), 0, -2))
+        # Triple i holds indices 4i-3 .. 4i in the order of triple_names.
+        t1, _, r, _ = triple_names(i)
+        witnesses.append(Witness(f"sphere_{t1}", lat.rows[4 * i - 2], 0, -2))
+        witnesses.append(Witness(f"sphere_{r}", lat.rows[4 * i], 0, -2))
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 
     spin = n % 2 == 0 and p % 2 == 1 and q % 2 == 1
@@ -227,8 +228,8 @@ def knot_product(h: int) -> ManifoldDescriptor:
     lat = IntersectionLattice(("T_K", "B_K"), block_diagonal([((0, 1), (1, 0))]))
     canonical = lat.vector({"T_K": 2 * h - 2})
     witnesses = (
-        Witness("section_torus", lat.pairing_row(lat.basis_vector("T_K")), 1, 0),
-        Witness("fibre", lat.pairing_row(lat.basis_vector("B_K")), h, 0),
+        Witness("section_torus", lat.rows[0], 1, 0),
+        Witness("fibre", lat.rows[1], h, 0),
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "T_K", "b1:2", f"fibre-genus:{h}")
     recipe = ConstructionRecipe("knot_product", (("h", h),), (), notes)
@@ -260,8 +261,8 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     lat = IntersectionLattice(tuple(names), block_diagonal(blocks))
     canonical = lat.vector({"Sigma_S": 2 * h - 2, "Sigma_F": 2 * g - 2})
     witnesses = (
-        Witness("section", lat.pairing_row(lat.basis_vector("Sigma_S")), g, 0),
-        Witness("fibre", lat.pairing_row(lat.basis_vector("Sigma_F")), h, 0),
+        Witness("section", lat.rows[0], g, 0),
+        Witness("fibre", lat.rows[1], h, 0),
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "Sigma_S", f"b1:{2 * g}")
     recipe = ConstructionRecipe("surface_bundle_Y", (("g", g), ("h", h)), (), notes)
@@ -364,11 +365,11 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
     notes = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE) + entry.notes
     witnesses: tuple[Witness, ...] = ()
     if entry.witness == "canonical_dual":
-        witnesses = (Witness("canonical_dual", (1,)),)
+        witnesses = (Witness("canonical_dual", ((0, 1),)),)
         notes += ("axiomatic-dual:canonical_dual",)
     elif entry.witness == "genus2_fibre":
         # A genus-2 fibre of square zero pairs 2 with K, i.e. 2/d with A.
-        witnesses = (Witness("genus2_fibre", (2 // d,), 2, 0),)
+        witnesses = (Witness("genus2_fibre", ((0, 2 // d),), 2, 0),)
     recipe = ConstructionRecipe(
         "catalog", (("name", name),) + tuple(zip(entry.params, params)), (), notes
     )

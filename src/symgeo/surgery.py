@@ -120,7 +120,7 @@ class _Side:
     b_witness: Witness | None  # or known only as a witness
     b_square: int
     b_genus: int | None
-    b_row: tuple[int, ...]  # pairings of the dual with the basis
+    b_row: tuple[tuple[int, int], ...]  # nonzero pairings of the dual with the basis
     removed: frozenset[int]
 
     @property
@@ -148,14 +148,15 @@ def _resolve_side(desc: ManifoldDescriptor, ref: SurfaceRef, label: str) -> _Sid
                 "tracked dual pairs with classes outside the surface pair"
             )
         b_genus = None
-        row_j = lat.pairing_row(lat.basis_vector(lat.basis_names[j]))
+        row_j = lat.rows[j]
         for w in desc.witnesses:
             if w.pairings == row_j and w.genus is not None:
                 b_genus = w.genus
                 break
-        return _Side(desc, ref, i, j, None, row_j[j], b_genus, row_j, frozenset((i, j)))
+        b_square = next((g for k, g in row_j if k == j), 0)
+        return _Side(desc, ref, i, j, None, b_square, b_genus, row_j, frozenset((i, j)))
     for w in desc.witnesses:
-        if dot(ref.class_vec, w.pairings) == 1:
+        if dot(ref.class_vec, w) == 1:
             if w.self_intersection is None:
                 raise ConstructionError(
                     "dual surface self-intersection unknown; cannot form fibre sum"
@@ -217,27 +218,33 @@ def fibre_sum(
     new_names = tuple(m_names + [sigma_name, b_name] + n_names)
 
     sigma_pos = len(m_keep)
-    n_offset = sigma_pos + 2
+    b_pos = sigma_pos + 1
     b_square = side_m.b_square + side_n.b_square
+    # Old-to-new index of the kept classes of each side.
+    m_index = {i: pos for pos, i in enumerate(m_keep)}
+    n_index = {i: b_pos + 1 + pos for pos, i in enumerate(n_keep)}
+
+    def carry(pairs: tuple[tuple[int, int], ...], index: dict[int, int]) -> list:
+        """The entries of sparse ``pairs`` at kept classes, re-indexed."""
+        return [(index[i], p) for i, p in pairs if i in index]
 
     # No kept class pairs with a removed one, so re-indexing the kept rows
     # of each side loses no entry.
-    def kept_rows(side: _Side, keep: list[int], offset: int) -> tuple:
-        new_index = {i: offset + pos for pos, i in enumerate(keep)}
+    def kept_rows(side: _Side, index: dict[int, int]) -> tuple:
         rows = side.desc.lattice.rows
-        return tuple(tuple((new_index[j], g) for j, g in rows[i]) for i in keep)
+        return tuple(tuple(carry(rows[i], index)) for i in index)
 
     lattice = IntersectionLattice(
         new_names,
-        kept_rows(side_m, m_keep, 0)
+        kept_rows(side_m, m_index)
         + block_diagonal([((0, 1), (1, b_square))], sigma_pos)
-        + kept_rows(side_n, n_keep, n_offset),
+        + kept_rows(side_n, n_index),
         m.lattice.primitive_summand and n.lattice.primitive_summand,
     )
 
     def embed(m_vec: tuple[int, ...], sigma: int, b: int, n_vec: tuple[int, ...]) -> tuple:
-        """A vector over the new basis from vectors over the old ones and
-        its Sigma_X and B_X entries."""
+        """A dense vector over the new basis from vectors over the old ones
+        and its Sigma_X and B_X entries."""
         return tuple(m_vec[i] for i in m_keep) + (sigma, b) + tuple(n_vec[i] for i in n_keep)
 
     def old_coeff(side: _Side, index: int | None) -> int:
@@ -260,29 +267,31 @@ def fibre_sum(
     dropped: list[str] = []
     zero_notes = False
 
-    def embed_witnesses(side: _Side, name_prefix: str, place) -> None:
+    def embed_witnesses(side: _Side, index: dict[int, int], name_prefix: str) -> None:
+        """Carry the witnesses of one side that miss its surface; a witness
+        pairing with a tracked dual pairs the same with B_X."""
         nonlocal zero_notes
+        if side.b_basis_index is not None:
+            index = {**index, side.b_basis_index: b_pos}
         for w in side.desc.witnesses:
             if w is side.b_witness:
                 continue
-            s = dot(side.ref.class_vec, w.pairings)
-            if s != 0:
+            if dot(side.ref.class_vec, w) != 0:
                 dropped.append(name_prefix + w.name)
                 continue
-            if side.b_basis_index is not None:
-                b_pair = w.pairings[side.b_basis_index]
-            else:
-                b_pair = 0
-                zero_notes = True
-            witnesses.append(Witness(
-                name_prefix + w.name, place(w.pairings, b_pair), w.genus, w.self_intersection
-            ))
+            zero_notes = zero_notes or side.b_basis_index is None
+            pairs = sorted(carry(w.pairings, index))
+            witnesses.append(Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))
 
-    zeros_m, zeros_n = (0,) * m.lattice.rank, (0,) * n.lattice.rank
-    embed_witnesses(side_m, "", lambda p, b: embed(p, 0, b, zeros_n))
-    embed_witnesses(side_n, prefix, lambda p, b: embed(zeros_m, 0, b, p))
+    embed_witnesses(side_m, m_index, "")
+    embed_witnesses(side_n, n_index, prefix)
 
-    b_pairings = embed(side_m.b_row, 1, b_square, side_n.b_row)
+    b_pairings = (
+        carry(side_m.b_row, m_index)
+        + [(sigma_pos, 1)]
+        + ([(b_pos, b_square)] if b_square else [])
+        + carry(side_n.b_row, n_index)
+    )
     b_genus = None
     if side_m.b_genus is not None and side_n.b_genus is not None:
         b_genus = side_m.b_genus + side_n.b_genus
@@ -348,7 +357,7 @@ def _cap_witnesses(
     # leaves the genus unknown.
     out = []
     for w in witnesses:
-        t = dot(torus, w.pairings)
+        t = dot(torus, w)
         if t == 0 or h == 0:
             out.append(w)
         elif t == 1 and w.genus is not None:
@@ -452,14 +461,15 @@ def generalized_knot_surgery(
     sigma_ext = ClassVector(s.class_vec.coefficients + tail)
     canonical = ext + sigma_ext.scaled(2 * h)
 
+    # The new classes pair with no old one, so kept witnesses are unchanged.
     witnesses: list[Witness] = []
     dropped = []
     for w in m.witnesses:
-        if dot(s.class_vec, w.pairings) != 0:
+        if dot(s.class_vec, w) != 0:
             dropped.append(w.name)
             continue
-        witnesses.append(replace(w, pairings=w.pairings + tail))
-    sigma_row = m.lattice.pairing_row(s.class_vec) + tail
+        witnesses.append(w)
+    sigma_row = m.lattice.pairing_row(s.class_vec)
     witnesses.append(Witness(_fresh("Sigma", {w.name for w in witnesses}), sigma_row, g, 0))
 
     notes = []
@@ -527,10 +537,8 @@ def blow_up(m: ManifoldDescriptor) -> ManifoldDescriptor:
         m.lattice.primitive_summand,
     )
     canonical = ClassVector(m.canonical.coefficients + (1,))
-    witnesses = [replace(w, pairings=w.pairings + (0,)) for w in m.witnesses]
-    exceptional = [0] * rank
-    exceptional[-1] = -1
-    witnesses.append(Witness(f"exceptional_{name}", tuple(exceptional), 0, -1))
+    witnesses = list(m.witnesses)
+    witnesses.append(Witness(f"exceptional_{name}", ((rank - 1, -1),), 0, -1))
     notes = []
     if m.carries_full_canonical:
         notes.append(NOTE_FULL_CANONICAL)
@@ -604,12 +612,7 @@ def lagrangian_triple_surgery(
 
     b_name = "B_" + r
     lat = step3.lattice
-    c1_pairings = tuple(
-        x + a * y
-        for x, y in zip(
-            lat.pairing_row(lat.basis_vector(d1)), lat.pairing_row(lat.basis_vector(b_name))
-        )
-    )
+    c1_pairings = lat.pairing_row(lat.basis_vector(d1) + lat.basis_vector(b_name).scaled(a))
     witnesses = []
     for w in step3.witnesses:
         if w.name == b_name:

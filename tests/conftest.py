@@ -5,6 +5,21 @@ from symgeo.manifolds import elliptic_surface
 from symgeo.surgery import SurfaceRef, blow_up, fibre_sum, knot_surgery, log_transform
 
 
+def expand(pairs, rank):
+    """Dense tuple of length ``rank`` from sparse ``(index, value)`` pairs."""
+    out = [0] * rank
+    for i, p in pairs:
+        out[i] = p
+    return tuple(out)
+
+
+def dense_dot(v, w):
+    """Dense reference for ``lattice.dot``: the witness's pairings expanded
+    to the rank, then summed against the class vector."""
+    pairings = expand(w.pairings, len(v))
+    return sum(a * pairings[i] for i, a in v.nonzero_items())
+
+
 def random_descriptor(rng: random.Random):
     """Small random construction tree over the registered operations."""
     n = rng.randint(1, 4)

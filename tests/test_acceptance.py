@@ -413,7 +413,7 @@ def test_criterion_7_property_suites(capsys):
         for w in m.witnesses:
             if w.genus is None or w.self_intersection is None:
                 continue
-            if 2 * w.genus - 2 != dot(m.canonical, w.pairings) + w.self_intersection:
+            if 2 * w.genus - 2 != dot(m.canonical, w) + w.self_intersection:
                 failures.append((label, w.name, "adjunction"))
         # Chern and Noether identities.
         if inv.c1_squared != 2 * m.e + 3 * m.sigma:

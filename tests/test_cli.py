@@ -80,6 +80,15 @@ class TestConstruct:
         assert code == 0
         assert "divisibility: 3" in out and "certified: true" in out
 
+    def test_cover_of_divisible_base(self, capsys):
+        # The base has K = 2A, so the cover's K = 3 phi*K = 6 phi*A.
+        code, out, _ = run(
+            capsys, "construct", "pluricanonical_cover", "horikawa_spin", "1", "3", "2"
+        )
+        assert code == 0
+        assert "divisibility: 6" in out and "spin: true" in out
+        assert "certified: true" in out and "validation: VALID" in out
+
     def test_family(self, capsys):
         code, out, _ = run(
             capsys, "construct", "inequivalent_family", "45", "45,15,9,5",

@@ -2,7 +2,9 @@ import random
 import tracemalloc
 
 import pytest
+from conftest import dense_dot, random_descriptor
 
+from symgeo import geography
 from symgeo.errors import ConstructionError
 from symgeo.geography import (
     certify_class,
@@ -70,13 +72,13 @@ class TestValidate:
         assert "chi_h_integral" in validate(non_complex).failures()
 
     def test_adjunction_failure_detected(self):
-        w = Witness("liar", (1,), 2, 0)
+        w = Witness("liar", ((0, 1),), 2, 0)
         m = synthetic(12, -8, canonical=(1,), gram=((0,),), witnesses=(w,))
         assert "adjunction_witnesses" in validate(m).failures()
 
     def test_square_zero_genus_constraint(self):
         # A square-zero symplectic surface of genus g forces d | 2g - 2.
-        w = Witness("sigma", (1, 0), 3, 0)
+        w = Witness("sigma", ((0, 1),), 3, 0)
         m = synthetic(8, 0, canonical=(3, 0), gram=((0, 1), (1, 0)), witnesses=(w,))
         assert "square_zero_genus" in validate(m).failures()
 
@@ -108,7 +110,7 @@ class TestDivisibility:
     def test_parity_intersection(self):
         # A single even-pairing witness cannot certify an odd class by
         # itself; non-spin-ness strips the factor of two.
-        w = Witness("even_pairing", (2, 0), None, None)
+        w = Witness("even_pairing", ((0, 2),), None, None)
         m = synthetic(12, -8, canonical=(3, 0), gram=((0, 1), (1, 0)), witnesses=(w,))
         cert = divisibility(m)
         assert cert.lower == 3 and cert.upper == 3 and cert.certified
@@ -186,6 +188,14 @@ class TestSpinSurface:
                 tracemalloc.stop()
 
         assert peak(20, 1, 8) <= 2.5 * peak(20, 1, 4)
+
+    def test_witness_entries_do_not_grow_with_blocks(self):
+        # The split-class blocks pair with no witness, so doubling them
+        # adds no stored witness entry; dense pairings grow with the rank.
+        def entries(m):
+            return sum(len(w.pairings) for w in m.witnesses)
+
+        assert entries(spin_surface(20, 1, 8)) == entries(spin_surface(20, 1, 4))
 
 
 class TestNonspinSurface:
@@ -316,6 +326,28 @@ class TestRealizable:
         assert realizable(11, 72, 3).status == "yes"
         assert realizable(11, 9, 3).status == "unknown"
         assert realizable(4, 6, 3).status == "no"
+
+
+class TestDenseDot:
+    def test_certificates_and_validation_match_dense_dot(self, monkeypatch):
+        rng = random.Random(2024)
+        cases = [(m, m.canonical) for m in (random_descriptor(rng) for _ in range(60))]
+        family = inequivalent_family(15, [15, 5, 3], "c1sq_zero", n=5)
+        cases += [(family.descriptor, k) for k in family.canonical_classes]
+        sparse = [(certify_class(m, k), validate(m).entries) for m, k in cases]
+        patterns = len(family.canonical_classes)
+        assert tuple(cert for cert, _ in sparse[-patterns:]) == family.certificates
+
+        calls = []
+
+        def counted(v, w):
+            calls.append(1)
+            return dense_dot(v, w)
+
+        monkeypatch.setattr(geography, "dot", counted)
+        dense = [(certify_class(m, k), validate(m).entries) for m, k in cases]
+        assert sparse == dense
+        assert len(calls) > 0
 
 
 class TestRoundTripDeterminism:

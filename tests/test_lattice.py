@@ -2,11 +2,13 @@ import random
 from math import gcd
 
 import pytest
+from conftest import expand
 
 from symgeo.errors import LatticeError
 from symgeo.lattice import (
     ClassVector,
     IntersectionLattice,
+    Witness,
     block_diagonal,
     coefficient_gcd,
     direct_sum,
@@ -79,9 +81,11 @@ def test_pairing_row_matches_dense_random():
         assert lat.gram == tuple(map(tuple, entries))
         v = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
         units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
-        assert lat.pairing_row(v) == tuple(
+        assert expand(lat.pairing_row(v), r) == tuple(
             dense_pairing(entries, v.coefficients, e) for e in units
         )
+        for i, e in enumerate(units):
+            assert lat.pairing_row(ClassVector(e)) == lat.rows[i]
 
 
 def test_rows_must_be_sorted_nonzero_and_in_range():
@@ -97,6 +101,20 @@ def test_rows_must_be_sorted_nonzero_and_in_range():
         IntersectionLattice(("a", "b"), (((1, 1),), ()))
     with pytest.raises(LatticeError, match="square"):
         block_diagonal([((0, 1),)])
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        ((1, 1), (0, 2)),  # unsorted
+        ((0, 0),),  # stored zero
+        ((-1, 1),),  # negative index
+        ((1, 1), (1, 2)),  # repeated index
+    ],
+)
+def test_witness_pairings_must_be_sorted_nonzero_and_non_negative(pairs):
+    with pytest.raises(LatticeError, match="increasing index"):
+        Witness("w", pairs)
 
 
 def test_gram_must_be_symmetric_and_square():

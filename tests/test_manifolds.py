@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import pytest
 
 from symgeo.errors import ConstructionError
-from symgeo.lattice import coefficient_gcd, pairing
+from symgeo.lattice import Witness, coefficient_gcd, pairing
 from symgeo.manifolds import (
     catalog,
     derived_invariants,
@@ -99,6 +101,12 @@ class TestKnotProduct:
         m = knot_product(0)
         assert m.canonical.coefficients == (-2, 0)
         assert not m.symplectic
+
+    def test_witness_index_beyond_rank_rejected(self):
+        m = knot_product(2)
+        replace(m, witnesses=(Witness("last", ((1, 1),)),))
+        with pytest.raises(ConstructionError, match="pairing length mismatch"):
+            replace(m, witnesses=(Witness("beyond", ((0, 1), (2, 1))),))
 
 
 class TestSurfaceBundle:

@@ -1,11 +1,13 @@
 import random
+from dataclasses import replace
 
 import pytest
+from conftest import dense_dot, expand
 
 from symgeo import geography, surgery
 from symgeo.errors import ConstructionError
 from symgeo.geography import divisibility, inequivalent_family
-from symgeo.lattice import ClassVector, dot, pairing
+from symgeo.lattice import ClassVector, Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.surgery import (
     SurfaceRef,
@@ -177,6 +179,13 @@ class TestGeneralizedKnotSurgery:
         assert x.lattice.rank == base.lattice.rank + 2 * blocks
         assert x.lattice.gram[base.lattice.rank][base.lattice.rank] == 2
 
+    def test_kept_witnesses_are_reused(self):
+        base, ref = self._base_with_surface(2, 1)
+        x = generalized_knot_surgery(base, ref, 2)
+        kept = [w for w in base.witnesses if dot(ref.class_vec, w) == 0]
+        assert len(x.witnesses) == len(kept) + 1
+        assert all(a is b for a, b in zip(x.witnesses, kept))
+
     def test_torus_rejected(self):
         m = elliptic_surface(2, 1, 1)
         with pytest.raises(ConstructionError, match="use knot_surgery"):
@@ -232,6 +241,12 @@ class TestBlowUp:
         assert cert.value == 1 and cert.certified
         assert m.minimal == "no" and not m.spin
 
+    def test_kept_witnesses_are_reused(self):
+        base = elliptic_surface(3, 1, 1)
+        m = blow_up(base)
+        assert len(m.witnesses) == len(base.witnesses) + 1
+        assert all(a is b for a, b in zip(m.witnesses, base.witnesses))
+
     def test_k3_deltas(self):
         m = blow_up(elliptic_surface(2, 1, 1))
         assert (m.e, m.sigma) == (25, -17)
@@ -247,7 +262,7 @@ class TestBlowUp:
     def test_adjunction_of_exceptional_sphere(self):
         m = blow_up(elliptic_surface(3, 1, 1))
         w = m.witness("exceptional_E_1")
-        assert 2 * w.genus - 2 == dot(m.canonical, w.pairings) + w.self_intersection
+        assert 2 * w.genus - 2 == dot(m.canonical, w) + w.self_intersection
 
 
 class TestLagrangianTripleSurgery:
@@ -261,8 +276,8 @@ class TestLagrangianTripleSurgery:
             assert (x.e, x.sigma) == (36, -24)
             c1 = next(w for w in x.witnesses if w.name == "C1_t1")
             c2 = next(w for w in x.witnesses if w.name == "C2_t1")
-            assert dot(x.canonical, c1.pairings) == c1_coeff
-            assert dot(x.canonical, c2.pairings) == 3
+            assert dot(x.canonical, c1) == c1_coeff
+            assert dot(x.canonical, c2) == 3
             t1 = x.lattice.basis_vector("T1_1")
             t2 = x.lattice.basis_vector("R_1") - t1.scaled(4)
             assert (
@@ -276,8 +291,8 @@ class TestLagrangianTripleSurgery:
         t2 = x.lattice.basis_vector("R_2") - t1.scaled(2)
         c1 = next(w for w in x.witnesses if w.name == "C1_t2")
         c2 = next(w for w in x.witnesses if w.name == "C2_t2")
-        assert dot(t1, c1.pairings) == 1 and dot(t2, c1.pairings) == 0
-        assert dot(t2, c2.pairings) == 1 and dot(t1, c2.pairings) == 0
+        assert dot(t1, c1) == 1 and dot(t2, c1) == 0
+        assert dot(t2, c2) == 1 and dot(t1, c2) == 0
 
     def test_undeclared_triple(self):
         with pytest.raises(ConstructionError, match="undeclared triple"):
@@ -329,31 +344,37 @@ class TestAdjunctionInvariant:
                     continue
                 assert (
                     2 * w.genus - 2
-                    == dot(m.canonical, w.pairings) + w.self_intersection
+                    == dot(m.canonical, w) + w.self_intersection
                 ), (m.recipe.operation, w.name)
 
 
 # --- dense reference assembly ----------------------------------------------
-# The Gram matrices fibre_sum, generalized_knot_surgery and blow_up built
-# when lattices stored dense rows padded with zeros, re-derived here from
-# the inputs' dense views and compared with the sparse result.
+# The Gram matrices and witness rows fibre_sum, generalized_knot_surgery and
+# blow_up built when lattices and witnesses stored dense rows padded with
+# zeros, re-derived here from the inputs' dense views and compared with the
+# sparse result.
+
+
+def dense_witnesses(m):
+    return [(w, expand(w.pairings, m.lattice.rank)) for w in m.witnesses]
 
 
 def dense_side(m, ref):
-    """(kept indices, dual square) of one fibre-sum side, read densely."""
+    """(kept indices, dual square, tracked dual index, dual witness, dense
+    dual row) of one fibre-sum side, read densely."""
     g = m.lattice.gram
     i = ref.class_vec.coefficients.index(1)
     partners = [j for j in range(len(g)) if j != i and g[i][j] != 0]
     if partners:
         j = partners[0]
-        return [k for k in range(len(g)) if k not in (i, j)], g[j][j]
-    dual = next(w for w in m.witnesses if dot(ref.class_vec, w.pairings) == 1)
-    return [k for k in range(len(g)) if k != i], dual.self_intersection
+        return [k for k in range(len(g)) if k not in (i, j)], g[j][j], j, None, g[j]
+    dual, row = next((w, p) for w, p in dense_witnesses(m) if dense_dot(ref.class_vec, w) == 1)
+    return [k for k in range(len(g)) if k != i], dual.self_intersection, None, dual, row
 
 
-def dense_fibre_sum_gram(m, sm, n, sn):
-    m_keep, m_square = dense_side(m, sm)
-    n_keep, n_square = dense_side(n, sn)
+def dense_fibre_sum(m, sm, n, sn):
+    m_keep, m_square, m_j, m_dual, m_row = dense_side(m, sm)
+    n_keep, n_square, n_j, n_dual, n_row = dense_side(n, sn)
     gm, gn = m.lattice.gram, n.lattice.gram
     sigma_pos = len(m_keep)
     pad = (0,) * len(n_keep)
@@ -361,31 +382,58 @@ def dense_fibre_sum_gram(m, sm, n, sn):
     rows.append((0,) * sigma_pos + (0, 1) + pad)
     rows.append((0,) * sigma_pos + (1, m_square + n_square) + pad)
     rows += [(0,) * (sigma_pos + 2) + tuple(gn[i][j] for j in n_keep) for i in n_keep]
-    return tuple(rows)
+
+    def embed(m_vec, sigma, b, n_vec):
+        return tuple(m_vec[i] for i in m_keep) + (sigma, b) + tuple(n_vec[i] for i in n_keep)
+
+    zeros_m, zeros_n = (0,) * m.lattice.rank, (0,) * n.lattice.rank
+    witnesses = []
+    for desc, ref, j, dual, place in (
+        (m, sm, m_j, m_dual, lambda p, b: embed(p, 0, b, zeros_n)),
+        (n, sn, n_j, n_dual, lambda p, b: embed(zeros_m, 0, b, p)),
+    ):
+        for w, p in dense_witnesses(desc):
+            if w is not dual and dense_dot(ref.class_vec, w) == 0:
+                witnesses.append(place(p, 0 if j is None else p[j]))
+    witnesses.append(embed(m_row, 1, m_square + n_square, n_row))
+    return tuple(rows), witnesses
 
 
-def dense_gks_gram(m, s, h):
-    old_rank = m.lattice.rank
+def dense_gks(m, s, h):
+    g = m.lattice.gram
+    old_rank = len(g)
     blocks = 2 * h * (s.genus - 1)
+    tail = (0,) * (2 * blocks)
     rank = old_rank + 2 * blocks
-    rows = [row + (0,) * (2 * blocks) for row in m.lattice.gram]
+    rows = [row + tail for row in g]
     for b in range(blocks):
         off = old_rank + 2 * b
         rows.append((0,) * off + (2, 1) + (0,) * (rank - off - 2))
         rows.append((0,) * off + (1, 0) + (0,) * (rank - off - 2))
-    return tuple(rows)
+    witnesses = [p + tail for w, p in dense_witnesses(m) if dense_dot(s.class_vec, w) == 0]
+    sigma_row = tuple(
+        sum(c * g[i][j] for i, c in enumerate(s.class_vec.coefficients)) for j in range(old_rank)
+    )
+    witnesses.append(sigma_row + tail)
+    return tuple(rows), witnesses
 
 
-def dense_blow_up_gram(m):
+def dense_blow_up(m):
     rank = m.lattice.rank + 1
-    return tuple(row + (0,) for row in m.lattice.gram) + ((0,) * (rank - 1) + (-1,),)
+    rows = tuple(row + (0,) for row in m.lattice.gram) + ((0,) * (rank - 1) + (-1,),)
+    witnesses = [p + (0,) for _, p in dense_witnesses(m)]
+    witnesses.append((0,) * (rank - 1) + (-1,))
+    return rows, witnesses
 
 
 def checked(op, reference, calls):
-    """Wrap ``op`` so that every call compares its Gram with the reference."""
+    """Wrap ``op`` so that every call compares its Gram and its expanded
+    witness rows with the reference."""
     def run(*args, **kwargs):
         out = op(*args, **kwargs)
-        assert out.lattice.gram == reference(*args)
+        rows, witnesses = reference(*args)
+        assert out.lattice.gram == rows
+        assert [expand(w.pairings, out.lattice.rank) for w in out.witnesses] == witnesses
         calls[op.__name__] = calls.get(op.__name__, 0) + 1
         return out
     return run
@@ -396,8 +444,8 @@ class TestDenseReference:
         import conftest
 
         calls = {}
-        monkeypatch.setattr(conftest, "fibre_sum", checked(fibre_sum, dense_fibre_sum_gram, calls))
-        monkeypatch.setattr(conftest, "blow_up", checked(blow_up, dense_blow_up_gram, calls))
+        monkeypatch.setattr(conftest, "fibre_sum", checked(fibre_sum, dense_fibre_sum, calls))
+        monkeypatch.setattr(conftest, "blow_up", checked(blow_up, dense_blow_up, calls))
         rng = random.Random(2024)
         for _ in range(60):
             conftest.random_descriptor(rng)
@@ -407,16 +455,32 @@ class TestDenseReference:
         # Triple surgery sums along R_i, whose dual sphere DR_i is a basis class.
         calls = {}
         monkeypatch.setattr(
-            surgery, "fibre_sum", checked(fibre_sum, dense_fibre_sum_gram, calls)
+            surgery, "fibre_sum", checked(fibre_sum, dense_fibre_sum, calls)
         )
         inequivalent_family(15, [15, 5, 3], "c1sq_zero", n=5)
         assert calls["fibre_sum"] == 2
+
+    def test_witness_meeting_the_tracked_dual(self):
+        # A witness that misses R_1 but meets its dual sphere DR_1 pairs the
+        # same with the sewn dual B_R_1.
+        base = elliptic_surface(2, 1, 1)
+        lat = base.lattice
+        probe = Witness("probe", ((lat.index_of("f"), 1), (lat.index_of("DR_1"), 3)))
+        m = replace(base, witnesses=base.witnesses + (probe,))
+        e1 = elliptic_surface(1, 1, 1)
+        r_ref = SurfaceRef(lat.basis_vector("R_1"), 1, 0, "+", True)
+        calls = {}
+        x = checked(fibre_sum, dense_fibre_sum, calls)(
+            m, r_ref, e1, fibre_ref(e1), no_rim_tori=False
+        )
+        assert dot(x.lattice.basis_vector("B_R_1"), x.witness("probe")) == 3
+        assert calls["fibre_sum"] == 1
 
     def test_spin_and_nonspin_points(self, monkeypatch):
         calls = {}
         monkeypatch.setattr(
             geography, "generalized_knot_surgery",
-            checked(generalized_knot_surgery, dense_gks_gram, calls),
+            checked(generalized_knot_surgery, dense_gks, calls),
         )
         for d, m, t in [(2, 1, 1), (4, 1, 2), (4, 2, 1), (6, 1, 1)]:
             geography.spin_surface(d, m, t)
