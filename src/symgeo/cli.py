@@ -32,7 +32,8 @@ def _bool_str(x: bool) -> str:
     return "true" if x else "false"
 
 
-def _descriptor_lines(name: str, params: str, m: ManifoldDescriptor) -> list[str]:
+def _print_descriptor(name: str, params: str, m: ManifoldDescriptor) -> bool:
+    """Print the descriptor of ``m``; return whether it validates."""
     inv = derived_invariants(m)
     cert = geography.divisibility(m)
     report = geography.validate(m)
@@ -54,7 +55,8 @@ def _descriptor_lines(name: str, params: str, m: ManifoldDescriptor) -> list[str
         lines.append("validation: VALID")
     else:
         lines.append("validation: INVALID " + ",".join(report.failures()))
-    return lines
+    print("\n".join(lines))
+    return report.ok
 
 
 def _csv_row(name: str, params: str, m: ManifoldDescriptor) -> str:
@@ -88,6 +90,14 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+
+
+def _write_recipe(path: str | None, m: ManifoldDescriptor) -> None:
+    """Write m's recipe to ``path`` if one is given.  Called before anything
+    is printed, so a recipe that cannot be written exits 2 with nothing on
+    standard output."""
+    if path:
+        Path(path).write_text(serialize_recipe(m.recipe), encoding="utf-8")
 
 
 # --- subcommands -------------------------------------------------------------
@@ -146,10 +156,8 @@ def _cmd_construct(args) -> int:
     else:
         print(f"unknown constructor {name!r}", file=sys.stderr)
         return 2
-    print("\n".join(_descriptor_lines(name, params, m)))
-    if args.recipe:
-        Path(args.recipe).write_text(serialize_recipe(m.recipe), encoding="utf-8")
-    return 0 if geography.validate(m).ok else 1
+    _write_recipe(args.recipe, m)
+    return 0 if _print_descriptor(name, params, m) else 1
 
 
 def _construct_family(p: list[str], args) -> int:
@@ -172,9 +180,10 @@ def _construct_family(p: list[str], args) -> int:
             d, divisors, regime, m=int(p[3]), t=int(p[4])
         )
     w = result.descriptor
-    print("\n".join(_descriptor_lines("inequivalent_family", " ".join(p), w)))
+    _write_recipe(args.recipe, w)
+    _print_descriptor("inequivalent_family", " ".join(p), w)
     print("q_set: " + " ".join(str(q) for q in sorted(result.q, reverse=True)))
-    n_patterns = len(result.canonical_classes)
+    n_patterns = len(result.certificates)
     big_n = n_patterns.bit_length() - 1
     for mask in range(n_patterns):
         pattern = "".join("-" if mask >> bit & 1 else "+" for bit in range(big_n))
@@ -182,8 +191,6 @@ def _construct_family(p: list[str], args) -> int:
         print(f"pattern {pattern}: divisibility {cert.value} certified {_bool_str(cert.certified)}")
     realized = set(result.divisibilities)
     print(f"divisibilities: {' '.join(str(v) for v in sorted(realized, reverse=True))}")
-    if args.recipe:
-        Path(args.recipe).write_text(serialize_recipe(w.recipe), encoding="utf-8")
     return 0 if realized == set(result.q) else 1
 
 
@@ -191,9 +198,7 @@ def _cmd_verify(args) -> int:
     text = Path(args.recipe_file).read_text(encoding="utf-8")
     recipe = parse_recipe(text)
     m = execute_recipe(recipe)
-    lines = _descriptor_lines(recipe.operation, "from recipe", m)
-    print("\n".join(lines))
-    return 0 if geography.validate(m).ok else 1
+    return 0 if _print_descriptor(recipe.operation, "from recipe", m) else 1
 
 
 def _scan_points(args):

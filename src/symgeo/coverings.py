@@ -192,7 +192,13 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
     delta = coefficient_gcd(m_desc.canonical)
     if delta == 0 or c % (delta * delta) != 0:
         raise CoveringError("base canonical class inconsistent with c1^2")
-    lat = IntersectionLattice(("phiA",), block_diagonal([((m * c // (delta * delta),),)]))
+    # The cover's coefficient gcd bounds its divisibility only where the
+    # base's did: a base with open divisibility leaves the cover's open.
+    lat = IntersectionLattice(
+        ("phiA",),
+        block_diagonal([((m * c // (delta * delta),),)]),
+        m_desc.lattice.primitive_summand,
+    )
     canonical = lat.vector({"phiA": d * delta})
     witnesses = (Witness("pullback_dual", ((0, 1),)),)
     recipe = ConstructionRecipe(

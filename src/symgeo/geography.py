@@ -9,11 +9,16 @@ certified exactly.  For simply-connected non-spin manifolds the witness
 bound is intersected with the parity constraint (an even canonical class
 would make the manifold spin), which is how several odd-divisibility
 constructions are certified without an explicit odd-pairing surface.
+One decision, ``_certificate``, turns the two raw bounds into a
+certificate.  ``certify_class`` computes the bounds of one class;
+``inequivalent_family`` computes those of its 2^N sign patterns as deltas
+of one base class, since the patterns differ from it only at N positions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import ConstructionError, LatticeError
 from .lattice import (
@@ -58,12 +63,18 @@ def certify_class(m: ManifoldDescriptor, k: ClassVector) -> DivisibilityCertific
     """Certificate for an arbitrary canonical class vector over m's lattice."""
     if len(k) != m.lattice.rank:
         raise LatticeError("basis mismatch")
-    lower = coefficient_gcd(k)
-    if k.is_zero():
+    upper = gcd_all(dot(k, w) for w in m.witnesses)
+    return _certificate(m, coefficient_gcd(k), upper)
+
+
+def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityCertificate:
+    """Decide the certificate of a class over m's lattice from its two raw
+    bounds: ``lower`` its coefficient gcd (zero exactly for the zero
+    class) and ``upper`` the gcd of its pairings with m's witnesses."""
+    if lower == 0:
         return DivisibilityCertificate(0, 0, True, "canonical class is zero")
     if not m.witnesses:
         return DivisibilityCertificate(lower, 0, False, "no witnesses")
-    upper = gcd_all(dot(k, w) for w in m.witnesses)
     parity_note = "no parity constraint"
     if m.simply_connected and m.symplectic:
         if m.spin:
@@ -293,13 +304,74 @@ def negative_c1(n: int, r: int) -> ManifoldDescriptor:
 @dataclass(frozen=True)
 class FamilyResult:
     """One manifold, one canonical class per sign pattern, and the set of
-    certified divisibilities (which equals the subset-gcd set Q)."""
+    certified divisibilities (which equals the subset-gcd set Q).
+
+    The class of sign pattern ``mask`` is the descriptor's canonical class
+    with ``shift`` added at ``position`` for every set bit of ``mask``,
+    where bit ``i`` is ``shifts[i] = (position, shift)``.  Only these
+    shifts are stored; ``canonical_classes`` builds the 2^N dense classes
+    when read.
+    """
 
     descriptor: ManifoldDescriptor
-    canonical_classes: tuple[ClassVector, ...]
+    shifts: tuple[tuple[int, int], ...]
     certificates: tuple[DivisibilityCertificate, ...]
     divisibilities: tuple[int, ...]
     q: frozenset[int]
+
+    @property
+    def canonical_classes(self) -> tuple[ClassVector, ...]:
+        base = self.descriptor.canonical.coefficients
+        classes = []
+        for mask in range(1 << len(self.shifts)):
+            coeffs = list(base)
+            for bit, (pos, shift) in enumerate(self.shifts):
+                if mask >> bit & 1:
+                    coeffs[pos] += shift
+            classes.append(ClassVector(tuple(coeffs)))
+        return tuple(classes)
+
+
+def _pattern_certificates(
+    w: ManifoldDescriptor, shifts: list[tuple[int, int]]
+) -> list[DivisibilityCertificate]:
+    """The certificate of every sign pattern's class, in mask order, as
+    deltas of the base class ``w.canonical`` (see ``FamilyResult``).
+
+    The coefficients outside the shifted positions, and the pairings of
+    the witnesses that miss them, are the same for every pattern, so their
+    gcds are taken once.  Each pattern then folds in its N moved
+    coefficients and, for every witness meeting a shifted position, its
+    base pairing plus the steps ``shift * pairing`` of the set bits.
+    """
+    base = w.canonical.coefficients
+    moved = {pos: (bit, shift) for bit, (pos, shift) in enumerate(shifts)}
+    lower_fixed = gcd_all(c for i, c in enumerate(base) if i not in moved)
+    upper_fixed = 0
+    moving: list[tuple[int, list[tuple[int, int]]]] = []
+    for wit in w.witnesses:
+        steps = []
+        for i, p in wit.pairings:
+            if i in moved:
+                bit, shift = moved[i]
+                steps.append((bit, shift * p))
+        if steps:
+            moving.append((dot(w.canonical, wit), steps))
+        else:
+            upper_fixed = gcd(upper_fixed, dot(w.canonical, wit))
+    certificates = []
+    for mask in range(1 << len(shifts)):
+        lower = lower_fixed
+        for bit, (pos, shift) in enumerate(shifts):
+            lower = gcd(lower, base[pos] + shift if mask >> bit & 1 else base[pos])
+        upper = upper_fixed
+        for value, steps in moving:
+            for bit, step in steps:
+                if mask >> bit & 1:
+                    value += step
+            upper = gcd(upper, value)
+        certificates.append(_certificate(w, lower, upper))
+    return certificates
 
 
 def _triple_parameters(d: int, tail: list[int]) -> tuple[int, int, list[tuple[int, int]]]:
@@ -340,7 +412,8 @@ def inequivalent_family(
     the sign of the first knot surgery toggles the triple between
     contributing d and contributing (twice) the divisor.  The 2^N sign
     patterns give 2^N canonical classes whose certified divisibilities,
-    as a set, are exactly q_set(d, divisors).
+    as a set, are exactly q_set(d, divisors).  They are certified from the
+    base class and the N per-bit shifts, without building their classes.
     """
     divisors = list(divisors)
     q = q_set(d, divisors)
@@ -394,19 +467,13 @@ def inequivalent_family(
     else:
         raise ConstructionError(f"unknown regime {regime!r}")
 
-    t1_positions = [w.lattice.index_of(triple_names(idx)[0]) for idx in triples]
-    canonicals: list[ClassVector] = []
-    certificates: list[DivisibilityCertificate] = []
-    for mask in range(1 << big_n):
-        coeffs = list(w.canonical.coefficients)
-        for bit, (pos, (_, h_i)) in enumerate(zip(t1_positions, params)):
-            if mask >> bit & 1:
-                coeffs[pos] -= 4 * h_i
-        vec = ClassVector(tuple(coeffs))
-        canonicals.append(vec)
-        certificates.append(certify_class(w, vec))
+    shifts = [
+        (w.lattice.index_of(triple_names(idx)[0]), -4 * h_i)
+        for idx, (_, h_i) in zip(triples, params)
+    ]
+    certificates = tuple(_pattern_certificates(w, shifts))
     divisibilities = tuple(c.value for c in certificates)
-    return FamilyResult(w, tuple(canonicals), tuple(certificates), divisibilities, q)
+    return FamilyResult(w, tuple(shifts), certificates, divisibilities, q)
 
 
 # --- realizability meta-query ------------------------------------------------

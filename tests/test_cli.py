@@ -89,6 +89,28 @@ class TestConstruct:
         assert "divisibility: 6" in out and "spin: true" in out
         assert "certified: true" in out and "validation: VALID" in out
 
+    def test_cover_of_base_with_open_divisibility(self, capsys):
+        # persson's K_M is not known primitive, so its divisibility (1 or 2)
+        # is open, and the cover's (3 or 6) must stay open too.
+        code, out, _ = run(capsys, "construct", "catalog", "persson", "4", "4")
+        assert code == 0 and "certified: false" in out
+        code, out, _ = run(
+            capsys, "construct", "pluricanonical_cover", "persson", "4", "4", "3", "2"
+        )
+        assert code == 0
+        assert "divisibility: 3" in out and "certified: false" in out
+        assert "validation: VALID" in out
+
+    def test_unserializable_recipe_prints_nothing(self, capsys, tmp_path):
+        # 64 nested blow_up nodes exceed the recipe depth: the command must
+        # fail before printing a descriptor, and write no file.
+        target = tmp_path / "r.txt"
+        code, out, err = run(capsys, "construct", "negative_c1", "2", "64",
+                             "--recipe", str(target))
+        assert code == 2 and out == ""
+        assert "recipe nesting exceeds the supported depth" in err
+        assert not target.exists()
+
     def test_family(self, capsys):
         code, out, _ = run(
             capsys, "construct", "inequivalent_family", "45", "45,15,9,5",

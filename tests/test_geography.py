@@ -3,6 +3,8 @@ import tracemalloc
 
 import pytest
 from conftest import dense_dot, random_descriptor
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgeo import geography
 from symgeo.errors import ConstructionError
@@ -236,6 +238,32 @@ class TestNegativeC1:
             assert cert.value == 1 and cert.certified
 
 
+@st.composite
+def family_inputs(draw):
+    """Admissible (d, divisor list, regime, parameters) with N <= 4."""
+    regime = draw(st.sampled_from(["c1sq_zero", "spin_positive", "nonspin_positive"]))
+    if regime == "spin_positive":
+        d = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
+    elif regime == "nonspin_positive":
+        d = draw(st.sampled_from([3, 5, 7, 9, 15]))
+    else:
+        d = draw(st.integers(1, 24))
+    divs = [x for x in range(1, d + 1) if d % x == 0 and (d % 2 == 1 or x % 2 == 0)]
+    big_n = draw(st.integers(1, 4))
+    tail = draw(st.lists(st.sampled_from(divs), min_size=big_n, max_size=big_n))
+    extra = draw(st.integers(0, 2))
+    if regime == "spin_positive":
+        params = {"m": (3 * big_n + 3) // 2 + extra, "t": draw(st.integers(1, 2))}
+    elif regime == "nonspin_positive":
+        params = {"m": 2 * big_n + 2 + extra, "t": 1}
+    elif d % 2 == 1:
+        params = {"n": 2 * big_n + 1 + extra}
+    else:
+        n = 3 * big_n + 1 + extra
+        params = {"n": n + n % 2}
+    return d, [d] + tail, regime, params
+
+
 class TestInequivalentFamily:
     def test_worked_example_45(self):
         res = inequivalent_family(45, [45, 15, 9, 5], "c1sq_zero", n=7)
@@ -300,11 +328,52 @@ class TestInequivalentFamily:
         with pytest.raises(ConstructionError, match="2N\\+2"):
             inequivalent_family(3, [3, 1], "nonspin_positive", m=3, t=1)
 
-    def test_certificates_against_fresh_class_vectors(self):
-        res = inequivalent_family(9, [9, 3], "c1sq_zero", n=5)
+    @pytest.mark.parametrize(
+        "d, divisors, regime, params",
+        [
+            (9, [9, 3], "c1sq_zero", {"n": 5}),
+            (45, [45, 15, 9, 5, 3], "c1sq_zero", {"n": 9}),
+            (6, [6, 2, 6, 2, 2], "c1sq_zero", {"n": 14}),
+            (12, [12, 4, 6, 2, 12], "c1sq_zero", {"n": 14}),
+            (8, [8, 2, 4, 8, 2], "spin_positive", {"m": 7, "t": 1}),
+            (15, [15, 5, 3, 1, 15], "nonspin_positive", {"m": 10, "t": 1}),
+        ],
+        ids=["odd-N1", "odd-N4", "2mod4-N4", "doubling-N4", "spin-N4", "nonspin-N4"],
+    )
+    def test_certificates_against_fresh_class_vectors(self, d, divisors, regime, params):
+        res = inequivalent_family(d, divisors, regime, **params)
+        assert len(res.canonical_classes) == len(res.certificates) == 1 << (len(divisors) - 1)
         for vec, cert in zip(res.canonical_classes, res.certificates):
-            again = certify_class(res.descriptor, vec)
-            assert again == cert
+            assert certify_class(res.descriptor, vec) == cert
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(family_inputs())
+    def test_delta_certificates_property(self, inputs):
+        d, divisors, regime, params = inputs
+        res = inequivalent_family(d, divisors, regime, **params)
+        for vec, cert in zip(res.canonical_classes, res.certificates):
+            assert certify_class(res.descriptor, vec) == cert
+        assert set(res.divisibilities) == q_set(d, divisors)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_delta_certificates_on_random_descriptors(self, data):
+        # Arbitrary shifts on arbitrary trees: witness pairings and
+        # coefficients here are not tied to one another as in the family,
+        # so a wrong step cannot hide in the gcd.
+        m = random_descriptor(random.Random(data.draw(st.integers(0, 10**6))))
+        positions = data.draw(
+            st.lists(st.integers(0, m.lattice.rank - 1), min_size=1, max_size=3, unique=True)
+        )
+        shifts = [(pos, data.draw(st.integers(-9, 9))) for pos in positions]
+        expected = []
+        for mask in range(1 << len(shifts)):
+            coeffs = list(m.canonical.coefficients)
+            for bit, (pos, shift) in enumerate(shifts):
+                if mask >> bit & 1:
+                    coeffs[pos] += shift
+            expected.append(certify_class(m, ClassVector(tuple(coeffs))))
+        assert geography._pattern_certificates(m, shifts) == expected
 
 
 class TestRealizable:
