@@ -35,8 +35,8 @@ def _bool_str(x: bool) -> str:
 def _print_descriptor(name: str, params: str, m: ManifoldDescriptor) -> bool:
     """Print the descriptor of ``m``; return whether it validates."""
     inv = derived_invariants(m)
-    cert = geography.divisibility(m)
     report = geography.validate(m)
+    cert = report.certificate
     lines = [
         f"constructor: {name}",
         f"params: {params}",

@@ -29,6 +29,7 @@ from .lattice import (
     odd_part,
     pairing,
     q_set,
+    sparse_sum,
 )
 from .manifolds import (
     ManifoldDescriptor,
@@ -61,7 +62,7 @@ class DivisibilityCertificate:
 
 def certify_class(m: ManifoldDescriptor, k: ClassVector) -> DivisibilityCertificate:
     """Certificate for an arbitrary canonical class vector over m's lattice."""
-    if len(k) != m.lattice.rank:
+    if k.rank != m.lattice.rank:
         raise LatticeError("basis mismatch")
     upper = gcd_all(dot(k, w) for w in m.witnesses)
     return _certificate(m, coefficient_gcd(k), upper)
@@ -103,9 +104,11 @@ def divisibility(m: ManifoldDescriptor) -> DivisibilityCertificate:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Ordered list of (constraint name, passed, detail)."""
+    """Ordered list of (constraint name, passed, detail), and the
+    divisibility certificate the checks were decided with."""
 
     entries: tuple[tuple[str, bool, str], ...]
+    certificate: DivisibilityCertificate
 
     @property
     def ok(self) -> bool:
@@ -187,7 +190,7 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     else:
         skip("minimality")
 
-    return ValidationReport(tuple(entries))
+    return ValidationReport(tuple(entries), cert)
 
 
 # --- constructors -----------------------------------------------------------
@@ -309,7 +312,7 @@ class FamilyResult:
     The class of sign pattern ``mask`` is the descriptor's canonical class
     with ``shift`` added at ``position`` for every set bit of ``mask``,
     where bit ``i`` is ``shifts[i] = (position, shift)``.  Only these
-    shifts are stored; ``canonical_classes`` builds the 2^N dense classes
+    shifts are stored; ``canonical_classes`` builds the 2^N sparse classes
     when read.
     """
 
@@ -321,15 +324,14 @@ class FamilyResult:
 
     @property
     def canonical_classes(self) -> tuple[ClassVector, ...]:
-        base = self.descriptor.canonical.coefficients
-        classes = []
-        for mask in range(1 << len(self.shifts)):
-            coeffs = list(base)
-            for bit, (pos, shift) in enumerate(self.shifts):
-                if mask >> bit & 1:
-                    coeffs[pos] += shift
-            classes.append(ClassVector(tuple(coeffs)))
-        return tuple(classes)
+        k = self.descriptor.canonical
+        return tuple(
+            ClassVector(k.rank, sparse_sum(
+                [(1, k.entries)]
+                + [(1, (step,)) for bit, step in enumerate(self.shifts) if mask >> bit & 1]
+            ))
+            for mask in range(1 << len(self.shifts))
+        )
 
 
 def _pattern_certificates(
@@ -344,9 +346,9 @@ def _pattern_certificates(
     coefficients and, for every witness meeting a shifted position, its
     base pairing plus the steps ``shift * pairing`` of the set bits.
     """
-    base = w.canonical.coefficients
+    base = dict(w.canonical.entries)
     moved = {pos: (bit, shift) for bit, (pos, shift) in enumerate(shifts)}
-    lower_fixed = gcd_all(c for i, c in enumerate(base) if i not in moved)
+    lower_fixed = gcd_all(c for i, c in base.items() if i not in moved)
     upper_fixed = 0
     moving: list[tuple[int, list[tuple[int, int]]]] = []
     for wit in w.witnesses:
@@ -363,7 +365,7 @@ def _pattern_certificates(
     for mask in range(1 << len(shifts)):
         lower = lower_fixed
         for bit, (pos, shift) in enumerate(shifts):
-            lower = gcd(lower, base[pos] + shift if mask >> bit & 1 else base[pos])
+            lower = gcd(lower, base.get(pos, 0) + (shift if mask >> bit & 1 else 0))
         upper = upper_fixed
         for value, steps in moving:
             for bit, step in steps:

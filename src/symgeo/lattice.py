@@ -2,13 +2,13 @@
 
 An :class:`IntersectionLattice` is the tracked fragment of the second
 cohomology of a 4-manifold: a list of named basis classes together with
-their integer intersection form, stored by its nonzero entries so that a
-lattice of many small blocks costs in proportion to its entries, not to
-its rank squared.  A witness surface is stored the same way, by its
-nonzero pairings with the basis, so pairing a class with it costs in
-proportion to those pairings.  Class vectors stay dense integer vectors
-over the basis.  All arithmetic is done with Python integers, so values
-are exact at any size.
+their integer intersection form.  Rows of the form, the pairings of a
+witness surface with the basis and class vectors over the basis all have
+one sparse shape: the nonzero ``(index, value)`` pairs, by increasing
+index.  One check guards that shape, one merge adds and scales such
+lists, and one dot pairs two of them, so every cost grows with the stored
+entries, not with the rank.  All arithmetic is done with Python integers,
+so values are exact at any size.
 """
 
 from __future__ import annotations
@@ -23,40 +23,80 @@ from .errors import LatticeError
 # tail; inputs beyond this are a bug.
 _MAX_DIVISOR_LIST = 20
 
+Entries = tuple[tuple[int, int], ...]
+
+
+def _check_entries(pairs: Entries, what: str, bound: int | None = None) -> None:
+    """Raise unless ``pairs`` lists nonzero values by strictly increasing,
+    non-negative index, below ``bound`` when one is given."""
+    last = -1
+    for i, x in pairs:
+        if not last < i or not x:
+            break
+        last = i
+    else:  # every entry is in shape; only the bound is left
+        if bound is None or last < bound:
+            return
+    below = "" if bound is None else f" below {bound}"
+    raise LatticeError(f"{what} must list nonzero entries by increasing index{below}")
+
+
+def sparse_sum(terms: Iterable[tuple[int, Iterable[tuple[int, int]]]]) -> Entries:
+    """The entries of the sum of ``k * pairs`` over the ``(k, pairs)``
+    terms, in the shared shape; the pairs need not be sorted or nonzero."""
+    acc: dict[int, int] = {}
+    for k, pairs in terms:
+        for i, x in pairs:
+            acc[i] = acc.get(i, 0) + k * x
+    return tuple(sorted((i, x) for i, x in acc.items() if x))
+
+
+def sparse_dot(a: Entries, b: Entries) -> int:
+    """Sum of ``x * y`` over the indices two entry lists share, in one
+    merge pass over both."""
+    total, j, n = 0, 0, len(b)
+    for i, x in a:
+        while j < n and b[j][0] < i:
+            j += 1
+        if j == n:
+            break
+        if b[j][0] == i:
+            total += x * b[j][1]
+    return total
+
 
 @dataclass(frozen=True)
 class ClassVector:
-    """Integer coefficient vector over a lattice's basis."""
+    """Integer class over a lattice basis of size ``rank``, stored by its
+    nonzero coefficients: ``entries`` lists the pairs ``(i, c)`` by
+    increasing ``i``, the shape of a lattice row."""
 
-    coefficients: tuple[int, ...]
+    rank: int
+    entries: Entries = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+        _check_entries(self.entries, "class vector", self.rank)
 
-    def __len__(self) -> int:
-        return len(self.coefficients)
+    def _combined(self, *terms: tuple[int, "ClassVector"]) -> "ClassVector":
+        if any(v.rank != self.rank for _, v in terms):
+            raise LatticeError("basis mismatch")
+        return ClassVector(self.rank, sparse_sum((k, v.entries) for k, v in terms))
 
     def __add__(self, other: "ClassVector") -> "ClassVector":
-        if len(other) != len(self):
-            raise LatticeError("basis mismatch")
-        return ClassVector(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
+        return self._combined((1, self), (1, other))
 
     def __sub__(self, other: "ClassVector") -> "ClassVector":
-        if len(other) != len(self):
-            raise LatticeError("basis mismatch")
-        return ClassVector(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
+        return self._combined((1, self), (-1, other))
 
     def __neg__(self) -> "ClassVector":
-        return ClassVector(tuple(-a for a in self.coefficients))
+        return self.scaled(-1)
 
     def scaled(self, k: int) -> "ClassVector":
-        return ClassVector(tuple(k * a for a in self.coefficients))
+        return self._combined((k, self))
 
     def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-    def nonzero_items(self) -> list[tuple[int, int]]:
-        return [(i, c) for i, c in enumerate(self.coefficients) if c]
+        return not self.entries
 
 
 @dataclass(frozen=True)
@@ -74,19 +114,13 @@ class Witness:
     """
 
     name: str
-    pairings: tuple[tuple[int, int], ...]
+    pairings: Entries
     genus: int | None = None
     self_intersection: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "pairings", tuple(map(tuple, self.pairings)))
-        last = -1
-        for i, p in self.pairings:
-            if not last < i or not p:
-                raise LatticeError(
-                    f"witness {self.name!r} must list nonzero pairings by increasing index"
-                )
-            last = i
+        _check_entries(self.pairings, f"witness {self.name!r}")
         if self.genus is not None and self.genus < 0:
             raise LatticeError("witness genus must be non-negative")
 
@@ -104,7 +138,7 @@ class IntersectionLattice:
     """
 
     basis_names: tuple[str, ...]
-    rows: tuple[tuple[tuple[int, int], ...], ...]
+    rows: tuple[Entries, ...]
     primitive_summand: bool = True
 
     def __post_init__(self):
@@ -115,18 +149,14 @@ class IntersectionLattice:
             raise LatticeError("basis names must be pairwise distinct")
         if len(self.rows) != n:
             raise LatticeError("intersection form must be square: one row per basis class")
+        for row in self.rows:
+            _check_entries(row, "a row of the intersection form", n)
         # Symmetry: scanning rows in order, the entries (i, g) met in column
         # j must be exactly row j, in order.  One cursor per row checks it in
         # O(nnz); as every entry takes one slot, no slot is left over.
         taken = [0] * n
         for i, row in enumerate(self.rows):
-            last = -1
             for j, g in row:
-                if not last < j < n or not g:
-                    raise LatticeError(
-                        f"row {i} must list nonzero entries by increasing index below {n}"
-                    )
-                last = j
                 mirror, k = self.rows[j], taken[j]
                 if k == len(mirror) or mirror[k] != (i, g):
                     raise LatticeError("intersection form must be symmetric")
@@ -136,17 +166,6 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.basis_names)
 
-    @property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        """Dense Gram matrix; O(rank^2), meant for tests and tiny lattices."""
-        dense = []
-        for row in self.rows:
-            out = [0] * self.rank
-            for j, g in row:
-                out[j] = g
-            dense.append(tuple(out))
-        return tuple(dense)
-
     def index_of(self, name: str) -> int:
         try:
             return self.basis_names.index(name)
@@ -154,49 +173,32 @@ class IntersectionLattice:
             raise LatticeError(f"basis mismatch: no class named {name!r}") from None
 
     def basis_vector(self, name: str) -> ClassVector:
-        i = self.index_of(name)
-        return ClassVector(tuple(1 if j == i else 0 for j in range(self.rank)))
+        return ClassVector(self.rank, ((self.index_of(name), 1),))
 
     def vector(self, coefficients: dict[str, int]) -> ClassVector:
-        """Build a class vector from a sparse {name: coefficient} mapping."""
-        out = [0] * self.rank
-        for name, c in coefficients.items():
-            out[self.index_of(name)] = int(c)
-        return ClassVector(tuple(out))
+        """Build a class vector from a {name: coefficient} mapping."""
+        pairs = [(self.index_of(name), c) for name, c in coefficients.items()]
+        return ClassVector(self.rank, sparse_sum([(1, pairs)]))
 
-    def pairing_row(self, v: ClassVector) -> tuple[tuple[int, int], ...]:
+    def pairing_row(self, v: ClassVector) -> Entries:
         """The nonzero pairings ``(j, v . e_j)`` of ``v`` with the basis
         classes, by increasing ``j``; for the i-th basis class this is
         ``rows[i]``."""
-        if len(v) != self.rank:
+        if v.rank != self.rank:
             raise LatticeError("basis mismatch")
-        row: dict[int, int] = {}
-        for i, c in v.nonzero_items():
-            for j, g in self.rows[i]:
-                row[j] = row.get(j, 0) + c * g
-        return tuple(sorted((j, x) for j, x in row.items() if x))
+        return sparse_sum((c, self.rows[i]) for i, c in v.entries)
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
     """Evaluate the intersection pairing of two class vectors."""
-    if len(v) != lat.rank or len(w) != lat.rank:
+    if w.rank != lat.rank:
         raise LatticeError("basis mismatch")
-    wc = w.coefficients
-    total = 0
-    for i, a in v.nonzero_items():
-        for j, g in lat.rows[i]:
-            total += a * g * wc[j]
-    return total
+    return sparse_dot(lat.pairing_row(v), w.entries)
 
 
 def dot(v: ClassVector, w: Witness) -> int:
-    """Pair a class vector with a witness over the same lattice, in
-    O(nnz) of the witness's pairings."""
-    c = v.coefficients
-    total = 0
-    for i, p in w.pairings:
-        total += c[i] * p
-    return total
+    """Pair a class vector with a witness over the same lattice."""
+    return sparse_dot(v.entries, w.pairings)
 
 
 def block_diagonal(
@@ -236,11 +238,8 @@ def direct_sum(
 
 
 def coefficient_gcd(v: ClassVector) -> int:
-    """Gcd of the absolute coefficients; zero exactly for the zero vector."""
-    g = 0
-    for c in v.coefficients:
-        g = gcd(g, abs(c))
-    return g
+    """Gcd of the coefficients; zero exactly for the zero vector."""
+    return gcd_all(c for _, c in v.entries)
 
 
 def _validate_divisor_list(d: int, divisors: list[int]) -> None:
@@ -287,7 +286,5 @@ def odd_part(n: int) -> int:
 
 
 def gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
+    """Non-negative gcd of the values; zero when all are zero or none is given."""
+    return gcd(*values)

@@ -3,7 +3,7 @@
 A :class:`ManifoldDescriptor` is the symbolic value every constructor and
 surgery produces: Euler characteristic and signature, topological flags,
 the tracked fragment of the intersection lattice, the canonical class as
-an integer vector over that fragment, a list of witness surfaces, and a
+a sparse integer vector over that fragment, a list of witness surfaces, and a
 provenance recipe that can be re-executed to reproduce the descriptor.
 
 Atomic pieces:
@@ -22,7 +22,6 @@ instance (tested).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from math import gcd
 from typing import Callable
 
@@ -41,7 +40,7 @@ NOTE_FULL_CANONICAL = "full-canonical"
 NOTE_GENERAL_TYPE = "general-type"
 NOTE_PI1_SECTION = "pi1-normally-generated-by:"
 
-ParamValue = int | str | bool | tuple[int, ...]
+ParamValue = int | str | bool | ClassVector
 
 
 @dataclass(frozen=True)
@@ -78,7 +77,7 @@ class ManifoldDescriptor:
     def __post_init__(self):
         if self.minimal not in ("yes", "no", "unknown"):
             raise ConstructionError("minimal must be yes, no or unknown")
-        if len(self.canonical) != self.lattice.rank:
+        if self.canonical.rank != self.lattice.rank:
             raise ConstructionError("canonical class length does not match lattice rank")
         for w in self.witnesses:
             if w.pairings and w.pairings[-1][0] >= self.lattice.rank:
@@ -155,7 +154,6 @@ def triple_names(i: int) -> tuple[str, str, str, str]:
     return (f"T1_{i}", f"D1_{i}", f"R_{i}", f"DR_{i}")
 
 
-@lru_cache(maxsize=None)
 def elliptic_surface(n: int, p: int = 1, q: int = 1) -> ManifoldDescriptor:
     """The relatively minimal elliptic surface E(n)_{p,q} without section
     obstructions modeled: canonical class (npq - p - q) f with f primitive.

@@ -74,27 +74,24 @@ def _build_catalog(node, children):
 def _build_fibre_sum(node, children):
     g = node.param("genus")
     sm = surgery.SurfaceRef(
-        ClassVector(node.param("class_m")), g, 0,
-        node.param("sign_m"), node.param("complement_m"),
+        node.param("class_m"), g, 0, node.param("sign_m"), node.param("complement_m")
     )
     sn = surgery.SurfaceRef(
-        ClassVector(node.param("class_n")), g, 0,
-        node.param("sign_n"), node.param("complement_n"),
+        node.param("class_n"), g, 0, node.param("sign_n"), node.param("complement_n")
     )
     return surgery.fibre_sum(children[0], sm, children[1], sn, node.param("no_rim_tori"))
 
 
 def _build_knot_surgery(node, children):
     t = surgery.SurfaceRef(
-        ClassVector(node.param("torus")), 1, 0, node.param("sign"), node.param("complement")
+        node.param("torus"), 1, 0, node.param("sign"), node.param("complement")
     )
     return surgery.knot_surgery(children[0], t, node.param("h"), node.param("sign"))
 
 
 def _build_gks(node, children):
     s = surgery.SurfaceRef(
-        ClassVector(node.param("surface")), node.param("genus"), 0, "+",
-        node.param("complement"),
+        node.param("surface"), node.param("genus"), 0, "+", node.param("complement")
     )
     return surgery.generalized_knot_surgery(children[0], s, node.param("h"))
 
@@ -150,7 +147,11 @@ def _format_value(value: ParamValue, kind: str) -> str:
     if kind == _BOOL:
         return "true" if value else "false"
     if kind == _CLASS:
-        return ",".join(str(c) for c in value)
+        # Class vectors are sparse in memory and dense in the text.
+        dense = [0] * value.rank
+        for i, c in value.entries:
+            dense[i] = c
+        return ",".join(map(str, dense))
     return str(value)
 
 
@@ -228,7 +229,8 @@ def _parse_value(kind: str, raw: str, number: int) -> ParamValue:
         parts = raw.split(",")
         if not all(_INT_VALUE.match(p.strip()) for p in parts):
             raise RecipeError(f"expected a comma-separated integer vector, got {raw!r}", number)
-        return tuple(int(p.strip()) for p in parts)
+        values = [int(p) for p in parts]
+        return ClassVector(len(values), tuple((i, c) for i, c in enumerate(values) if c))
     if not _STR_VALUE.match(raw):
         raise RecipeError(f"invalid string value {raw!r}", number)
     return raw

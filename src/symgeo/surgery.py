@@ -9,9 +9,10 @@ provenance notes.
 
 Witness surfaces are carried through surgeries.  A knot surgery along a
 torus T caps every tracked surface meeting T with fibre-genus copies of
-the Seifert surface: a witness meeting T in a single positive point keeps
-a declared genus (raised by the knot genus); any other intersection
-pattern keeps the pairing vector but forgets genus and self-intersection.
+the Seifert surface: a witness meeting T in a single point that is
+positive for the symplectic orientation of T (pairing +1 for sign ``+``,
+-1 for sign ``-``) keeps a declared genus, raised by the knot genus; any
+other intersection pattern keeps the pairing vector but forgets the genus.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .lattice import (
     coefficient_gcd,
     dot,
     pairing,
+    sparse_sum,
 )
 from .manifolds import (
     NOTE_FULL_CANONICAL,
@@ -62,7 +64,7 @@ def negate_structure(k: ClassVector) -> ClassVector:
 
 
 def _check_square_zero_indivisible(m: ManifoldDescriptor, ref: SurfaceRef) -> None:
-    if len(ref.class_vec) != m.lattice.rank:
+    if ref.class_vec.rank != m.lattice.rank:
         raise ConstructionError("surface class does not live over the descriptor's lattice")
     if ref.self_intersection != 0 or pairing(m.lattice, ref.class_vec, ref.class_vec) != 0:
         raise ConstructionError("surgery surface must have self-intersection zero")
@@ -84,13 +86,6 @@ def _derive_minimal(full: bool, primitive: bool, k: ClassVector) -> str:
     if full and primitive and coefficient_gcd(k) >= 2:
         return "yes"
     return "unknown"
-
-
-def _unit_basis_index(v: ClassVector) -> int | None:
-    items = v.nonzero_items()
-    if len(items) == 1 and items[0][1] == 1:
-        return items[0][0]
-    return None
 
 
 def _pi1_collapses(desc: ManifoldDescriptor, ref: SurfaceRef) -> bool:
@@ -131,8 +126,9 @@ class _Side:
 def _resolve_side(desc: ManifoldDescriptor, ref: SurfaceRef, label: str) -> _Side:
     _check_square_zero_indivisible(desc, ref)
     lat = desc.lattice
-    i = _unit_basis_index(ref.class_vec)
-    if i is None:
+    entries = ref.class_vec.entries
+    i = entries[0][0] if entries else 0
+    if entries != ((i, 1),):
         raise ConstructionError(
             f"fibre-sum surface on the {label} side must be a tracked basis class"
         )
@@ -242,26 +238,21 @@ def fibre_sum(
         m.lattice.primitive_summand and n.lattice.primitive_summand,
     )
 
-    def embed(m_vec: tuple[int, ...], sigma: int, b: int, n_vec: tuple[int, ...]) -> tuple:
-        """A dense vector over the new basis from vectors over the old ones
-        and its Sigma_X and B_X entries."""
-        return tuple(m_vec[i] for i in m_keep) + (sigma, b) + tuple(n_vec[i] for i in n_keep)
+    def sewn(side: _Side, index: dict[int, int]) -> dict[int, int]:
+        """``index`` extended by the surface, carried to Sigma_X, and a
+        tracked dual, carried to B_X."""
+        out = {**index, side.sigma_index: sigma_pos}
+        if side.b_basis_index is not None:
+            out[side.b_basis_index] = b_pos
+        return out
 
-    def old_coeff(side: _Side, index: int | None) -> int:
-        if index is None:
-            return 0
-        return side.desc.canonical.coefficients[index]
-
-    canonical = ClassVector(embed(
-        m.canonical.coefficients,
-        m.canonical.coefficients[side_m.sigma_index]
-        + n.canonical.coefficients[side_n.sigma_index]
-        + 2,
-        old_coeff(side_m, side_m.b_basis_index)
-        + old_coeff(side_n, side_n.b_basis_index)
-        - (2 * g - 2),
-        n.canonical.coefficients,
-    ))
+    m_sewn, n_sewn = sewn(side_m, m_index), sewn(side_n, n_index)
+    # K_m + K_n - (2g-2) B_X + 2 Sigma_X, the old Sigma and duals sewn.
+    canonical = ClassVector(len(new_names), sparse_sum([
+        (1, carry(m.canonical.entries, m_sewn)),
+        (1, carry(n.canonical.entries, n_sewn)),
+        (1, ((sigma_pos, 2), (b_pos, 2 - 2 * g))),
+    ]))
 
     witnesses: list[Witness] = []
     dropped: list[str] = []
@@ -271,8 +262,6 @@ def fibre_sum(
         """Carry the witnesses of one side that miss its surface; a witness
         pairing with a tracked dual pairs the same with B_X."""
         nonlocal zero_notes
-        if side.b_basis_index is not None:
-            index = {**index, side.b_basis_index: b_pos}
         for w in side.desc.witnesses:
             if w is side.b_witness:
                 continue
@@ -283,8 +272,8 @@ def fibre_sum(
             pairs = sorted(carry(w.pairings, index))
             witnesses.append(Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))
 
-    embed_witnesses(side_m, m_index, "")
-    embed_witnesses(side_n, n_index, prefix)
+    embed_witnesses(side_m, m_sewn, "")
+    embed_witnesses(side_n, n_sewn, prefix)
 
     b_pairings = (
         carry(side_m.b_row, m_index)
@@ -321,10 +310,10 @@ def fibre_sum(
         "fibre_sum",
         (
             ("genus", g),
-            ("class_m", sm.class_vec.coefficients),
+            ("class_m", sm.class_vec),
             ("sign_m", sm.symplectic_sign),
             ("complement_m", sm.complement_simply_connected),
-            ("class_n", sn.class_vec.coefficients),
+            ("class_n", sn.class_vec),
             ("sign_n", sn.symplectic_sign),
             ("complement_n", sn.complement_simply_connected),
             ("no_rim_tori", no_rim_tori),
@@ -349,18 +338,19 @@ def fibre_sum(
 
 
 def _cap_witnesses(
-    witnesses: tuple[Witness, ...], torus: ClassVector, h: int
+    witnesses: tuple[Witness, ...], torus: ClassVector, h: int, sign: str
 ) -> tuple[Witness, ...]:
     # Capping with Seifert surfaces leaves the homology class, and hence
     # the self-intersection, untouched; only the genus grows.  A single
-    # positive intersection point gives an exact new genus, anything else
-    # leaves the genus unknown.
+    # intersection point, positive for the torus's symplectic orientation,
+    # gives an exact new genus; anything else leaves the genus unknown.
+    positive = 1 if sign == "+" else -1
     out = []
     for w in witnesses:
         t = dot(torus, w)
         if t == 0 or h == 0:
             out.append(w)
-        elif t == 1 and w.genus is not None:
+        elif t == positive and w.genus is not None:
             out.append(replace(w, genus=w.genus + h))
         else:
             out.append(replace(w, genus=None))
@@ -386,7 +376,7 @@ def knot_surgery(
         raise ConstructionError("torus violates the adjunction identity")
     shift = t.class_vec.scaled(2 * h if sign == "+" else -2 * h)
     canonical = x.canonical + shift
-    witnesses = _cap_witnesses(x.witnesses, t.class_vec, h)
+    witnesses = _cap_witnesses(x.witnesses, t.class_vec, h, sign)
     simply_connected = x.simply_connected and t.complement_simply_connected
     notes = []
     if x.carries_full_canonical:
@@ -395,7 +385,7 @@ def knot_surgery(
     recipe = ConstructionRecipe(
         "knot_surgery",
         (
-            ("torus", t.class_vec.coefficients),
+            ("torus", t.class_vec),
             ("h", h),
             ("sign", sign),
             ("complement", t.complement_simply_connected),
@@ -456,10 +446,7 @@ def generalized_knot_surgery(
         m.lattice.primitive_summand,
     )
 
-    tail = (0,) * (2 * blocks)
-    ext = ClassVector(m.canonical.coefficients + tail)
-    sigma_ext = ClassVector(s.class_vec.coefficients + tail)
-    canonical = ext + sigma_ext.scaled(2 * h)
+    canonical = replace(m.canonical + s.class_vec.scaled(2 * h), rank=lattice.rank)
 
     # The new classes pair with no old one, so kept witnesses are unchanged.
     witnesses: list[Witness] = []
@@ -480,7 +467,7 @@ def generalized_knot_surgery(
     recipe = ConstructionRecipe(
         "generalized_knot_surgery",
         (
-            ("surface", s.class_vec.coefficients),
+            ("surface", s.class_vec),
             ("genus", g),
             ("h", h),
             ("complement", s.complement_simply_connected),
@@ -536,7 +523,7 @@ def blow_up(m: ManifoldDescriptor) -> ManifoldDescriptor:
         m.lattice.rows + (((rank - 1, -1),),),
         m.lattice.primitive_summand,
     )
-    canonical = ClassVector(m.canonical.coefficients + (1,))
+    canonical = ClassVector(rank, m.canonical.entries + ((rank - 1, 1),))
     witnesses = list(m.witnesses)
     witnesses.append(Witness(f"exceptional_{name}", ((rank - 1, -1),), 0, -1))
     notes = []

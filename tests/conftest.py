@@ -1,6 +1,7 @@
 import random
 
 from symgeo.errors import ConstructionError
+from symgeo.lattice import ClassVector
 from symgeo.manifolds import elliptic_surface
 from symgeo.surgery import SurfaceRef, blow_up, fibre_sum, knot_surgery, log_transform
 
@@ -13,11 +14,25 @@ def expand(pairs, rank):
     return tuple(out)
 
 
+def dense(v):
+    """The dense coefficient tuple of a class vector."""
+    return expand(v.entries, v.rank)
+
+
+def class_vector(coefficients):
+    """A class vector from its dense coefficients."""
+    return ClassVector(len(coefficients), tuple((i, c) for i, c in enumerate(coefficients) if c))
+
+
+def gram(lat):
+    """The dense Gram matrix of a lattice; O(rank^2), for small lattices."""
+    return tuple(expand(row, lat.rank) for row in lat.rows)
+
+
 def dense_dot(v, w):
-    """Dense reference for ``lattice.dot``: the witness's pairings expanded
-    to the rank, then summed against the class vector."""
-    pairings = expand(w.pairings, len(v))
-    return sum(a * pairings[i] for i, a in v.nonzero_items())
+    """Dense reference for ``lattice.dot``: the class vector and the
+    witness's pairings both expanded to the rank, then summed."""
+    return sum(a * p for a, p in zip(dense(v), expand(w.pairings, v.rank)))
 
 
 def random_descriptor(rng: random.Random):

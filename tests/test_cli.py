@@ -60,6 +60,19 @@ class TestConstruct:
         assert code == 0
         assert target.read_text(encoding="utf-8").startswith("version: 1")
 
+    def test_certifies_the_canonical_class_once(self, capsys, monkeypatch):
+        # The printed certificate is the one validation decided with.
+        from symgeo import geography
+
+        calls = []
+        certify = geography.certify_class
+        monkeypatch.setattr(
+            geography, "certify_class", lambda m, k: calls.append(k) or certify(m, k)
+        )
+        code, out, _ = run(capsys, "construct", "homotopy_elliptic", "4", "2")
+        assert code == 0 and "divisibility: 2" in out
+        assert len(calls) == 1
+
     def test_parameter_error(self, capsys):
         code, _, err = run(capsys, "construct", "homotopy_elliptic", "3", "2")
         assert code == 2 and "spin parity obstruction" in err

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import dense
 
 from symgeo.coverings import (
     CoverParams,
@@ -287,7 +288,7 @@ class TestSingularDoubleCover:
 
     def test_degenerate_line_count(self):
         x = singular_double_cover(2, 5)
-        assert x.canonical.coefficients == (0, 3)
+        assert dense(x.canonical) == (0, 3)
         assert derived_invariants(x).c1_squared == 0
 
     def test_four_four(self):

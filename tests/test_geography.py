@@ -2,7 +2,7 @@ import random
 import tracemalloc
 
 import pytest
-from conftest import dense_dot, random_descriptor
+from conftest import class_vector, dense, dense_dot, random_descriptor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +21,6 @@ from symgeo.geography import (
     validate,
 )
 from symgeo.lattice import (
-    ClassVector,
     IntersectionLattice,
     Witness,
     block_diagonal,
@@ -43,7 +42,7 @@ def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses
     )
     return ManifoldDescriptor(
         e=e, sigma=sigma, spin=spin, simply_connected=sc, symplectic=True,
-        minimal="unknown", lattice=lat, canonical=ClassVector(tuple(canonical)),
+        minimal="unknown", lattice=lat, canonical=class_vector(canonical),
         witnesses=tuple(witnesses),
         recipe=ConstructionRecipe("catalog", (("name", "barlow"),), (), tuple(notes)),
     )
@@ -52,6 +51,10 @@ def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses
 class TestValidate:
     def test_elliptic_passes_everything(self):
         assert validate(elliptic_surface(3, 1, 1)).ok
+
+    def test_report_carries_its_certificate(self):
+        m = homotopy_elliptic(4, 2)
+        assert validate(m).certificate == divisibility(m)
 
     def test_rochlin_failure(self):
         m = synthetic(12, -8, spin=True)
@@ -95,7 +98,7 @@ class TestDivisibility:
         m = surgered_homotopy_elliptic(3, 3)
         i = m.lattice.index_of("f")
         j = m.lattice.index_of("R_1")
-        assert (m.canonical.coefficients[i], m.canonical.coefficients[j]) == (9, 6)
+        assert (dense(m.canonical)[i], dense(m.canonical)[j]) == (9, 6)
         cert = divisibility(m)
         assert cert.value == 3 and cert.certified
 
@@ -135,7 +138,7 @@ class TestHomotopyElliptic:
         m = homotopy_elliptic(4, 2)
         i = m.lattice.index_of("f")
         j = m.lattice.index_of("R_1")
-        assert (m.canonical.coefficients[i], m.canonical.coefficients[j]) == (4, 2)
+        assert (dense(m.canonical)[i], dense(m.canonical)[j]) == (4, 2)
         assert m.spin
 
     def test_parity_obstruction(self):
@@ -181,7 +184,6 @@ class TestSpinSurface:
         # Doubling t doubles the split-class blocks, so the rank nearly
         # doubles; storage quadratic in the rank would about quadruple.
         def peak(*params):
-            elliptic_surface.cache_clear()
             tracemalloc.start()
             try:
                 spin_surface(*params)
@@ -190,6 +192,15 @@ class TestSpinSurface:
                 tracemalloc.stop()
 
         assert peak(20, 1, 8) <= 2.5 * peak(20, 1, 4)
+
+    def test_canonical_entries_do_not_grow_with_blocks(self):
+        # K moves by 2h Sigma, which misses the split-class blocks, so
+        # doubling them adds no stored canonical entry; a dense class
+        # grows with the rank.
+        def entries(m):
+            return len(m.canonical.entries)
+
+        assert entries(spin_surface(20, 1, 8)) == entries(spin_surface(20, 1, 4))
 
     def test_witness_entries_do_not_grow_with_blocks(self):
         # The split-class blocks pair with no witness, so doubling them
@@ -293,7 +304,7 @@ class TestInequivalentFamily:
         }
         for vec, cert in zip(res.canonical_classes, res.certificates):
             assert vec == expected[cert.value]
-            assert vec.coefficients[i_f] == 6
+            assert dense(vec)[i_f] == 6
         assert set(res.divisibilities) == {3, 1}
 
     def test_spin_regime(self):
@@ -368,11 +379,11 @@ class TestInequivalentFamily:
         shifts = [(pos, data.draw(st.integers(-9, 9))) for pos in positions]
         expected = []
         for mask in range(1 << len(shifts)):
-            coeffs = list(m.canonical.coefficients)
+            coeffs = list(dense(m.canonical))
             for bit, (pos, shift) in enumerate(shifts):
                 if mask >> bit & 1:
                     coeffs[pos] += shift
-            expected.append(certify_class(m, ClassVector(tuple(coeffs))))
+            expected.append(certify_class(m, class_vector(coeffs)))
         assert geography._pattern_certificates(m, shifts) == expected
 
 

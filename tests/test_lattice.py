@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from conftest import expand
+from conftest import class_vector, dense, expand, gram
 
 from symgeo.errors import LatticeError
 from symgeo.lattice import (
@@ -12,6 +12,7 @@ from symgeo.lattice import (
     block_diagonal,
     coefficient_gcd,
     direct_sum,
+    dot,
     pairing,
     q_set,
 )
@@ -29,25 +30,25 @@ def dense_pairing(gram, v, w):
 
 
 def test_hyperbolic_pairing():
-    assert pairing(H, ClassVector((1, 0)), ClassVector((0, 1))) == 1
+    assert pairing(H, class_vector((1, 0)), class_vector((0, 1))) == 1
 
 
 def test_even_two_form_square():
     lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
     for n, m in [(4, 4), (3, 5), (1, 2), (7, 3)]:
-        v = ClassVector((n - 2, m - 2))
+        v = class_vector((n - 2, m - 2))
         assert pairing(lat, v, v) == 4 * (n - 2) * (m - 2)
-    assert pairing(lat, ClassVector((2, 2)), ClassVector((2, 2))) == 16
+    assert pairing(lat, class_vector((2, 2)), class_vector((2, 2))) == 16
 
 
 def test_pairing_with_zero_vector():
-    v = ClassVector((5, -7))
-    assert pairing(H, v, ClassVector((0, 0))) == 0
+    v = class_vector((5, -7))
+    assert pairing(H, v, class_vector((0, 0))) == 0
 
 
 def test_pairing_dimension_mismatch():
     with pytest.raises(LatticeError, match="basis mismatch"):
-        pairing(H, ClassVector((1, 0, 0)), ClassVector((0, 1)))
+        pairing(H, class_vector((1, 0, 0)), class_vector((0, 1)))
 
 
 def test_pairing_bilinear_symmetric_random():
@@ -61,10 +62,10 @@ def test_pairing_bilinear_symmetric_random():
         lat = IntersectionLattice(
             tuple(f"x{i}" for i in range(r)), block_diagonal([entries])
         )
-        v = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
-        w = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
-        u = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
-        assert pairing(lat, v, w) == pairing(lat, w, v) == dense_pairing(lat.gram, v.coefficients, w.coefficients)
+        v = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
+        w = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
+        u = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
+        assert pairing(lat, v, w) == pairing(lat, w, v) == dense_pairing(gram(lat), dense(v), dense(w))
         assert pairing(lat, v + u, w) == pairing(lat, v, w) + pairing(lat, u, w)
         assert pairing(lat, v.scaled(3), w) == 3 * pairing(lat, v, w)
 
@@ -78,14 +79,40 @@ def test_pairing_row_matches_dense_random():
             for j in range(i, r):
                 entries[i][j] = entries[j][i] = rng.choice([0, 0, rng.randint(-5, 5)])
         lat = IntersectionLattice(tuple(f"x{i}" for i in range(r)), block_diagonal([entries]))
-        assert lat.gram == tuple(map(tuple, entries))
-        v = ClassVector(tuple(rng.randint(-9, 9) for _ in range(r)))
+        assert gram(lat) == tuple(map(tuple, entries))
+        v = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
         units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
         assert expand(lat.pairing_row(v), r) == tuple(
-            dense_pairing(entries, v.coefficients, e) for e in units
+            dense_pairing(entries, dense(v), e) for e in units
         )
         for i, e in enumerate(units):
-            assert lat.pairing_row(ClassVector(e)) == lat.rows[i]
+            assert lat.pairing_row(class_vector(e)) == lat.rows[i]
+
+
+def test_class_arithmetic_and_dot_match_dense_random():
+    rng = random.Random(13)
+    for _ in range(200):
+        r = rng.randint(0, 8)
+
+        def sparse_random():
+            return class_vector(tuple(rng.choice([0, 0, rng.randint(-5, 5)]) for _ in range(r)))
+
+        v, w = sparse_random(), sparse_random()
+        k = rng.randint(-3, 3)
+        assert dense(v + w) == tuple(a + b for a, b in zip(dense(v), dense(w)))
+        assert dense(v - w) == tuple(a - b for a, b in zip(dense(v), dense(w)))
+        assert dense(v.scaled(k)) == tuple(k * a for a in dense(v))
+        assert dense(-v) == tuple(-a for a in dense(v))
+        witness = Witness("w", w.entries)
+        assert dot(v, witness) == sum(a * b for a, b in zip(dense(v), dense(w)))
+    with pytest.raises(LatticeError, match="basis mismatch"):
+        class_vector((1, 0)) + class_vector((1,))
+
+
+def test_class_entries_must_be_sorted_nonzero_and_in_range():
+    for rank, entries in [(2, ((1, 1), (0, 2))), (2, ((0, 0),)), (2, ((2, 1),)), (2, ((-1, 1),))]:
+        with pytest.raises(LatticeError, match="increasing index"):
+            ClassVector(rank, entries)
 
 
 def test_rows_must_be_sorted_nonzero_and_in_range():
@@ -129,7 +156,7 @@ def test_gram_must_be_symmetric_and_square():
 def test_direct_sum_hyperbolic_pair():
     s = direct_sum(H, H, rename=("l.", "r."))
     assert s.rank == 4
-    assert s.gram == (
+    assert gram(s) == (
         (0, 1, 0, 0),
         (1, 0, 0, 0),
         (0, 0, 0, 1),
@@ -145,14 +172,14 @@ def test_direct_sum_split_class_blocks():
     acc = direct_sum(split, split, rename=("1.", "2."))
     acc = direct_sum(acc, H, rename=("", ""))
     assert acc.rank == 6
-    assert acc.gram[0][:2] == (2, 1)
-    assert acc.gram[4][4:] == (0, 1)
+    assert gram(acc)[0][:2] == (2, 1)
+    assert gram(acc)[4][4:] == (0, 1)
 
 
 def test_direct_sum_identity_with_rank_zero():
     empty = IntersectionLattice((), ())
     s = direct_sum(H, empty)
-    assert s.basis_names == H.basis_names and s.gram == H.gram
+    assert s.basis_names == H.basis_names and gram(s) == gram(H)
 
 
 def test_direct_sum_name_collision():
@@ -161,19 +188,19 @@ def test_direct_sum_name_collision():
 
 
 def test_coefficient_gcd_examples():
-    assert coefficient_gcd(ClassVector((9, 6))) == 3
-    assert coefficient_gcd(ClassVector((0, 0))) == 0
+    assert coefficient_gcd(class_vector((9, 6))) == 3
+    assert coefficient_gcd(class_vector((0, 0))) == 0
     # Odd/odd canonical class with m = k = 1: ((2m+1)(2k+1), 2(2k+1)).
     m = k = 1
-    v = ClassVector(((2 * m + 1) * (2 * k + 1), 2 * (2 * k + 1)))
-    assert v.coefficients == (9, 6)
+    v = class_vector(((2 * m + 1) * (2 * k + 1), 2 * (2 * k + 1)))
+    assert dense(v) == (9, 6)
     assert coefficient_gcd(v) == 3
 
 
 def test_coefficient_gcd_scaling():
     rng = random.Random(11)
     for _ in range(50):
-        v = ClassVector(tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 6))))
+        v = class_vector(tuple(rng.randint(-20, 20) for _ in range(rng.randint(1, 6))))
         k = rng.randint(0, 9)
         assert coefficient_gcd(v.scaled(k)) == k * coefficient_gcd(v)
 

@@ -2,10 +2,18 @@ import inspect
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgeo.coverings import branched_cover, singular_double_cover
 from symgeo.errors import ConstructionError, RecipeError
-from symgeo.geography import homotopy_elliptic, nonspin_surface, spin_surface
+from symgeo.geography import (
+    divisibility,
+    homotopy_elliptic,
+    nonspin_surface,
+    spin_surface,
+    validate,
+)
 from symgeo.manifolds import (
     CATALOG,
     ConstructionRecipe,
@@ -143,6 +151,20 @@ def test_randomized_recipe_determinism():
         again = execute_recipe(parse_recipe(text))
         assert again == m
         assert serialize_recipe(again.recipe) == text
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 10**6))
+def test_random_trees_replay_validate_and_certify(seed):
+    # Three properties of any construction tree: its recipe text replays
+    # to an equal descriptor, it passes validation, and its certificate's
+    # lower bound divides the upper one.
+    m = random_descriptor(random.Random(seed))
+    assert execute_recipe(parse_recipe(serialize_recipe(m.recipe))) == m
+    report = validate(m)
+    assert report.ok, report.failures()
+    cert = divisibility(m)
+    assert cert.upper % cert.lower == 0 if cert.lower else cert.upper == 0
 
 
 def test_execute_rejects_unknown_node():

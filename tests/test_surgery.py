@@ -2,12 +2,12 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import dense_dot, expand
+from conftest import class_vector, dense, dense_dot, expand, gram
 
 from symgeo import geography, surgery
 from symgeo.errors import ConstructionError
 from symgeo.geography import divisibility, inequivalent_family
-from symgeo.lattice import ClassVector, Witness, dot, pairing
+from symgeo.lattice import Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.surgery import (
     SurfaceRef,
@@ -46,13 +46,13 @@ class TestFibreSum:
         assert (x.e, x.sigma) == (oracle.e, oracle.sigma)
         # Canonical class is (n-2) times the identified fibre.
         i = x.lattice.index_of("f")
-        assert x.canonical.coefficients[i] == n - 2
-        assert sum(map(abs, x.canonical.coefficients)) == abs(n - 2)
+        assert dense(x.canonical)[i] == n - 2
+        assert sum(map(abs, dense(x.canonical))) == abs(n - 2)
         assert divisibility(x).value == divisibility(oracle).value
         assert x.spin == oracle.spin
         # The sewn dual has the square of a section of E(n).
         j = x.lattice.index_of("B_f")
-        assert x.lattice.gram[j][j] == -n
+        assert gram(x.lattice)[j][j] == -n
 
     def test_euler_characteristic_additivity_oracle(self):
         # e(X) = e(M') + e(N') with e(boundary) = 0 and
@@ -96,8 +96,8 @@ class TestFibreSum:
                 # Canonical class agrees on the (section, fibre) pair.
                 fibre_i = x.lattice.index_of("B_K")
                 section_i = x.lattice.index_of("B_B_K")
-                assert x.canonical.coefficients[fibre_i] == 2 * g - 2
-                assert x.canonical.coefficients[section_i] == 2 * h - 2
+                assert dense(x.canonical)[fibre_i] == 2 * g - 2
+                assert dense(x.canonical)[section_i] == 2 * h - 2
                 assert pairing(x.lattice, x.canonical, x.canonical) == 2 * x.e + 3 * x.sigma
 
 
@@ -116,7 +116,7 @@ class TestKnotSurgery:
         m = elliptic_surface(2, 1, 1)
         x = knot_surgery(m, fibre_ref(m), 3, "+")
         i = x.lattice.index_of("f")
-        assert x.canonical.coefficients[i] == 6
+        assert dense(x.canonical)[i] == 6
         assert divisibility(x).value == 6
         # Distinct from the log transform of the same homeomorphism type:
         # divisibilities 6 and 5 certify different manifolds.
@@ -126,14 +126,14 @@ class TestKnotSurgery:
     def test_rational_elliptic_odd_divisibilities(self, k):
         m = elliptic_surface(1, 1, 1)
         x = knot_surgery(m, fibre_ref(m), k + 1, "+")
-        assert x.canonical.coefficients[0] == 2 * k + 1
+        assert dense(x.canonical)[0] == 2 * k + 1
 
     def test_invariants_bit_exact(self):
         m = elliptic_surface(3, 1, 1)
         x = knot_surgery(m, fibre_ref(m), 4, "-")
         assert (x.e, x.sigma) == (m.e, m.sigma)
-        assert x.lattice.gram == m.lattice.gram
-        assert x.canonical.coefficients[0] == 1 - 8
+        assert gram(x.lattice) == gram(m.lattice)
+        assert dense(x.canonical)[0] == 1 - 8
 
     def test_non_torus_rejected(self):
         m = surface_bundle_y(2, 2)
@@ -148,6 +148,22 @@ class TestKnotSurgery:
         assert section.genus == 4 and section.self_intersection == -3
         # Disjoint sphere witnesses are untouched.
         assert x.witness("sphere_R_1").genus == 0
+
+    def test_witness_genus_capping_follows_the_sign(self):
+        # Sign - reverses the torus's symplectic orientation: the section
+        # (pairing +1 with f) meets it negatively and forgets its genus,
+        # while a sphere pairing -1 with f keeps a genus raised by h.
+        base = elliptic_surface(2, 1, 1)
+        probe = Witness("reversed_section", ((0, -1),), 0, -2)
+        m = replace(base, witnesses=base.witnesses + (probe,))
+        x = knot_surgery(m, fibre_ref(m), 4, "-")
+        assert x.witness("section").genus is None
+        assert x.witness("reversed_section").genus == 4
+        assert geography.validate(x).ok
+        plus = knot_surgery(m, fibre_ref(m), 4, "+")
+        assert plus.witness("section").genus == 4
+        assert plus.witness("reversed_section").genus is None
+        assert geography.validate(plus).ok
 
 
 class TestGeneralizedKnotSurgery:
@@ -177,7 +193,7 @@ class TestGeneralizedKnotSurgery:
         x = generalized_knot_surgery(base, ref, 2)
         blocks = 2 * 2 * (ref.genus - 1)
         assert x.lattice.rank == base.lattice.rank + 2 * blocks
-        assert x.lattice.gram[base.lattice.rank][base.lattice.rank] == 2
+        assert gram(x.lattice)[base.lattice.rank][base.lattice.rank] == 2
 
     def test_kept_witnesses_are_reused(self):
         base, ref = self._base_with_surface(2, 1)
@@ -217,12 +233,12 @@ class TestLogTransform:
 
     def test_k3_index_two(self):
         x = log_transform(elliptic_surface(2, 1, 1), 2)
-        assert x.canonical.coefficients[0] == 1
+        assert dense(x.canonical)[0] == 1
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_index_two_general(self, n):
         x = log_transform(elliptic_surface(n, 1, 1), 2)
-        assert x.canonical.coefficients[0] == 2 * n - 3
+        assert dense(x.canonical)[0] == 2 * n - 3
 
     def test_requires_unsurgered_elliptic(self):
         m = elliptic_surface(2, 2, 1)
@@ -308,22 +324,22 @@ def base_extension(x, base):
     # The base canonical class inside the surgered lattice (zero here, but
     # written generally for clarity of the identity being checked).
     coeffs = [0] * x.lattice.rank
-    for name, c in zip(base.lattice.basis_names, base.canonical.coefficients):
+    for name, c in zip(base.lattice.basis_names, dense(base.canonical)):
         if c:
             coeffs[x.lattice.index_of(name)] = c
-    return ClassVector(tuple(coeffs))
+    return class_vector(coeffs)
 
 
 class TestStructureNegation:
     def test_zero(self):
-        assert negate_structure(ClassVector((0, 0))).is_zero()
+        assert negate_structure(class_vector((0, 0))).is_zero()
 
     def test_knot_product_formula(self):
         m = knot_product(3)
-        assert negate_structure(m.canonical).coefficients == (-4, 0)
+        assert dense(negate_structure(m.canonical)) == (-4, 0)
 
     def test_involution(self):
-        v = ClassVector((3, -5, 7))
+        v = class_vector((3, -5, 7))
         assert negate_structure(negate_structure(v)) == v
 
 
@@ -349,10 +365,10 @@ class TestAdjunctionInvariant:
 
 
 # --- dense reference assembly ----------------------------------------------
-# The Gram matrices and witness rows fibre_sum, generalized_knot_surgery and
-# blow_up built when lattices and witnesses stored dense rows padded with
-# zeros, re-derived here from the inputs' dense views and compared with the
-# sparse result.
+# The Gram matrices, witness rows and canonical classes fibre_sum,
+# generalized_knot_surgery and blow_up built when lattices, witnesses and
+# classes were stored dense and padded with zeros, re-derived here from the
+# inputs' dense views and compared with the sparse result.
 
 
 def dense_witnesses(m):
@@ -361,21 +377,21 @@ def dense_witnesses(m):
 
 def dense_side(m, ref):
     """(kept indices, dual square, tracked dual index, dual witness, dense
-    dual row) of one fibre-sum side, read densely."""
-    g = m.lattice.gram
-    i = ref.class_vec.coefficients.index(1)
+    dual row, surface index) of one fibre-sum side, read densely."""
+    g = gram(m.lattice)
+    i = dense(ref.class_vec).index(1)
     partners = [j for j in range(len(g)) if j != i and g[i][j] != 0]
     if partners:
         j = partners[0]
-        return [k for k in range(len(g)) if k not in (i, j)], g[j][j], j, None, g[j]
+        return [k for k in range(len(g)) if k not in (i, j)], g[j][j], j, None, g[j], i
     dual, row = next((w, p) for w, p in dense_witnesses(m) if dense_dot(ref.class_vec, w) == 1)
-    return [k for k in range(len(g)) if k != i], dual.self_intersection, None, dual, row
+    return [k for k in range(len(g)) if k != i], dual.self_intersection, None, dual, row, i
 
 
 def dense_fibre_sum(m, sm, n, sn):
-    m_keep, m_square, m_j, m_dual, m_row = dense_side(m, sm)
-    n_keep, n_square, n_j, n_dual, n_row = dense_side(n, sn)
-    gm, gn = m.lattice.gram, n.lattice.gram
+    m_keep, m_square, m_j, m_dual, m_row, m_i = dense_side(m, sm)
+    n_keep, n_square, n_j, n_dual, n_row, n_i = dense_side(n, sn)
+    gm, gn = gram(m.lattice), gram(n.lattice)
     sigma_pos = len(m_keep)
     pad = (0,) * len(n_keep)
     rows = [tuple(gm[i][j] for j in m_keep) + (0, 0) + pad for i in m_keep]
@@ -396,11 +412,18 @@ def dense_fibre_sum(m, sm, n, sn):
             if w is not dual and dense_dot(ref.class_vec, w) == 0:
                 witnesses.append(place(p, 0 if j is None else p[j]))
     witnesses.append(embed(m_row, 1, m_square + n_square, n_row))
-    return tuple(rows), witnesses
+    km, kn = dense(m.canonical), dense(n.canonical)
+    canonical = embed(
+        km,
+        km[m_i] + kn[n_i] + 2,
+        (0 if m_j is None else km[m_j]) + (0 if n_j is None else kn[n_j]) - (2 * sm.genus - 2),
+        kn,
+    )
+    return tuple(rows), witnesses, canonical
 
 
 def dense_gks(m, s, h):
-    g = m.lattice.gram
+    g = gram(m.lattice)
     old_rank = len(g)
     blocks = 2 * h * (s.genus - 1)
     tail = (0,) * (2 * blocks)
@@ -412,28 +435,30 @@ def dense_gks(m, s, h):
         rows.append((0,) * off + (1, 0) + (0,) * (rank - off - 2))
     witnesses = [p + tail for w, p in dense_witnesses(m) if dense_dot(s.class_vec, w) == 0]
     sigma_row = tuple(
-        sum(c * g[i][j] for i, c in enumerate(s.class_vec.coefficients)) for j in range(old_rank)
+        sum(c * g[i][j] for i, c in enumerate(dense(s.class_vec))) for j in range(old_rank)
     )
     witnesses.append(sigma_row + tail)
-    return tuple(rows), witnesses
+    canonical = tuple(k + 2 * h * c for k, c in zip(dense(m.canonical), dense(s.class_vec)))
+    return tuple(rows), witnesses, canonical + tail
 
 
 def dense_blow_up(m):
     rank = m.lattice.rank + 1
-    rows = tuple(row + (0,) for row in m.lattice.gram) + ((0,) * (rank - 1) + (-1,),)
+    rows = tuple(row + (0,) for row in gram(m.lattice)) + ((0,) * (rank - 1) + (-1,),)
     witnesses = [p + (0,) for _, p in dense_witnesses(m)]
     witnesses.append((0,) * (rank - 1) + (-1,))
-    return rows, witnesses
+    return rows, witnesses, dense(m.canonical) + (1,)
 
 
 def checked(op, reference, calls):
-    """Wrap ``op`` so that every call compares its Gram and its expanded
-    witness rows with the reference."""
+    """Wrap ``op`` so that every call compares its Gram, its expanded
+    witness rows and its expanded canonical class with the reference."""
     def run(*args, **kwargs):
         out = op(*args, **kwargs)
-        rows, witnesses = reference(*args)
-        assert out.lattice.gram == rows
+        rows, witnesses, canonical = reference(*args)
+        assert gram(out.lattice) == rows
         assert [expand(w.pairings, out.lattice.rank) for w in out.witnesses] == witnesses
+        assert dense(out.canonical) == canonical
         calls[op.__name__] = calls.get(op.__name__, 0) + 1
         return out
     return run
