@@ -143,8 +143,7 @@ def _cmd_construct(args) -> int:
                   file=sys.stderr)
             return 2
         *base, d, degree = p
-        cover = coverings.CoverParams.from_degrees(int(degree), int(d))
-        m = coverings.pluricanonical_cover(_catalog(base), cover)
+        m = coverings.pluricanonical_cover(_catalog(base), int(degree), int(d))
         params = f"base={' '.join(base)} d={d} m={degree}"
     elif name in _INT_CONSTRUCTORS:
         module, attr = _INT_CONSTRUCTORS[name]
@@ -251,8 +250,8 @@ def _table_lines(which: str) -> list[str]:
     base = manifolds.catalog(which)
     lines = [f"# {which}", TABLE_HEADER]
     for d, m in TABLE_ROWS:
-        p = coverings.CoverParams.from_degrees(m, d)
-        cover = coverings.pluricanonical_cover(base, p)
+        p = coverings.CoverParams(m, d)
+        cover = coverings.pluricanonical_cover(base, m, d)
         inv = derived_invariants(cover)
         lines.append(
             ",".join(
@@ -282,7 +281,7 @@ def _cmd_qset(args) -> int:
 
 
 def _cmd_phi(args) -> int:
-    p = coverings.CoverParams.from_degrees(args.m, args.d)
+    p = coverings.CoverParams(args.m, args.d)
     if args.inverse:
         e, c = coverings.phi_inverse(p, args.e, args.c)
         if e.denominator != 1 or c.denominator != 1:

@@ -46,10 +46,6 @@ class CoverParams:
         if (self.d - 1) % (self.m - 1) != 0:
             raise CoveringError("degree minus one must divide divisibility minus one")
 
-    @classmethod
-    def from_degrees(cls, m: int, d: int) -> "CoverParams":
-        return cls(m, d)
-
     @property
     def a(self) -> int:
         return (self.d - 1) // (self.m - 1)
@@ -156,8 +152,12 @@ def pluri_system_defines_map(m_desc: ManifoldDescriptor, n: int) -> bool:
     return k_sq == 4 and p_g == 0
 
 
-def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> ManifoldDescriptor:
-    """Cover of degree m branched over a smooth divisor in |n K|, n = m a.
+def pluricanonical_cover(
+    m_desc: ManifoldDescriptor, cover_m: int, cover_d: int
+) -> ManifoldDescriptor:
+    """Cover of degree m = ``cover_m`` branched over a smooth divisor in
+    |n K|, n = m a, with canonical class divisible by d = ``cover_d``
+    (see ``CoverParams``).
 
     The canonical class of the cover is d times the pulled-back canonical
     class of the base.  With K = delta A for the base (delta the
@@ -165,6 +165,7 @@ def pluricanonical_cover(m_desc: ManifoldDescriptor, p: CoverParams) -> Manifold
     pullback of A, hence divisible by exactly d delta, and the cover is
     again minimal, simply connected and of general type.
     """
+    p = CoverParams(cover_m, cover_d)
     if not m_desc.simply_connected:
         raise CoveringError("pluricanonical cover needs a simply-connected base")
     if m_desc.minimal != "yes" or NOTE_GENERAL_TYPE not in m_desc.recipe.notes:
@@ -276,7 +277,7 @@ def persson_cover(p: CoverParams, x: int, y: int) -> ManifoldDescriptor:
     base = catalog("persson", chi_base, y)
     if not pluri_system_defines_map(base, p.n):
         raise CoveringError("pluricanonical system not known to define map")
-    return pluricanonical_cover(base, p)
+    return pluricanonical_cover(base, p.m, p.d)
 
 
 def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:

@@ -27,7 +27,6 @@ from .lattice import (
     dot,
     gcd_all,
     odd_part,
-    pairing,
     q_set,
     sparse_sum,
 )
@@ -38,7 +37,6 @@ from .manifolds import (
     with_recipe_notes,
 )
 from .surgery import (
-    SurfaceRef,
     blow_up,
     generalized_knot_surgery,
     knot_surgery,
@@ -180,7 +178,7 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
         skip("square_zero_genus")
 
     if full:
-        k_sq = pairing(m.lattice, m.canonical, m.canonical)
+        k_sq = m.canonical_square()
         add("canonical_square", k_sq == c1, f"K^2 = {k_sq}, 2e+3sigma = {c1}")
     else:
         skip("canonical_square")
@@ -194,19 +192,6 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
 
 
 # --- constructors -----------------------------------------------------------
-
-
-def _fibre_ref(m: ManifoldDescriptor, name: str = "f") -> SurfaceRef:
-    return SurfaceRef(
-        m.lattice.basis_vector(name), 1, 0, "+", complement_simply_connected=True
-    )
-
-
-def _rim_ref(m: ManifoldDescriptor, index: int = 1) -> SurfaceRef:
-    r = triple_names(index)[2]
-    return SurfaceRef(
-        m.lattice.basis_vector(r), 1, 0, "+", complement_simply_connected=True
-    )
 
 
 def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
@@ -224,7 +209,7 @@ def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     if n == 1:
         k = (d - 1) // 2
         base = elliptic_surface(1, 1, 1)
-        return knot_surgery(base, _fibre_ref(base), k + 1, "+")
+        return knot_surgery(base, base.lattice.basis_vector("f"), k + 1, "+", True)
     if n % 2 == 0 and d % 2 == 0:
         m, k = n // 2, d // 2
         g1, g2 = m * (k - 1) + 1, k
@@ -237,8 +222,9 @@ def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
         m, k = n // 2, (d - 1) // 2
         g1, g2 = 4 * k * m + k + 2, 2 * k + 1
         base = elliptic_surface(n, 2, 1)
-    step1 = knot_surgery(base, _fibre_ref(base), g1, "+")
-    return knot_surgery(step1, _rim_ref(step1), g2, "+")
+    step1 = knot_surgery(base, base.lattice.basis_vector("f"), g1, "+", True)
+    rim = step1.lattice.basis_vector(triple_names(1)[2])
+    return knot_surgery(step1, rim, g2, "+", True)
 
 
 def homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
@@ -258,12 +244,12 @@ def homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     return surgered_homotopy_elliptic(n, d)
 
 
-def _rim_neighbourhood_surface(m: ManifoldDescriptor, genus: int) -> SurfaceRef:
-    """Square-zero surface in the class (rim torus + its dual sphere) of the
-    first triple, after the rim torus has been knot surgered."""
+def _rim_neighbourhood_surface(m: ManifoldDescriptor) -> ClassVector:
+    """Class of a square-zero surface with simply-connected complement:
+    rim torus + its dual sphere of the first triple, after the rim torus
+    has been knot surgered."""
     _, _, r, dr = triple_names(1)
-    cls = m.lattice.basis_vector(r) + m.lattice.basis_vector(dr)
-    return SurfaceRef(cls, genus, 0, "+", complement_simply_connected=True)
+    return m.lattice.basis_vector(r) + m.lattice.basis_vector(dr)
 
 
 def spin_surface(d: int, m: int, t: int) -> ManifoldDescriptor:
@@ -275,8 +261,7 @@ def spin_surface(d: int, m: int, t: int) -> ManifoldDescriptor:
         raise ConstructionError("parameters must be positive")
     k = d // 2
     base = surgered_homotopy_elliptic(2 * m, d)
-    sigma_ref = _rim_neighbourhood_surface(base, k + 1)
-    return generalized_knot_surgery(base, sigma_ref, t * k)
+    return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), k + 1, t * k, True)
 
 
 def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
@@ -287,8 +272,7 @@ def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
     if n < 2 or t < 1:
         raise ConstructionError("requires n >= 2 and t >= 1")
     base = surgered_homotopy_elliptic(n, d)
-    sigma_ref = _rim_neighbourhood_surface(base, d + 1)
-    return generalized_knot_surgery(base, sigma_ref, t * d)
+    return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), d + 1, t * d, True)
 
 
 def negative_c1(n: int, r: int) -> ManifoldDescriptor:
@@ -441,7 +425,7 @@ def inequivalent_family(
         for idx, (a_i, h_i) in zip(triples, params):
             x = lagrangian_triple_surgery(x, idx, a_i, em, h_i, h, "+")
         g_final = (length * (d - 1) + 2) // 2
-        w = knot_surgery(x, _fibre_ref(x), g_final, "+")
+        w = knot_surgery(x, x.lattice.basis_vector("f"), g_final, "+", True)
     elif regime == "spin_positive":
         if m is None or t is None:
             raise ConstructionError("spin_positive regime needs m and t")

@@ -35,7 +35,7 @@ _CLASS = "class"
 _STR = "str"
 _BOOL = "bool"
 
-_KINDS = {int: _INT, str: _STR, bool: _BOOL}
+_KINDS = {int: _INT, str: _STR, bool: _BOOL, ClassVector: _CLASS}
 
 # op -> (ordered (param, type, required), input arity, builder)
 _Builder = Callable[[ConstructionRecipe, list[ManifoldDescriptor]], ManifoldDescriptor]
@@ -43,7 +43,10 @@ _Builder = Callable[[ConstructionRecipe, list[ManifoldDescriptor]], ManifoldDesc
 
 def _signature_op(module, attr: str) -> tuple[tuple[tuple[str, str, bool], ...], int, _Builder]:
     """Registry entry of an op whose recipe parameters are exactly its
-    constructor's parameters after the descriptor inputs, in order.
+    constructor's parameters after the descriptor inputs, in order; every
+    op but ``catalog`` is one.  A parameter's kind is read from its
+    annotation (``int``, ``str``, ``bool`` or ``ClassVector``), and the
+    arity is the number of ``ManifoldDescriptor`` parameters in front.
 
     The schema and arity are read from the signature once; the constructor
     is fetched from its module at each call, so a wrapper installed on the
@@ -71,36 +74,6 @@ def _build_catalog(node, children):
     return manifolds.catalog(name, *(node.param(key) for key in given))
 
 
-def _build_fibre_sum(node, children):
-    g = node.param("genus")
-    sm = surgery.SurfaceRef(
-        node.param("class_m"), g, 0, node.param("sign_m"), node.param("complement_m")
-    )
-    sn = surgery.SurfaceRef(
-        node.param("class_n"), g, 0, node.param("sign_n"), node.param("complement_n")
-    )
-    return surgery.fibre_sum(children[0], sm, children[1], sn, node.param("no_rim_tori"))
-
-
-def _build_knot_surgery(node, children):
-    t = surgery.SurfaceRef(
-        node.param("torus"), 1, 0, node.param("sign"), node.param("complement")
-    )
-    return surgery.knot_surgery(children[0], t, node.param("h"), node.param("sign"))
-
-
-def _build_gks(node, children):
-    s = surgery.SurfaceRef(
-        node.param("surface"), node.param("genus"), 0, "+", node.param("complement")
-    )
-    return surgery.generalized_knot_surgery(children[0], s, node.param("h"))
-
-
-def _build_pluricanonical(node, children):
-    p = coverings.CoverParams.from_degrees(node.param("cover_m"), node.param("cover_d"))
-    return coverings.pluricanonical_cover(children[0], p)
-
-
 # Catalog parameters in table order; each entry takes exactly its own.
 _CATALOG_PARAMS = tuple(dict.fromkeys(p for e in manifolds.CATALOG.values() for p in e.params))
 
@@ -112,29 +85,14 @@ REGISTRY: dict[str, tuple[tuple[tuple[str, str, bool], ...], int, _Builder]] = {
         (("name", _STR, True),) + tuple((p, _INT, False) for p in _CATALOG_PARAMS),
         0, _build_catalog),
     "singular_double_cover": _signature_op(coverings, "singular_double_cover"),
-    "fibre_sum": (
-        (
-            ("genus", _INT, True),
-            ("class_m", _CLASS, True), ("sign_m", _STR, True), ("complement_m", _BOOL, True),
-            ("class_n", _CLASS, True), ("sign_n", _STR, True), ("complement_n", _BOOL, True),
-            ("no_rim_tori", _BOOL, True),
-        ), 2, _build_fibre_sum),
-    "knot_surgery": (
-        (
-            ("torus", _CLASS, True), ("h", _INT, True),
-            ("sign", _STR, True), ("complement", _BOOL, True),
-        ), 1, _build_knot_surgery),
-    "generalized_knot_surgery": (
-        (
-            ("surface", _CLASS, True), ("genus", _INT, True),
-            ("h", _INT, True), ("complement", _BOOL, True),
-        ), 1, _build_gks),
+    "fibre_sum": _signature_op(surgery, "fibre_sum"),
+    "knot_surgery": _signature_op(surgery, "knot_surgery"),
+    "generalized_knot_surgery": _signature_op(surgery, "generalized_knot_surgery"),
     "log_transform": _signature_op(surgery, "log_transform"),
     "blow_up": _signature_op(surgery, "blow_up"),
     "lagrangian_triple_surgery": _signature_op(surgery, "lagrangian_triple_surgery"),
     "branched_cover": _signature_op(coverings, "branched_cover"),
-    "pluricanonical_cover": (
-        (("cover_m", _INT, True), ("cover_d", _INT, True)), 1, _build_pluricanonical),
+    "pluricanonical_cover": _signature_op(coverings, "pluricanonical_cover"),
 }
 
 _STR_VALUE = re.compile(r"^[A-Za-z0-9_.+-]+$")

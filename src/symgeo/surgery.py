@@ -7,6 +7,12 @@ tori (or the fact that rim tori do not contribute to the canonical class)
 through the ``no_rim_tori`` flag, and the assertion is recorded in the
 provenance notes.
 
+A surgery surface is given by the operation's own parameters: its class
+over the input's lattice, its genus where the operation needs one, its
+symplectic sign and whether its complement is simply connected.  These
+are the parameters the operation records in its recipe, in the same
+order, so each operation's recipe schema is its signature.
+
 Witness surfaces are carried through surgeries.  A knot surgery along a
 torus T caps every tracked surface meeting T with fibre-genus copies of
 the Seifert surface: a witness meeting T in a single point that is
@@ -41,34 +47,17 @@ from .manifolds import (
 )
 
 
-@dataclass(frozen=True)
-class SurfaceRef:
-    """An embedded surface given by its class in the tracked lattice."""
-
-    class_vec: ClassVector
-    genus: int
-    self_intersection: int = 0
-    symplectic_sign: str = "+"
-    complement_simply_connected: bool = False
-
-    def __post_init__(self):
-        if self.symplectic_sign not in ("+", "-"):
-            raise ConstructionError("symplectic sign must be + or -")
-        if self.genus < 0:
-            raise ConstructionError("surface genus must be non-negative")
+def _check_sign(sign: str) -> None:
+    if sign not in ("+", "-"):
+        raise ConstructionError("symplectic sign must be + or -")
 
 
-def negate_structure(k: ClassVector) -> ClassVector:
-    """Canonical class of the oppositely oriented symplectic structure."""
-    return -k
-
-
-def _check_square_zero_indivisible(m: ManifoldDescriptor, ref: SurfaceRef) -> None:
-    if ref.class_vec.rank != m.lattice.rank:
+def _check_square_zero_indivisible(m: ManifoldDescriptor, surface: ClassVector) -> None:
+    if surface.rank != m.lattice.rank:
         raise ConstructionError("surface class does not live over the descriptor's lattice")
-    if ref.self_intersection != 0 or pairing(m.lattice, ref.class_vec, ref.class_vec) != 0:
+    if pairing(m.lattice, surface, surface) != 0:
         raise ConstructionError("surgery surface must have self-intersection zero")
-    if coefficient_gcd(ref.class_vec) != 1:
+    if coefficient_gcd(surface) != 1:
         raise ConstructionError("surgery surface class must be indivisible")
 
 
@@ -88,18 +77,19 @@ def _derive_minimal(full: bool, primitive: bool, k: ClassVector) -> str:
     return "unknown"
 
 
-def _pi1_collapses(desc: ManifoldDescriptor, ref: SurfaceRef) -> bool:
-    """True when gluing along ``ref`` kills the fundamental group of the
-    ``desc`` side: either the piece and the surface complement are simply
-    connected, or pi_1 of the piece is normally generated by the image of
-    the surface (recorded at construction time for section classes)."""
-    if desc.simply_connected and ref.complement_simply_connected:
+def _pi1_collapses(desc: ManifoldDescriptor, surface: ClassVector, complement: bool) -> bool:
+    """True when gluing along ``surface`` kills the fundamental group of
+    the ``desc`` side: either the piece and the surface complement are
+    simply connected, or pi_1 of the piece is normally generated by the
+    image of the surface (recorded at construction time for section
+    classes)."""
+    if desc.simply_connected and complement:
         return True
     for note in desc.recipe.notes:
         if note.startswith(NOTE_PI1_SECTION):
             name = note[len(NOTE_PI1_SECTION):]
             if name in desc.lattice.basis_names:
-                if ref.class_vec == desc.lattice.basis_vector(name):
+                if surface == desc.lattice.basis_vector(name):
                     return True
     return False
 
@@ -109,7 +99,7 @@ class _Side:
     """Resolved data of one summand of a fibre sum."""
 
     desc: ManifoldDescriptor
-    ref: SurfaceRef
+    surface: ClassVector
     sigma_index: int
     b_basis_index: int | None  # dual surface tracked as a basis class
     b_witness: Witness | None  # or known only as a witness
@@ -123,10 +113,10 @@ class _Side:
         return [i for i in range(self.desc.lattice.rank) if i not in self.removed]
 
 
-def _resolve_side(desc: ManifoldDescriptor, ref: SurfaceRef, label: str) -> _Side:
-    _check_square_zero_indivisible(desc, ref)
+def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) -> _Side:
+    _check_square_zero_indivisible(desc, surface)
     lat = desc.lattice
-    entries = ref.class_vec.entries
+    entries = surface.entries
     i = entries[0][0] if entries else 0
     if entries != ((i, 1),):
         raise ConstructionError(
@@ -150,15 +140,15 @@ def _resolve_side(desc: ManifoldDescriptor, ref: SurfaceRef, label: str) -> _Sid
                 b_genus = w.genus
                 break
         b_square = next((g for k, g in row_j if k == j), 0)
-        return _Side(desc, ref, i, j, None, b_square, b_genus, row_j, frozenset((i, j)))
+        return _Side(desc, surface, i, j, None, b_square, b_genus, row_j, frozenset((i, j)))
     for w in desc.witnesses:
-        if dot(ref.class_vec, w) == 1:
+        if dot(surface, w) == 1:
             if w.self_intersection is None:
                 raise ConstructionError(
                     "dual surface self-intersection unknown; cannot form fibre sum"
                 )
             return _Side(
-                desc, ref, i, None, w, w.self_intersection, w.genus, w.pairings, frozenset((i,))
+                desc, surface, i, None, w, w.self_intersection, w.genus, w.pairings, frozenset((i,))
             )
     raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
 
@@ -174,24 +164,38 @@ def _fresh(base: str, taken: set[str]) -> str:
 
 def fibre_sum(
     m: ManifoldDescriptor,
-    sm: SurfaceRef,
     n: ManifoldDescriptor,
-    sn: SurfaceRef,
+    genus: int,
+    class_m: ClassVector,
+    sign_m: str,
+    complement_m: bool,
+    class_n: ClassVector,
+    sign_n: str,
+    complement_n: bool,
     no_rim_tori: bool,
 ) -> ManifoldDescriptor:
-    """Generalized fibre sum of m and n along square-zero surfaces of equal
-    genus representing indivisible classes.
+    """Generalized fibre sum of m and n along square-zero surfaces of genus
+    ``genus`` representing the indivisible classes ``class_m`` and
+    ``class_n``; ``complement_*`` states that a surface's complement is
+    simply connected.
 
     The tracked lattice of the result is the orthogonal complement of each
     surface pair, plus the identified surface Sigma_X and the sewn dual
     B_X with B_X^2 the sum of the two dual squares.  The canonical class
     is K_m + K_n - (2g-2) B_X + 2 Sigma_X under the induced embeddings.
+
+    The symplectic signs ``sign_m`` and ``sign_n`` are checked and
+    recorded but decide nothing; they stay in the signature because
+    fibre-sum recipes carry them, and dropping them changes the recipe
+    format.
     """
-    if sm.genus != sn.genus:
-        raise ConstructionError("fibre-sum surfaces must have equal genus")
-    g = sm.genus
-    side_m = _resolve_side(m, sm, "first")
-    side_n = _resolve_side(n, sn, "second")
+    _check_sign(sign_m)
+    _check_sign(sign_n)
+    if genus < 0:
+        raise ConstructionError("surface genus must be non-negative")
+    g = genus
+    side_m = _resolve_side(m, class_m, "first")
+    side_n = _resolve_side(n, class_n, "second")
 
     m_keep = side_m.kept
     n_keep = side_n.kept
@@ -265,7 +269,7 @@ def fibre_sum(
         for w in side.desc.witnesses:
             if w is side.b_witness:
                 continue
-            if dot(side.ref.class_vec, w) != 0:
+            if dot(side.surface, w) != 0:
                 dropped.append(name_prefix + w.name)
                 continue
             zero_notes = zero_notes or side.b_basis_index is None
@@ -288,9 +292,9 @@ def fibre_sum(
     witnesses.append(Witness(_fresh(b_name, witness_taken), b_pairings, b_genus, b_square))
 
     simply_connected = (
-        m.simply_connected and sm.complement_simply_connected and _pi1_collapses(n, sn)
+        m.simply_connected and complement_m and _pi1_collapses(n, class_n, complement_n)
     ) or (
-        n.simply_connected and sn.complement_simply_connected and _pi1_collapses(m, sm)
+        n.simply_connected and complement_n and _pi1_collapses(m, class_m, complement_m)
     )
     full = m.carries_full_canonical and n.carries_full_canonical
 
@@ -310,12 +314,12 @@ def fibre_sum(
         "fibre_sum",
         (
             ("genus", g),
-            ("class_m", sm.class_vec),
-            ("sign_m", sm.symplectic_sign),
-            ("complement_m", sm.complement_simply_connected),
-            ("class_n", sn.class_vec),
-            ("sign_n", sn.symplectic_sign),
-            ("complement_n", sn.complement_simply_connected),
+            ("class_m", class_m),
+            ("sign_m", sign_m),
+            ("complement_m", complement_m),
+            ("class_n", class_n),
+            ("sign_n", sign_n),
+            ("complement_n", complement_n),
             ("no_rim_tori", no_rim_tori),
         ),
         (m.recipe, n.recipe),
@@ -358,26 +362,25 @@ def _cap_witnesses(
 
 
 def knot_surgery(
-    x: ManifoldDescriptor, t: SurfaceRef, h: int, sign: str = "+"
+    x: ManifoldDescriptor, torus: ClassVector, h: int, sign: str, complement: bool
 ) -> ManifoldDescriptor:
-    """Knot surgery along a square-zero torus with a fibred knot of genus h.
+    """Knot surgery along a square-zero torus of symplectic sign ``sign``
+    with a fibred knot of genus h; ``complement`` states that the torus's
+    complement is simply connected.
 
     Euler characteristic, signature and the tracked lattice are unchanged;
     the canonical class moves by +- 2h times the torus class.
     """
-    if t.genus != 1:
-        raise ConstructionError("knot surgery needs a torus")
     if h < 0:
         raise ConstructionError("knot genus must be non-negative")
-    if sign not in ("+", "-"):
-        raise ConstructionError("sign must be + or -")
-    _check_square_zero_indivisible(x, t)
-    if x.carries_full_canonical and pairing(x.lattice, x.canonical, t.class_vec) != 0:
+    _check_sign(sign)
+    _check_square_zero_indivisible(x, torus)
+    if x.carries_full_canonical and pairing(x.lattice, x.canonical, torus) != 0:
         raise ConstructionError("torus violates the adjunction identity")
-    shift = t.class_vec.scaled(2 * h if sign == "+" else -2 * h)
+    shift = torus.scaled(2 * h if sign == "+" else -2 * h)
     canonical = x.canonical + shift
-    witnesses = _cap_witnesses(x.witnesses, t.class_vec, h, sign)
-    simply_connected = x.simply_connected and t.complement_simply_connected
+    witnesses = _cap_witnesses(x.witnesses, torus, h, sign)
+    simply_connected = x.simply_connected and complement
     notes = []
     if x.carries_full_canonical:
         notes.append(NOTE_FULL_CANONICAL)
@@ -385,10 +388,10 @@ def knot_surgery(
     recipe = ConstructionRecipe(
         "knot_surgery",
         (
-            ("torus", t.class_vec),
+            ("torus", torus),
             ("h", h),
             ("sign", sign),
-            ("complement", t.complement_simply_connected),
+            ("complement", complement),
         ),
         (x.recipe,),
         tuple(notes),
@@ -410,23 +413,25 @@ def knot_surgery(
 
 
 def generalized_knot_surgery(
-    m: ManifoldDescriptor, s: SurfaceRef, h: int
+    m: ManifoldDescriptor, surface: ClassVector, genus: int, h: int, complement: bool
 ) -> ManifoldDescriptor:
-    """Fibre sum with the bundle Y_{g,h} along its section: raises the
-    Euler characteristic by 4h(g-1), keeps the signature, adds the
-    2h(g-1) split-class blocks and moves the canonical class by 2h Sigma."""
-    g = s.genus
+    """Fibre sum with the bundle Y_{g,h} along its section, glued to a
+    square-zero surface of genus g whose complement is simply connected
+    (``complement``): raises the Euler characteristic by 4h(g-1), keeps
+    the signature, adds the 2h(g-1) split-class blocks and moves the
+    canonical class by 2h Sigma."""
+    g = genus
     if g <= 1:
         raise ConstructionError("use knot_surgery")
     if h < 1:
         raise ConstructionError("knot genus must be positive")
-    _check_square_zero_indivisible(m, s)
-    if not (m.simply_connected and s.complement_simply_connected):
+    _check_square_zero_indivisible(m, surface)
+    if not (m.simply_connected and complement):
         raise ConstructionError(
             "generalized knot surgery requires a simply-connected complement"
         )
     if m.carries_full_canonical:
-        if pairing(m.lattice, m.canonical, s.class_vec) != 2 * g - 2:
+        if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
             raise ConstructionError("surface violates the adjunction identity")
 
     blocks = 2 * h * (g - 1)
@@ -446,17 +451,17 @@ def generalized_knot_surgery(
         m.lattice.primitive_summand,
     )
 
-    canonical = replace(m.canonical + s.class_vec.scaled(2 * h), rank=lattice.rank)
+    canonical = replace(m.canonical + surface.scaled(2 * h), rank=lattice.rank)
 
     # The new classes pair with no old one, so kept witnesses are unchanged.
     witnesses: list[Witness] = []
     dropped = []
     for w in m.witnesses:
-        if dot(s.class_vec, w) != 0:
+        if dot(surface, w) != 0:
             dropped.append(w.name)
             continue
         witnesses.append(w)
-    sigma_row = m.lattice.pairing_row(s.class_vec)
+    sigma_row = m.lattice.pairing_row(surface)
     witnesses.append(Witness(_fresh("Sigma", {w.name for w in witnesses}), sigma_row, g, 0))
 
     notes = []
@@ -467,10 +472,10 @@ def generalized_knot_surgery(
     recipe = ConstructionRecipe(
         "generalized_knot_surgery",
         (
-            ("surface", s.class_vec),
+            ("surface", surface),
             ("genus", g),
             ("h", h),
-            ("complement", s.complement_simply_connected),
+            ("complement", complement),
         ),
         (m.recipe,),
         tuple(notes),
@@ -562,8 +567,7 @@ def lagrangian_triple_surgery(
     """
     if a < 1 or em < 1 or h1 < 0 or h2 < 0:
         raise ConstructionError("triple surgery parameters out of range")
-    if sign not in ("+", "-"):
-        raise ConstructionError("sign must be + or -")
+    _check_sign(sign)
     t1, d1, r, dr = triple_names(triple_index)
     for name in (t1, d1, r, dr):
         if name not in m.lattice.basis_names:
@@ -579,23 +583,17 @@ def lagrangian_triple_surgery(
         raise ConstructionError(f"triple {triple_index} lacks its dual spheres")
 
     base = elliptic_surface(em, 1, 1)
-    r_ref = SurfaceRef(
-        m.lattice.basis_vector(r), 1, 0, "+", complement_simply_connected=True
+    summed = fibre_sum(
+        m, base, 1,
+        lat0.basis_vector(r), "+", True,
+        base.lattice.basis_vector("f"), "+", True,
+        no_rim_tori=False,
     )
-    f_ref = SurfaceRef(
-        base.lattice.basis_vector("f"), 1, 0, "+", complement_simply_connected=True
-    )
-    summed = fibre_sum(m, r_ref, base, f_ref, no_rim_tori=False)
-
-    t1_ref = SurfaceRef(
-        summed.lattice.basis_vector(t1), 1, 0, sign, complement_simply_connected=True
-    )
-    step2 = knot_surgery(summed, t1_ref, h1, sign)
+    step2 = knot_surgery(summed, summed.lattice.basis_vector(t1), h1, sign, True)
 
     # The second triple torus is only determined after the sum: R_0 - a T_1.
     t2_class = step2.lattice.basis_vector(r) - step2.lattice.basis_vector(t1).scaled(a)
-    t2_ref = SurfaceRef(t2_class, 1, 0, "+", complement_simply_connected=True)
-    step3 = knot_surgery(step2, t2_ref, h2, "+")
+    step3 = knot_surgery(step2, t2_class, h2, "+", True)
 
     b_name = "B_" + r
     lat = step3.lattice

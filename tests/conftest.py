@@ -3,7 +3,7 @@ import random
 from symgeo.errors import ConstructionError
 from symgeo.lattice import ClassVector
 from symgeo.manifolds import elliptic_surface
-from symgeo.surgery import SurfaceRef, blow_up, fibre_sum, knot_surgery, log_transform
+from symgeo.surgery import blow_up, fibre_sum, knot_surgery, log_transform
 
 
 def expand(pairs, rank):
@@ -42,8 +42,8 @@ def random_descriptor(rng: random.Random):
     for _ in range(rng.randint(0, 3)):
         move = rng.choice(["knot", "blow", "log", "sum", "rim"])
         if move == "knot":
-            ref = SurfaceRef(base.lattice.basis_vector("f"), 1, 0, "+", True)
-            base = knot_surgery(base, ref, rng.randint(0, 4), rng.choice("+-"))
+            f = base.lattice.basis_vector("f")
+            base = knot_surgery(base, f, rng.randint(0, 4), rng.choice("+-"), True)
         elif move == "blow":
             base = blow_up(base)
         elif move == "log" and base.recipe.operation == "elliptic_surface":
@@ -52,10 +52,9 @@ def random_descriptor(rng: random.Random):
             other = elliptic_surface(rng.randint(1, 2), 1, 1)
             try:
                 base = fibre_sum(
-                    base,
-                    SurfaceRef(base.lattice.basis_vector("f"), 1, 0, "+", True),
-                    other,
-                    SurfaceRef(other.lattice.basis_vector("f"), 1, 0, "+", True),
+                    base, other, 1,
+                    base.lattice.basis_vector("f"), "+", True,
+                    other.lattice.basis_vector("f"), "+", True,
                     no_rim_tori=True,
                 )
             except ConstructionError:
@@ -63,6 +62,6 @@ def random_descriptor(rng: random.Random):
                 # and the sum is rightly rejected; skip the move.
                 continue
         elif move == "rim" and "DR_1" in base.lattice.basis_names:
-            ref = SurfaceRef(base.lattice.basis_vector("R_1"), 1, 0, "+", True)
-            base = knot_surgery(base, ref, rng.randint(1, 3), "+")
+            rim = base.lattice.basis_vector("R_1")
+            base = knot_surgery(base, rim, rng.randint(1, 3), "+", True)
     return base

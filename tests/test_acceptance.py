@@ -40,7 +40,7 @@ from symgeo.manifolds import (
     surface_bundle_y,
 )
 from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
-from symgeo.surgery import SurfaceRef, fibre_sum
+from symgeo.surgery import fibre_sum
 
 
 def report(number: int, name: str, failures: list) -> None:
@@ -93,7 +93,7 @@ def test_criterion_1_table_reproduction(capsys):
             expected = table[(d, m)]
             if tuple(parts[4:]) != expected:
                 failures.append((which, (d, m), tuple(parts[4:]), expected))
-            p = CoverParams.from_degrees(m, d)
+            p = CoverParams(m, d)
             if (ma, delta) != (p.n, p.delta):
                 failures.append((which, (d, m), "parameters"))
     with capsys.disabled():
@@ -249,16 +249,16 @@ def test_criterion_4_q_sets_and_families(capsys):
 
 def test_criterion_5_phi_transport(capsys):
     failures = []
-    if phi_map(CoverParams.from_degrees(2, 3), 11, 1) != (42, 18):
+    if phi_map(CoverParams(2, 3), 11, 1) != (42, 18):
         failures.append("barlow image")
-    if phi_map(CoverParams.from_degrees(2, 4), 10, 2) != (104, 64):
+    if phi_map(CoverParams(2, 4), 10, 2) != (104, 64):
         failures.append("lee-park image")
 
     rng = random.Random(9)
     for _ in range(1000):
         m = rng.randint(2, 7)
         d = 1 + (m - 1) * rng.randint(1, 4)
-        p = CoverParams.from_degrees(m, d)
+        p = CoverParams(m, d)
         e = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 100))
         c = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 100))
         e_bar = p.m * (e + p.delta * c)
@@ -267,7 +267,7 @@ def test_criterion_5_phi_transport(capsys):
             failures.append(("inverse", m, d, e, c))
 
     for m, d in ((2, 3), (3, 3), (2, 5)):
-        p = CoverParams.from_degrees(m, d)
+        p = CoverParams(m, d)
         # Image characterization against exact inversion: a point passes
         # the divisibility-and-congruence test exactly when its preimage
         # is an admissible integer point.
@@ -315,12 +315,14 @@ def test_criterion_6_cross_construction_oracles(capsys):
     # Iterated self-sums of knot products against the bundle constructor.
     for h in range(1, 7):
         piece = knot_product(h)
-        fibre = SurfaceRef(piece.lattice.basis_vector("B_K"), h, 0, "+", False)
+        fibre = piece.lattice.basis_vector("B_K")
         x = piece
         for g in range(2, 7):
             x = fibre_sum(
-                x, SurfaceRef(x.lattice.basis_vector("B_K"), h, 0, "+", False),
-                piece, fibre, no_rim_tori=False,
+                x, piece, h,
+                x.lattice.basis_vector("B_K"), "+", False,
+                fibre, "+", False,
+                no_rim_tori=False,
             )
             oracle = surface_bundle_y(g, h)
             inv_x = derived_invariants(x)
@@ -351,9 +353,12 @@ def test_criterion_6_cross_construction_oracles(capsys):
     for n in range(2, 13):
         left = elliptic_surface(n - 1, 1, 1)
         right = elliptic_surface(1, 1, 1)
-        ref_l = SurfaceRef(left.lattice.basis_vector("f"), 1, 0, "+", True)
-        ref_r = SurfaceRef(right.lattice.basis_vector("f"), 1, 0, "+", True)
-        x = fibre_sum(left, ref_l, right, ref_r, no_rim_tori=True)
+        x = fibre_sum(
+            left, right, 1,
+            left.lattice.basis_vector("f"), "+", True,
+            right.lattice.basis_vector("f"), "+", True,
+            no_rim_tori=True,
+        )
         oracle = elliptic_surface(n, 1, 1)
         if (x.e, x.sigma) != (oracle.e, oracle.sigma):
             failures.append(("elliptic sum", n, "e sigma"))
@@ -396,8 +401,8 @@ def _descriptor_zoo():
     ]
     from symgeo.coverings import pluricanonical_cover
 
-    zoo.append(pluricanonical_cover(catalog("barlow"), CoverParams.from_degrees(2, 3)))
-    zoo.append(pluricanonical_cover(catalog("lee_park"), CoverParams.from_degrees(6, 6)))
+    zoo.append(pluricanonical_cover(catalog("barlow"), 2, 3))
+    zoo.append(pluricanonical_cover(catalog("lee_park"), 6, 6))
     res = inequivalent_family(15, [15, 3], "c1sq_zero", n=5)
     zoo.append(res.descriptor)
     return zoo

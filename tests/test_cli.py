@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import pytest
 
 from symgeo.cli import run_command
 
+GOLDEN_RECIPES = Path(__file__).parent / "golden" / "recipes"
 BARLOW_ROW_D3_M2 = "3,2,4,10,42,18,5,9,-22"
 
 
@@ -159,6 +162,25 @@ class TestVerify:
     def test_catalog_parameter_names_checked(self, capsys, tmp_path, body, expected):
         bad = tmp_path / "bad.txt"
         bad.write_text("version: 1\nop: catalog\n" + body, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert code == 2 and out == ""
+        assert expected in err
+
+    @pytest.mark.parametrize(
+        "recipe,old,new,expected",
+        [
+            ("fibre_sum_e2_e1", "sign_m: +", "sign_m: x", "sign must be + or -"),
+            ("fibre_sum_e2_e1", "genus: 1", "genus: -1", "genus must be non-negative"),
+            ("knot_surgery_minus", "sign: -", "sign: x", "sign must be + or -"),
+        ],
+    )
+    def test_surface_parameters_checked(self, capsys, tmp_path, recipe, old, new, expected):
+        # The parser takes any string sign and any integer genus; the
+        # operation itself rejects them.
+        text = (GOLDEN_RECIPES / f"{recipe}.txt").read_text(encoding="utf-8")
+        assert text.count(f"\n{old}\n") == 1
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text.replace(f"\n{old}\n", f"\n{new}\n"), encoding="utf-8")
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2 and out == ""
         assert expected in err

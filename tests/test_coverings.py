@@ -45,15 +45,15 @@ class TestCoverParams:
          (5, 5, 1, 5, 24), (2, 6, 5, 10, 55), (6, 6, 1, 6, 35)],
     )
     def test_table_parameters(self, m, d, a, n, delta):
-        p = CoverParams.from_degrees(m, d)
+        p = CoverParams(m, d)
         assert (p.a, p.n, p.delta) == (a, n, delta)
         assert p.d == p.n + 1 - p.a
 
     def test_divisibility_constraint(self):
         with pytest.raises(CoveringError, match="divide"):
-            CoverParams.from_degrees(4, 6)  # 3 does not divide 5
+            CoverParams(4, 6)  # 3 does not divide 5
         with pytest.raises(CoveringError):
-            CoverParams.from_degrees(1, 3)
+            CoverParams(1, 3)
 
 
 class TestBranchedCover:
@@ -105,7 +105,7 @@ LEE_PARK_TABLE = {
 
 
 def cover_tuple(base, d, m):
-    x = pluricanonical_cover(base, CoverParams.from_degrees(m, d))
+    x = pluricanonical_cover(base, m, d)
     inv = derived_invariants(x)
     return (x.e, inv.c1_squared, inv.chi_h, inv.b2_plus, x.sigma)
 
@@ -122,7 +122,7 @@ class TestPluricanonicalCover:
             assert cover_tuple(base, d, m) == expected
 
     def test_certified_divisibility_is_d(self):
-        x = pluricanonical_cover(catalog("barlow"), CoverParams.from_degrees(2, 5))
+        x = pluricanonical_cover(catalog("barlow"), 2, 5)
         cert = divisibility(x)
         assert cert.value == 5 and cert.certified
         assert x.minimal == "yes" and x.simply_connected
@@ -134,10 +134,10 @@ class TestPluricanonicalCover:
             for d in range(2, 13):
                 if (d - 1) % (m - 1) != 0:
                     continue
-                p = CoverParams.from_degrees(m, d)
+                p = CoverParams(m, d)
                 if not pluri_system_defines_map(base, p.n):
                     continue
-                x = pluricanonical_cover(base, p)
+                x = pluricanonical_cover(base, p.m, p.d)
                 inv = derived_invariants(x)
                 assert inv.c1_squared == 2 * x.e + 3 * x.sigma
                 assert (inv.c1_squared + x.e) % 12 == 0
@@ -151,20 +151,20 @@ class TestPluricanonicalCover:
             chi = derived_invariants(base).chi_h
             c = derived_invariants(base).c1_squared
             for d in range(2, 13):
-                p = CoverParams.from_degrees(2, d)
+                p = CoverParams(2, d)
                 if not pluri_system_defines_map(base, p.n):
                     continue
-                x = pluricanonical_cover(base, p)
+                x = pluricanonical_cover(base, p.m, p.d)
                 assert x.e == 24 * chi + 2 * d * (2 * d - 3) * c
 
     def test_gate_rejections(self):
         with pytest.raises(CoveringError, match="pluricanonical system"):
             # Base with p_g = 2, K^2 = 1 and a triple cover with n = 3.
-            pluricanonical_cover(catalog("persson", 3, 1), CoverParams.from_degrees(3, 3))
+            pluricanonical_cover(catalog("persson", 3, 1), 3, 3)
         with pytest.raises(CoveringError, match="simply-connected"):
             from symgeo.manifolds import knot_product
 
-            pluricanonical_cover(knot_product(2), CoverParams.from_degrees(2, 3))
+            pluricanonical_cover(knot_product(2), 2, 3)
 
 
 class TestPluriSystemGate:
@@ -189,15 +189,15 @@ class TestPluriSystemGate:
 
 class TestPhiTransport:
     def test_barlow_image(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         assert phi_map(p, 11, 1) == (42, 18)
 
     def test_lee_park_image(self):
-        p = CoverParams.from_degrees(2, 4)
+        p = CoverParams(2, 4)
         assert phi_map(p, 10, 2) == (104, 64)
 
     def test_zero_line(self):
-        p = CoverParams.from_degrees(3, 5)
+        p = CoverParams(3, 5)
         assert phi_map(p, 17, 0) == (51, 0)
 
     def test_inverse_roundtrip_random(self):
@@ -207,7 +207,7 @@ class TestPhiTransport:
             d = rng.choice([3, 4, 5, 6, 7])
             if (d - 1) % (m - 1):
                 continue
-            p = CoverParams.from_degrees(m, d)
+            p = CoverParams(m, d)
             e = Fraction(rng.randint(-500, 500), rng.randint(1, 9))
             c = Fraction(rng.randint(-500, 500), rng.randint(1, 9))
             e_bar = p.m * (e + p.delta * c)
@@ -215,7 +215,7 @@ class TestPhiTransport:
             assert phi_inverse(p, e_bar, c_bar) == (e, c)
 
     def test_admissible_image(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         assert phi_admissible_image(p, 42, 18)
         assert not phi_admissible_image(p, 43, 18)
         # Round trip from admissible points.
@@ -228,19 +228,19 @@ class TestPhiTransport:
 
 class TestPerssonSector:
     def test_explicit_rejection(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         assert p.delta == 10
         assert not persson_image_sector(p, 56, 4)
 
     def test_positivity_boundary(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         assert not persson_image_sector(p, 36, 0)
 
     @pytest.mark.parametrize("m,d", [(2, 3), (3, 3), (2, 4), (2, 5)])
     def test_matches_transported_base_sector(self, m, d):
         # Oracle: transport every admissible base point of the general-type
         # sector and compare membership, for base e up to 600.
-        p = CoverParams.from_degrees(m, d)
+        p = CoverParams(m, d)
         transported = set()
         for e in range(1, 601):
             for c in range(1, (e - 24) // 2 + 1):
@@ -257,7 +257,7 @@ class TestPerssonSector:
             assert persson_image_sector(p, x, y), (x, y)
 
     def test_persson_cover_constructor(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         # Base (e, c) = (45, 3): chi_h = 4, inside the sector.
         x = persson_cover(p, 45 + 10 * 3, 3)
         assert (x.e, derived_invariants(x).c1_squared) == (2 * 75, 2 * 9 * 3)
@@ -266,7 +266,7 @@ class TestPerssonSector:
     def test_persson_cover_rejects_undecided_point(self):
         # Image (129, 27) of the base with p_g = 2, K^2 = 1 under the
         # triple cover: the pluricanonical criterion is silent there.
-        p = CoverParams.from_degrees(3, 3)
+        p = CoverParams(3, 3)
         x, y = 35 + p.delta * 1, 1
         assert persson_image_sector(p, x, y)
         with pytest.raises(CoveringError, match="pluricanonical system"):
@@ -274,7 +274,7 @@ class TestPerssonSector:
         assert phi_map(p, 35, 1) == (129, 27)
 
     def test_persson_cover_rejects_outside(self):
-        p = CoverParams.from_degrees(2, 3)
+        p = CoverParams(2, 3)
         with pytest.raises(CoveringError, match="outside"):
             persson_cover(p, 20, 1)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symgeo.coverings import branched_cover, singular_double_cover
+from symgeo.coverings import branched_cover, pluricanonical_cover, singular_double_cover
 from symgeo.errors import ConstructionError, RecipeError
 from symgeo.geography import (
     divisibility,
@@ -24,9 +24,10 @@ from symgeo.manifolds import (
 )
 from symgeo.recipes import REGISTRY, execute_recipe, parse_recipe, serialize_recipe
 from symgeo.surgery import (
-    SurfaceRef,
     blow_up,
     fibre_sum,
+    generalized_knot_surgery,
+    knot_surgery,
     lagrangian_triple_surgery,
     log_transform,
 )
@@ -48,16 +49,14 @@ class TestRoundTrip:
 
     def test_nested_fibre_sum(self):
         e1 = elliptic_surface(1, 1, 1)
-        ref = SurfaceRef(e1.lattice.basis_vector("f"), 1, 0, "+", True)
-        x = fibre_sum(e1, ref, e1, ref, no_rim_tori=True)
+        f = e1.lattice.basis_vector("f")
+        x = fibre_sum(e1, e1, 1, f, "+", True, f, "+", True, no_rim_tori=True)
         text = roundtrip(x)
         assert text.count("op: elliptic_surface") == 2
         assert "op: fibre_sum" in text
 
     def test_catalog_and_cover(self):
-        from symgeo.coverings import CoverParams, pluricanonical_cover
-
-        m = pluricanonical_cover(catalog("barlow"), CoverParams.from_degrees(2, 3))
+        m = pluricanonical_cover(catalog("barlow"), 2, 3)
         roundtrip(m)
 
     def test_blow_up_chain(self):
@@ -211,9 +210,11 @@ def test_catalog_schema_follows_table_order():
 
 
 # Ops replayed by calling the constructor with the recipe parameters as
-# keywords, each with a sample descriptor it builds.
+# keywords, each with a sample descriptor it builds: every op but catalog.
 def _generic_samples():
+    e1 = elliptic_surface(1, 1, 1)
     e2 = elliptic_surface(2, 1, 1)
+    f1, f2 = e1.lattice.basis_vector("f"), e2.lattice.basis_vector("f")
     return {
         "elliptic_surface": (elliptic_surface, e2),
         "knot_product": (knot_product, knot_product(2)),
@@ -224,14 +225,27 @@ def _generic_samples():
         "lagrangian_triple_surgery": (
             lagrangian_triple_surgery, lagrangian_triple_surgery(e2, 1, 2, 3, 1, 1, "-")),
         "branched_cover": (branched_cover, branched_cover(e2, 4, -4, 2)),
+        "fibre_sum": (
+            fibre_sum,
+            fibre_sum(e1, e2, 1, f1, "+", True, f2, "-", True, no_rim_tori=False)),
+        "knot_surgery": (knot_surgery, knot_surgery(e2, f2, 3, "-", True)),
+        # spin_surface(2, 1, 1) is a generalized knot surgery at the root.
+        "generalized_knot_surgery": (generalized_knot_surgery, spin_surface(2, 1, 1)),
+        "pluricanonical_cover": (
+            pluricanonical_cover, pluricanonical_cover(catalog("barlow"), 2, 3)),
     }
 
 
-@pytest.mark.parametrize(
-    "op",
-    ["elliptic_surface", "knot_product", "surface_bundle_Y", "singular_double_cover",
-     "log_transform", "blow_up", "lagrangian_triple_surgery", "branched_cover"],
-)
+def test_every_op_but_catalog_is_read_from_its_signature():
+    generic = {
+        op for op, (_, _, build) in REGISTRY.items()
+        if build.__qualname__.startswith("_signature_op.")
+    }
+    assert generic == set(REGISTRY) - {"catalog"}
+    assert set(_generic_samples()) == generic
+
+
+@pytest.mark.parametrize("op", sorted(set(REGISTRY) - {"catalog"}))
 def test_generic_op_schema_is_constructor_signature(op):
     fn, sample = _generic_samples()[op]
     schema, arity, _ = REGISTRY[op]

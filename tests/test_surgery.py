@@ -10,29 +10,30 @@ from symgeo.geography import divisibility, inequivalent_family
 from symgeo.lattice import Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.surgery import (
-    SurfaceRef,
     blow_up,
     fibre_sum,
     generalized_knot_surgery,
     knot_surgery,
     lagrangian_triple_surgery,
     log_transform,
-    negate_structure,
 )
 
 
-def fibre_ref(m, name="f"):
-    return SurfaceRef(m.lattice.basis_vector(name), 1, 0, "+", True)
+def fibre(m):
+    return m.lattice.basis_vector("f")
 
 
-def knot_fibre_ref(m):
-    return SurfaceRef(m.lattice.basis_vector("B_K"), m.recipe.param("h"), 0, "+", False)
+def sum_along_fibres(left, right):
+    """Fibre sum of two elliptic pieces along their fibres."""
+    return fibre_sum(
+        left, right, 1, fibre(left), "+", True, fibre(right), "+", True, no_rim_tori=True
+    )
 
 
 class TestFibreSum:
     def test_two_rational_elliptic_pieces_give_k3(self):
         e1 = elliptic_surface(1, 1, 1)
-        x = fibre_sum(e1, fibre_ref(e1), e1, fibre_ref(e1), no_rim_tori=True)
+        x = sum_along_fibres(e1, e1)
         oracle = elliptic_surface(2, 1, 1)
         assert (x.e, x.sigma) == (oracle.e, oracle.sigma)
         assert x.canonical.is_zero() and x.spin and x.simply_connected
@@ -41,7 +42,7 @@ class TestFibreSum:
     def test_splitting_off_a_rational_piece(self, n):
         left = elliptic_surface(n - 1, 1, 1)
         right = elliptic_surface(1, 1, 1)
-        x = fibre_sum(left, fibre_ref(left), right, fibre_ref(right), no_rim_tori=True)
+        x = sum_along_fibres(left, right)
         oracle = elliptic_surface(n, 1, 1)
         assert (x.e, x.sigma) == (oracle.e, oracle.sigma)
         # Canonical class is (n-2) times the identified fibre.
@@ -59,28 +60,21 @@ class TestFibreSum:
         # e(M') = e(M) - (2 - 2g): an independent route to the same number.
         for g, h in [(2, 2), (3, 2), (2, 4)]:
             m = surface_bundle_y(g, h)
-            ref = SurfaceRef(m.lattice.basis_vector("Sigma_F"), h, 0, "+", False)
-            x = fibre_sum(m, ref, m, ref, no_rim_tori=False)
+            sigma = m.lattice.basis_vector("Sigma_F")
+            x = fibre_sum(m, m, h, sigma, "+", False, sigma, "+", False, no_rim_tori=False)
             assert x.e == (m.e - (2 - 2 * h)) * 2
-
-    def test_genus_mismatch_rejected(self):
-        e1 = elliptic_surface(1, 1, 1)
-        y = surface_bundle_y(2, 2)
-        ref_y = SurfaceRef(y.lattice.basis_vector("Sigma_F"), 2, 0, "+", False)
-        with pytest.raises(ConstructionError, match="equal genus"):
-            fibre_sum(e1, fibre_ref(e1), y, ref_y, no_rim_tori=True)
 
     def test_nonzero_square_rejected(self):
         m = elliptic_surface(2, 1, 1)
-        bad = SurfaceRef(m.lattice.basis_vector("D1_1"), 1, 0, "+", True)
+        bad = m.lattice.basis_vector("D1_1")
         with pytest.raises(ConstructionError, match="self-intersection zero"):
-            fibre_sum(m, bad, m, bad, no_rim_tori=True)
+            fibre_sum(m, m, 1, bad, "+", True, bad, "+", True, no_rim_tori=True)
 
     def test_divisible_class_rejected(self):
         m = elliptic_surface(2, 1, 1)
-        bad = SurfaceRef(m.lattice.basis_vector("f").scaled(2), 1, 0, "+", True)
+        bad = fibre(m).scaled(2)
         with pytest.raises(ConstructionError, match="indivisible"):
-            fibre_sum(m, bad, m, bad, no_rim_tori=True)
+            fibre_sum(m, m, 1, bad, "+", True, bad, "+", True, no_rim_tori=True)
 
     def test_self_sum_of_knot_products_builds_bundles(self):
         for h in (2, 3):
@@ -88,8 +82,12 @@ class TestFibreSum:
                 piece = knot_product(h)
                 x = piece
                 for _ in range(g - 1):
-                    x = fibre_sum(x, knot_fibre_ref_like(x, h), piece,
-                                  knot_fibre_ref(piece), no_rim_tori=False)
+                    x = fibre_sum(
+                        x, piece, h,
+                        x.lattice.basis_vector("B_K"), "+", False,
+                        piece.lattice.basis_vector("B_K"), "+", False,
+                        no_rim_tori=False,
+                    )
                 oracle = surface_bundle_y(g, h)
                 assert (x.e, x.sigma) == (oracle.e, oracle.sigma)
                 assert 2 * x.e + 3 * x.sigma == 8 * (g - 1) * (h - 1)
@@ -101,20 +99,16 @@ class TestFibreSum:
                 assert pairing(x.lattice, x.canonical, x.canonical) == 2 * x.e + 3 * x.sigma
 
 
-def knot_fibre_ref_like(x, h):
-    return SurfaceRef(x.lattice.basis_vector("B_K"), h, 0, "+", False)
-
-
 class TestKnotSurgery:
     def test_unknot_is_identity_on_canonical(self):
         m = elliptic_surface(2, 1, 1)
-        x = knot_surgery(m, fibre_ref(m), 0, "+")
+        x = knot_surgery(m, fibre(m), 0, "+", True)
         assert x.canonical == m.canonical
         assert (x.e, x.sigma, x.lattice) == (m.e, m.sigma, m.lattice)
 
     def test_k3_with_trefoil_like_genus(self):
         m = elliptic_surface(2, 1, 1)
-        x = knot_surgery(m, fibre_ref(m), 3, "+")
+        x = knot_surgery(m, fibre(m), 3, "+", True)
         i = x.lattice.index_of("f")
         assert dense(x.canonical)[i] == 6
         assert divisibility(x).value == 6
@@ -125,25 +119,25 @@ class TestKnotSurgery:
     @pytest.mark.parametrize("k", range(0, 5))
     def test_rational_elliptic_odd_divisibilities(self, k):
         m = elliptic_surface(1, 1, 1)
-        x = knot_surgery(m, fibre_ref(m), k + 1, "+")
+        x = knot_surgery(m, fibre(m), k + 1, "+", True)
         assert dense(x.canonical)[0] == 2 * k + 1
 
     def test_invariants_bit_exact(self):
         m = elliptic_surface(3, 1, 1)
-        x = knot_surgery(m, fibre_ref(m), 4, "-")
+        x = knot_surgery(m, fibre(m), 4, "-", True)
         assert (x.e, x.sigma) == (m.e, m.sigma)
         assert gram(x.lattice) == gram(m.lattice)
         assert dense(x.canonical)[0] == 1 - 8
 
     def test_non_torus_rejected(self):
+        # A genus-2 fibre fails the torus adjunction identity K.T = 0.
         m = surface_bundle_y(2, 2)
-        ref = SurfaceRef(m.lattice.basis_vector("Sigma_F"), 2, 0, "+", False)
         with pytest.raises(ConstructionError, match="torus"):
-            knot_surgery(m, ref, 2, "+")
+            knot_surgery(m, m.lattice.basis_vector("Sigma_F"), 2, "+", False)
 
     def test_witness_genus_capping(self):
         m = elliptic_surface(3, 1, 1)
-        x = knot_surgery(m, fibre_ref(m), 4, "+")
+        x = knot_surgery(m, fibre(m), 4, "+", True)
         section = x.witness("section")
         assert section.genus == 4 and section.self_intersection == -3
         # Disjoint sphere witnesses are untouched.
@@ -156,11 +150,11 @@ class TestKnotSurgery:
         base = elliptic_surface(2, 1, 1)
         probe = Witness("reversed_section", ((0, -1),), 0, -2)
         m = replace(base, witnesses=base.witnesses + (probe,))
-        x = knot_surgery(m, fibre_ref(m), 4, "-")
+        x = knot_surgery(m, fibre(m), 4, "-", True)
         assert x.witness("section").genus is None
         assert x.witness("reversed_section").genus == 4
         assert geography.validate(x).ok
-        plus = knot_surgery(m, fibre_ref(m), 4, "+")
+        plus = knot_surgery(m, fibre(m), 4, "+", True)
         assert plus.witness("section").genus == 4
         assert plus.witness("reversed_section").genus is None
         assert geography.validate(plus).ok
@@ -172,45 +166,44 @@ class TestGeneralizedKnotSurgery:
 
         base = surgered_homotopy_elliptic(2 * m_half, d)
         cls = base.lattice.basis_vector("R_1") + base.lattice.basis_vector("DR_1")
-        return base, SurfaceRef(cls, d // 2 + 1, 0, "+", True)
+        return base, cls, d // 2 + 1
 
     def test_chern_increment_genus_two(self):
-        base, ref = self._base_with_surface(2, 1)
-        x = generalized_knot_surgery(base, ref, 1)
+        base, cls, g = self._base_with_surface(2, 1)
+        x = generalized_knot_surgery(base, cls, g, 1, True)
         assert 2 * x.e + 3 * x.sigma == (2 * base.e + 3 * base.sigma) + 8
 
     def test_even_divisibility_increment(self):
         # h = t d / 2 for even d raises c1^2 by 4 t d (g - 1).
         d, t = 4, 3
-        base, ref = self._base_with_surface(d, 2)
-        x = generalized_knot_surgery(base, ref, t * d // 2)
-        g = ref.genus
+        base, cls, g = self._base_with_surface(d, 2)
+        x = generalized_knot_surgery(base, cls, g, t * d // 2, True)
         assert 2 * x.e + 3 * x.sigma == 4 * t * d * (g - 1)
         assert x.sigma == base.sigma
 
     def test_lattice_gains_split_blocks(self):
-        base, ref = self._base_with_surface(2, 1)
-        x = generalized_knot_surgery(base, ref, 2)
-        blocks = 2 * 2 * (ref.genus - 1)
+        base, cls, g = self._base_with_surface(2, 1)
+        x = generalized_knot_surgery(base, cls, g, 2, True)
+        blocks = 2 * 2 * (g - 1)
         assert x.lattice.rank == base.lattice.rank + 2 * blocks
         assert gram(x.lattice)[base.lattice.rank][base.lattice.rank] == 2
 
     def test_kept_witnesses_are_reused(self):
-        base, ref = self._base_with_surface(2, 1)
-        x = generalized_knot_surgery(base, ref, 2)
-        kept = [w for w in base.witnesses if dot(ref.class_vec, w) == 0]
+        base, cls, g = self._base_with_surface(2, 1)
+        x = generalized_knot_surgery(base, cls, g, 2, True)
+        kept = [w for w in base.witnesses if dot(cls, w) == 0]
         assert len(x.witnesses) == len(kept) + 1
         assert all(a is b for a, b in zip(x.witnesses, kept))
 
     def test_torus_rejected(self):
         m = elliptic_surface(2, 1, 1)
         with pytest.raises(ConstructionError, match="use knot_surgery"):
-            generalized_knot_surgery(m, fibre_ref(m), 1)
+            generalized_knot_surgery(m, fibre(m), 1, 1, True)
 
     def test_zero_knot_genus_rejected(self):
-        base, ref = self._base_with_surface(2, 1)
+        base, cls, g = self._base_with_surface(2, 1)
         with pytest.raises(ConstructionError, match="positive"):
-            generalized_knot_surgery(base, ref, 0)
+            generalized_knot_surgery(base, cls, g, 0, True)
 
     def test_odd_divisibility_increment(self):
         # h = t d for odd d raises c1^2 by 8 t d (g - 1).
@@ -219,9 +212,8 @@ class TestGeneralizedKnotSurgery:
         d, t = 3, 2
         base = surgered_homotopy_elliptic(3, d)
         cls = base.lattice.basis_vector("R_1") + base.lattice.basis_vector("DR_1")
-        ref = SurfaceRef(cls, d + 1, 0, "+", True)
-        x = generalized_knot_surgery(base, ref, t * d)
-        g = ref.genus
+        g = d + 1
+        x = generalized_knot_surgery(base, cls, g, t * d, True)
         assert 2 * x.e + 3 * x.sigma == 8 * t * d * (g - 1)
 
 
@@ -332,15 +324,15 @@ def base_extension(x, base):
 
 class TestStructureNegation:
     def test_zero(self):
-        assert negate_structure(class_vector((0, 0))).is_zero()
+        assert (-class_vector((0, 0))).is_zero()
 
     def test_knot_product_formula(self):
         m = knot_product(3)
-        assert dense(negate_structure(m.canonical)) == (-4, 0)
+        assert dense(-m.canonical) == (-4, 0)
 
     def test_involution(self):
         v = class_vector((3, -5, 7))
-        assert negate_structure(negate_structure(v)) == v
+        assert -(-v) == v
 
 
 class TestAdjunctionInvariant:
@@ -375,22 +367,22 @@ def dense_witnesses(m):
     return [(w, expand(w.pairings, m.lattice.rank)) for w in m.witnesses]
 
 
-def dense_side(m, ref):
+def dense_side(m, surface):
     """(kept indices, dual square, tracked dual index, dual witness, dense
     dual row, surface index) of one fibre-sum side, read densely."""
     g = gram(m.lattice)
-    i = dense(ref.class_vec).index(1)
+    i = dense(surface).index(1)
     partners = [j for j in range(len(g)) if j != i and g[i][j] != 0]
     if partners:
         j = partners[0]
         return [k for k in range(len(g)) if k not in (i, j)], g[j][j], j, None, g[j], i
-    dual, row = next((w, p) for w, p in dense_witnesses(m) if dense_dot(ref.class_vec, w) == 1)
+    dual, row = next((w, p) for w, p in dense_witnesses(m) if dense_dot(surface, w) == 1)
     return [k for k in range(len(g)) if k != i], dual.self_intersection, None, dual, row, i
 
 
-def dense_fibre_sum(m, sm, n, sn):
-    m_keep, m_square, m_j, m_dual, m_row, m_i = dense_side(m, sm)
-    n_keep, n_square, n_j, n_dual, n_row, n_i = dense_side(n, sn)
+def dense_fibre_sum(m, n, genus, class_m, _sign_m, _complement_m, class_n, *_):
+    m_keep, m_square, m_j, m_dual, m_row, m_i = dense_side(m, class_m)
+    n_keep, n_square, n_j, n_dual, n_row, n_i = dense_side(n, class_n)
     gm, gn = gram(m.lattice), gram(n.lattice)
     sigma_pos = len(m_keep)
     pad = (0,) * len(n_keep)
@@ -404,28 +396,28 @@ def dense_fibre_sum(m, sm, n, sn):
 
     zeros_m, zeros_n = (0,) * m.lattice.rank, (0,) * n.lattice.rank
     witnesses = []
-    for desc, ref, j, dual, place in (
-        (m, sm, m_j, m_dual, lambda p, b: embed(p, 0, b, zeros_n)),
-        (n, sn, n_j, n_dual, lambda p, b: embed(zeros_m, 0, b, p)),
+    for desc, surface, j, dual, place in (
+        (m, class_m, m_j, m_dual, lambda p, b: embed(p, 0, b, zeros_n)),
+        (n, class_n, n_j, n_dual, lambda p, b: embed(zeros_m, 0, b, p)),
     ):
         for w, p in dense_witnesses(desc):
-            if w is not dual and dense_dot(ref.class_vec, w) == 0:
+            if w is not dual and dense_dot(surface, w) == 0:
                 witnesses.append(place(p, 0 if j is None else p[j]))
     witnesses.append(embed(m_row, 1, m_square + n_square, n_row))
     km, kn = dense(m.canonical), dense(n.canonical)
     canonical = embed(
         km,
         km[m_i] + kn[n_i] + 2,
-        (0 if m_j is None else km[m_j]) + (0 if n_j is None else kn[n_j]) - (2 * sm.genus - 2),
+        (0 if m_j is None else km[m_j]) + (0 if n_j is None else kn[n_j]) - (2 * genus - 2),
         kn,
     )
     return tuple(rows), witnesses, canonical
 
 
-def dense_gks(m, s, h):
+def dense_gks(m, surface, genus, h, _complement):
     g = gram(m.lattice)
     old_rank = len(g)
-    blocks = 2 * h * (s.genus - 1)
+    blocks = 2 * h * (genus - 1)
     tail = (0,) * (2 * blocks)
     rank = old_rank + 2 * blocks
     rows = [row + tail for row in g]
@@ -433,12 +425,12 @@ def dense_gks(m, s, h):
         off = old_rank + 2 * b
         rows.append((0,) * off + (2, 1) + (0,) * (rank - off - 2))
         rows.append((0,) * off + (1, 0) + (0,) * (rank - off - 2))
-    witnesses = [p + tail for w, p in dense_witnesses(m) if dense_dot(s.class_vec, w) == 0]
+    witnesses = [p + tail for w, p in dense_witnesses(m) if dense_dot(surface, w) == 0]
     sigma_row = tuple(
-        sum(c * g[i][j] for i, c in enumerate(dense(s.class_vec))) for j in range(old_rank)
+        sum(c * g[i][j] for i, c in enumerate(dense(surface))) for j in range(old_rank)
     )
     witnesses.append(sigma_row + tail)
-    canonical = tuple(k + 2 * h * c for k, c in zip(dense(m.canonical), dense(s.class_vec)))
+    canonical = tuple(k + 2 * h * c for k, c in zip(dense(m.canonical), dense(surface)))
     return tuple(rows), witnesses, canonical + tail
 
 
@@ -493,10 +485,10 @@ class TestDenseReference:
         probe = Witness("probe", ((lat.index_of("f"), 1), (lat.index_of("DR_1"), 3)))
         m = replace(base, witnesses=base.witnesses + (probe,))
         e1 = elliptic_surface(1, 1, 1)
-        r_ref = SurfaceRef(lat.basis_vector("R_1"), 1, 0, "+", True)
         calls = {}
         x = checked(fibre_sum, dense_fibre_sum, calls)(
-            m, r_ref, e1, fibre_ref(e1), no_rim_tori=False
+            m, e1, 1, lat.basis_vector("R_1"), "+", True, fibre(e1), "+", True,
+            no_rim_tori=False,
         )
         assert dot(x.lattice.basis_vector("B_R_1"), x.witness("probe")) == 3
         assert calls["fibre_sum"] == 1
