@@ -345,10 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once, at import: parse_args leaves the parser unchanged, and usage
+# errors and --help look up the output streams and terminal width when they
+# print, so every command of a process can share it.
+_PARSER = build_parser()
+
+
 def run_command(argv: list[str]) -> int:
-    parser = build_parser()
+    """Run one CLI command in-process and return its exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

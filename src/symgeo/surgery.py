@@ -177,7 +177,8 @@ def fibre_sum(
     """Generalized fibre sum of m and n along square-zero surfaces of genus
     ``genus`` representing the indivisible classes ``class_m`` and
     ``class_n``; ``complement_*`` states that a surface's complement is
-    simply connected.
+    simply connected.  On a side that carries its full canonical class the
+    genus must satisfy adjunction, K.Sigma = 2g - 2.
 
     The tracked lattice of the result is the orthogonal complement of each
     surface pair, plus the identified surface Sigma_X and the sewn dual
@@ -196,6 +197,10 @@ def fibre_sum(
     g = genus
     side_m = _resolve_side(m, class_m, "first")
     side_n = _resolve_side(n, class_n, "second")
+    for desc, surface in ((m, class_m), (n, class_n)):
+        if desc.carries_full_canonical:
+            if pairing(desc.lattice, desc.canonical, surface) != 2 * g - 2:
+                raise ConstructionError("fibre-sum surface violates the adjunction identity")
 
     m_keep = side_m.kept
     n_keep = side_n.kept

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from symgeo import cli
 from symgeo.cli import run_command
 
 GOLDEN_RECIPES = Path(__file__).parent / "golden" / "recipes"
@@ -171,6 +172,7 @@ class TestVerify:
         [
             ("fibre_sum_e2_e1", "sign_m: +", "sign_m: x", "sign must be + or -"),
             ("fibre_sum_e2_e1", "genus: 1", "genus: -1", "genus must be non-negative"),
+            ("fibre_sum_e2_e1", "genus: 1", "genus: 5", "violates the adjunction identity"),
             ("knot_surgery_minus", "sign: -", "sign: x", "sign must be + or -"),
         ],
     )
@@ -278,3 +280,25 @@ class TestUsage:
 
     def test_no_arguments(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_help(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and out == cli.build_parser().format_help()
+
+
+class TestSharedParser:
+    def test_run_command_builds_no_parser(self, capsys, monkeypatch):
+        def fail():
+            raise AssertionError("run_command built a parser")
+
+        monkeypatch.setattr(cli, "build_parser", fail)
+        code, out, _ = run(capsys, "qset", "45", "45,15,9,5")
+        assert code == 0 and out == "45 15 9 5 3 1\n"
+
+    def test_usage_errors_leave_the_parser_unchanged(self, capsys):
+        argv = ("construct", "homotopy_elliptic", "4", "2")
+        alone = run(capsys, *argv)
+        assert run(capsys, "construct")[0] == 2
+        assert run(capsys, "scan", "--regime", "bogus")[0] == 2
+        assert run(capsys, *argv) == alone
