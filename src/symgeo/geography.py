@@ -276,13 +276,11 @@ def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
 
 
 def negative_c1(n: int, r: int) -> ManifoldDescriptor:
-    """(chi_h, c1^2) = (n, -r) by blowing up E(n) r times; divisibility 1."""
+    """(chi_h, c1^2) = (n, -r) by blowing up E(n) r times in one
+    ``blow_up`` node; divisibility 1."""
     if n < 1 or r < 1:
         raise ConstructionError("parameters must be positive")
-    out = elliptic_surface(n, 1, 1)
-    for _ in range(r):
-        out = blow_up(out)
-    return out
+    return blow_up(elliptic_surface(n, 1, 1), r)
 
 
 # --- inequivalent symplectic structures -------------------------------------

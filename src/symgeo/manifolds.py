@@ -154,7 +154,7 @@ def triple_names(i: int) -> tuple[str, str, str, str]:
     return (f"T1_{i}", f"D1_{i}", f"R_{i}", f"DR_{i}")
 
 
-def elliptic_surface(n: int, p: int = 1, q: int = 1) -> ManifoldDescriptor:
+def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
     """The relatively minimal elliptic surface E(n)_{p,q} without section
     obstructions modeled: canonical class (npq - p - q) f with f primitive.
 

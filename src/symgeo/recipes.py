@@ -47,6 +47,8 @@ def _signature_op(module, attr: str) -> tuple[tuple[tuple[str, str, bool], ...],
     op but ``catalog`` is one.  A parameter's kind is read from its
     annotation (``int``, ``str``, ``bool`` or ``ClassVector``), and the
     arity is the number of ``ManifoldDescriptor`` parameters in front.
+    A parameter is optional exactly when the constructor gives it a
+    default, and a node that omits it replays with that default.
 
     The schema and arity are read from the signature once; the constructor
     is fetched from its module at each call, so a wrapper installed on the
@@ -54,7 +56,7 @@ def _signature_op(module, attr: str) -> tuple[tuple[tuple[str, str, bool], ...],
     """
     params = list(inspect.signature(getattr(module, attr), eval_str=True).parameters.values())
     arity = sum(1 for p in params if p.annotation is ManifoldDescriptor)
-    schema = tuple((p.name, _KINDS[p.annotation], True) for p in params[arity:])
+    schema = tuple((p.name, _KINDS[p.annotation], p.default is p.empty) for p in params[arity:])
 
     def build(node, children):
         return getattr(module, attr)(*children, **dict(node.params))

@@ -162,6 +162,25 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
+def _append_blocks(
+    lat: IntersectionLattice, block: tuple, prefixes: tuple[str, ...], count: int
+) -> IntersectionLattice:
+    """``lat`` with ``count`` orthogonal copies of ``block`` appended.  A
+    copy is named ``{prefix}_{j}`` for each prefix, at the first index j
+    above the previous copy's where all of these names are free."""
+    taken = set(lat.basis_names)
+    names = list(lat.basis_names)
+    j = 1
+    for _ in range(count):
+        while any(f"{p}_{j}" in taken for p in prefixes):
+            j += 1
+        names.extend(f"{p}_{j}" for p in prefixes)
+        j += 1
+    return IntersectionLattice(
+        tuple(names), lat.rows + block_diagonal([block] * count, lat.rank), lat.primitive_summand
+    )
+
+
 def fibre_sum(
     m: ManifoldDescriptor,
     n: ManifoldDescriptor,
@@ -186,9 +205,9 @@ def fibre_sum(
     is K_m + K_n - (2g-2) B_X + 2 Sigma_X under the induced embeddings.
 
     The symplectic signs ``sign_m`` and ``sign_n`` are checked and
-    recorded but decide nothing; they stay in the signature because
-    fibre-sum recipes carry them, and dropping them changes the recipe
-    format.
+    recorded but decide nothing.  They stay: every version-1 fibre-sum
+    recipe carries them as required lines, and dropping them would need
+    a second reader for those files.
     """
     _check_sign(sign_m)
     _check_sign(sign_n)
@@ -439,22 +458,7 @@ def generalized_knot_surgery(
         if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
             raise ConstructionError("surface violates the adjunction identity")
 
-    blocks = 2 * h * (g - 1)
-    old_rank = m.lattice.rank
-    taken = set(m.lattice.basis_names)
-    new_names = list(m.lattice.basis_names)
-    j = 1
-    for _ in range(blocks):
-        while f"V_{j}" in taken or f"W_{j}" in taken:
-            j += 1
-        new_names.extend([f"V_{j}", f"W_{j}"])
-        taken.update((f"V_{j}", f"W_{j}"))
-        j += 1
-    lattice = IntersectionLattice(
-        tuple(new_names),
-        m.lattice.rows + block_diagonal([SPLIT_BLOCK] * blocks, old_rank),
-        m.lattice.primitive_summand,
-    )
+    lattice = _append_blocks(m.lattice, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
 
     canonical = replace(m.canonical + surface.scaled(2 * h), rank=lattice.rank)
 
@@ -519,37 +523,33 @@ def log_transform(x: ManifoldDescriptor, p: int) -> ManifoldDescriptor:
     return replace(out, recipe=recipe)
 
 
-def blow_up(m: ManifoldDescriptor) -> ManifoldDescriptor:
-    """Connected sum with a reversed projective plane: adds an exceptional
-    class E of square -1 to the lattice and to the canonical class."""
-    taken = set(m.lattice.basis_names)
-    k = 1
-    while f"E_{k}" in taken:
-        k += 1
-    name = f"E_{k}"
-    rank = m.lattice.rank + 1
-    lattice = IntersectionLattice(
-        m.lattice.basis_names + (name,),
-        m.lattice.rows + (((rank - 1, -1),),),
-        m.lattice.primitive_summand,
+def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
+    """Connected sum with ``count`` reversed projective planes, built in
+    one pass and recorded as one recipe node: adds ``count`` exceptional
+    classes E_k of square -1, each with its exceptional sphere as a
+    witness, and adds their sum to the canonical class."""
+    if count < 1:
+        raise ConstructionError("blow-up count must be positive")
+    lattice = _append_blocks(m.lattice, ((-1,),), ("E",), count)
+    new = range(m.lattice.rank, lattice.rank)
+    canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
+    witnesses = m.witnesses + tuple(
+        Witness(f"exceptional_{lattice.basis_names[i]}", ((i, -1),), 0, -1) for i in new
     )
-    canonical = ClassVector(rank, m.canonical.entries + ((rank - 1, 1),))
-    witnesses = list(m.witnesses)
-    witnesses.append(Witness(f"exceptional_{name}", ((rank - 1, -1),), 0, -1))
     notes = []
     if m.carries_full_canonical:
         notes.append(NOTE_FULL_CANONICAL)
-    recipe = ConstructionRecipe("blow_up", (), (m.recipe,), tuple(notes))
+    recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), tuple(notes))
     return ManifoldDescriptor(
-        e=m.e + 1,
-        sigma=m.sigma - 1,
+        e=m.e + count,
+        sigma=m.sigma - count,
         spin=False,
         simply_connected=m.simply_connected,
         symplectic=m.symplectic,
         minimal="no",
         lattice=lattice,
         canonical=canonical,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
         recipe=recipe,
     )
 
@@ -561,7 +561,7 @@ def lagrangian_triple_surgery(
     em: int,
     h1: int,
     h2: int,
-    sign: str = "+",
+    sign: str,
 ) -> ManifoldDescriptor:
     """Composite surgery on a declared rim-torus triple (T_1, T_2, R) with
     R homologous to a T_1 + T_2: fibre sum with E(em) along R, knot

@@ -45,7 +45,7 @@ def random_descriptor(rng: random.Random):
             f = base.lattice.basis_vector("f")
             base = knot_surgery(base, f, rng.randint(0, 4), rng.choice("+-"), True)
         elif move == "blow":
-            base = blow_up(base)
+            base = blow_up(base, rng.randint(1, 3))
         elif move == "log" and base.recipe.operation == "elliptic_surface":
             base = log_transform(base, rng.randint(1, 4))
         elif move == "sum" and "f" in base.lattice.basis_names:

@@ -119,14 +119,32 @@ class TestConstruct:
         assert "validation: VALID" in out
 
     def test_unserializable_recipe_prints_nothing(self, capsys, tmp_path):
-        # 64 nested blow_up nodes exceed the recipe depth: the command must
-        # fail before printing a descriptor, and write no file.
-        target = tmp_path / "r.txt"
-        code, out, err = run(capsys, "construct", "negative_c1", "2", "64",
+        # A recipe that cannot be written (here, into a missing directory)
+        # must fail the command before it prints a descriptor.
+        target = tmp_path / "missing" / "r.txt"
+        code, out, err = run(capsys, "construct", "negative_c1", "2", "3",
                              "--recipe", str(target))
         assert code == 2 and out == ""
-        assert "recipe nesting exceeds the supported depth" in err
-        assert not target.exists()
+        assert err.startswith("error: ")
+        assert not target.parent.exists()
+
+    def test_many_blow_ups_write_and_verify(self, capsys, tmp_path):
+        # r blow-ups are one recipe node, so r >= 64 (the nesting cap) is
+        # no limit.
+        target = tmp_path / "r.txt"
+        code, built, _ = run(capsys, "construct", "negative_c1", "2", "64",
+                             "--recipe", str(target))
+        assert code == 0
+        assert "count: 64\n" in target.read_text(encoding="utf-8")
+        code, replayed, _ = run(capsys, "verify", str(target))
+        assert code == 0
+        # Only the constructor and params lines differ.
+        assert replayed.splitlines()[2:] == built.splitlines()[2:]
+        assert "validation: VALID" in replayed
+
+    def test_inadmissible_blow_up_count(self, capsys):
+        code, out, _ = run(capsys, "construct", "negative_c1", "2", "0")
+        assert code == 2 and out == ""
 
     def test_family(self, capsys):
         code, out, _ = run(
@@ -174,11 +192,13 @@ class TestVerify:
             ("fibre_sum_e2_e1", "genus: 1", "genus: -1", "genus must be non-negative"),
             ("fibre_sum_e2_e1", "genus: 1", "genus: 5", "violates the adjunction identity"),
             ("knot_surgery_minus", "sign: -", "sign: x", "sign must be + or -"),
+            ("negative_c1_2_3", "count: 3", "count: 0", "count must be positive"),
+            ("negative_c1_2_3", "count: 3", "count: -1", "count must be positive"),
         ],
     )
     def test_surface_parameters_checked(self, capsys, tmp_path, recipe, old, new, expected):
-        # The parser takes any string sign and any integer genus; the
-        # operation itself rejects them.
+        # The parser takes any string sign and any integer genus or count;
+        # the operation itself rejects them.
         text = (GOLDEN_RECIPES / f"{recipe}.txt").read_text(encoding="utf-8")
         assert text.count(f"\n{old}\n") == 1
         bad = tmp_path / "bad.txt"
@@ -251,6 +271,17 @@ class TestScan:
                            "--n", "2:2", "--r", "3:3")
         assert code == 0
         assert "negative_c1,n=2;r=3,2,-3,27,-19,false,1,true" in out
+
+    def test_negative_regime_recipes_past_the_nesting_cap(self, capsys, tmp_path):
+        rdir = tmp_path / "recipes"
+        code, out, _ = run(capsys, "scan", "--regime", "negative_c1",
+                           "--n", "1:2", "--r", "60:70", "--recipes", str(rdir))
+        assert code == 0
+        paths = sorted(rdir.iterdir())
+        assert len(paths) == len(out.strip().splitlines()) - 1 == 22
+        for path in paths:
+            code, verified, _ = run(capsys, "verify", str(path))
+            assert code == 0 and "validation: VALID" in verified, path.name
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "scan", "--regime", "spin", "--d", "2:4",

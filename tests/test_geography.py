@@ -248,6 +248,18 @@ class TestNegativeC1:
             cert = divisibility(negative_c1(n, r))
             assert cert.value == 1 and cert.certified
 
+    def test_blow_ups_are_one_recipe_node(self):
+        # A stored-count gate: r blow-ups add r classes in one blow_up node
+        # over the elliptic surface, not r nested nodes.
+        m = negative_c1(1, 20000)
+        assert m.lattice.rank == 20001
+        nodes, stack = [], [m.recipe]
+        while stack:
+            nodes.append(stack.pop())
+            stack.extend(nodes[-1].inputs)
+        assert [node.operation for node in nodes] == ["blow_up", "elliptic_surface"]
+        assert nodes[0].params == (("count", 20000),)
+
 
 @st.composite
 def family_inputs(draw):

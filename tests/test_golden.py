@@ -3,8 +3,10 @@
 ``golden/cases.json`` lists CLI commands with their exit code and standard
 output; a ``construct --recipe`` case also names the recipe text it writes,
 stored under ``golden/recipes/``.  The ``verify`` cases replay those
-recipe files, plus two written by hand: a bare fibre sum and a knot
-surgery of sign ``-``.  In an argument, ``{recipe}`` stands for a fresh
+recipe files, plus two written by hand (a bare fibre sum and a knot
+surgery of sign ``-``) and one frozen in an older form:
+``negative_c1_2_3_nested.txt`` blows up one class per nested ``blow_up``
+node, without the ``count:`` line that ``construct`` writes today.  In an argument, ``{recipe}`` stands for a fresh
 output path and ``{recipes}`` for the stored recipe directory.
 """
 

@@ -1,5 +1,7 @@
 import inspect
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from symgeo.errors import ConstructionError, RecipeError
 from symgeo.geography import (
     divisibility,
     homotopy_elliptic,
+    negative_c1,
     nonspin_surface,
     spin_surface,
     validate,
@@ -31,6 +34,8 @@ from symgeo.surgery import (
     lagrangian_triple_surgery,
     log_transform,
 )
+
+GOLDEN_RECIPES = Path(__file__).parent / "golden" / "recipes"
 
 
 def roundtrip(m):
@@ -63,6 +68,10 @@ class TestRoundTrip:
         m = blow_up(blow_up(elliptic_surface(2, 1, 1)))
         roundtrip(m)
 
+    def test_blow_up_count(self):
+        text = roundtrip(blow_up(elliptic_surface(2, 1, 1), 70))
+        assert text.count("op: blow_up") == 1 and "count: 70\n" in text
+
     def test_log_transform(self):
         roundtrip(log_transform(elliptic_surface(3, 1, 1), 2))
 
@@ -75,6 +84,24 @@ class TestRoundTrip:
 
         res = inequivalent_family(5, [5, 1], "c1sq_zero", n=4)
         roundtrip(res.descriptor)
+
+
+class TestNestedBlowUps:
+    """Recipes written before ``blow_up`` took a count nest one node per
+    blow-up and carry no ``count:`` line; the parameter's default reads
+    them unchanged."""
+
+    OLD = (GOLDEN_RECIPES / "negative_c1_2_3_nested.txt").read_text(encoding="utf-8")
+
+    def test_text_round_trips_byte_for_byte(self):
+        assert serialize_recipe(parse_recipe(self.OLD)) == self.OLD
+
+    def test_replays_like_one_blow_up_node(self):
+        old = parse_recipe(self.OLD)
+        assert old.params == () and old.inputs[0].operation == "blow_up"
+        replayed = execute_recipe(old)
+        new = negative_c1(2, 3)
+        assert replace(replayed, recipe=new.recipe) == new
 
 
 class TestStrictParsing:
@@ -234,6 +261,16 @@ def _generic_samples():
         "pluricanonical_cover": (
             pluricanonical_cover, pluricanonical_cover(catalog("barlow"), 2, 3)),
     }
+
+
+def test_only_blow_up_count_is_optional():
+    # A missing optional parameter replays with its constructor default,
+    # so a default is a recipe-format decision: blow_up's count is the one.
+    optional = {
+        (op, name) for op, (schema, _, _) in REGISTRY.items() if op != "catalog"
+        for name, _, required in schema if not required
+    }
+    assert optional == {("blow_up", "count")}
 
 
 def test_every_op_but_catalog_is_read_from_its_signature():

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import class_vector, dense, dense_dot, expand, gram
+from conftest import class_vector, dense, dense_dot, expand, gram, random_descriptor
 
 from symgeo import geography, surgery
 from symgeo.errors import ConstructionError
@@ -272,6 +272,27 @@ class TestBlowUp:
         w = m.witness("exceptional_E_1")
         assert 2 * w.genus - 2 == dot(m.canonical, w) + w.self_intersection
 
+    def test_count_equals_chain_of_single_blow_ups(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            base = random_descriptor(rng)
+            count = rng.randint(1, 4)
+            chain = base
+            for _ in range(count):
+                chain = blow_up(chain)
+            one = blow_up(base, count)
+            assert one.recipe.params == (("count", count),)
+            assert replace(one, recipe=chain.recipe) == chain
+
+    def test_count_takes_the_first_free_names(self):
+        base = elliptic_surface(2, 1, 1)
+        names = tuple("E_2" if n == "D1_1" else n for n in base.lattice.basis_names)
+        m = replace(base, lattice=replace(base.lattice, basis_names=names))
+        up = blow_up(m, 2)
+        assert up.lattice.basis_names[-2:] == ("E_1", "E_3")
+        chain = blow_up(blow_up(m))
+        assert replace(up, recipe=chain.recipe) == chain
+
 
 class TestLagrangianTripleSurgery:
     def test_sign_variants(self):
@@ -434,12 +455,14 @@ def dense_gks(m, surface, genus, h, _complement):
     return tuple(rows), witnesses, canonical + tail
 
 
-def dense_blow_up(m):
-    rank = m.lattice.rank + 1
-    rows = tuple(row + (0,) for row in gram(m.lattice)) + ((0,) * (rank - 1) + (-1,),)
-    witnesses = [p + (0,) for _, p in dense_witnesses(m)]
-    witnesses.append((0,) * (rank - 1) + (-1,))
-    return rows, witnesses, dense(m.canonical) + (1,)
+def dense_blow_up(m, count=1):
+    old_rank = m.lattice.rank
+    rank = old_rank + count
+    tail = (0,) * count
+    diagonal = [(0,) * i + (-1,) + (0,) * (rank - i - 1) for i in range(old_rank, rank)]
+    rows = tuple(row + tail for row in gram(m.lattice)) + tuple(diagonal)
+    witnesses = [p + tail for _, p in dense_witnesses(m)] + diagonal
+    return rows, witnesses, dense(m.canonical) + (1,) * count
 
 
 def checked(op, reference, calls):
