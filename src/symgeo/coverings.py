@@ -5,10 +5,14 @@ with canonical class divisible by a prescribed integer, the linear
 geography transport Phi induced by those covers, and the double cover of
 the quadric branched over a singular configuration of lines.
 
-Rational intermediate values (the signature defect of the Hirzebruch
-formula, the inverse transport) are computed with exact fractions and
-checked for integrality; a non-integral value means inconsistent branch
-data and raises instead of rounding.
+There is one covering formula, ``_cover_invariants``: the (e, c1^2) of a
+cyclic cover from its base and branch data.  ``branched_cover`` reads it
+for a general divisor D, ``pluricanonical_cover`` for D in |nK|, and
+``phi_map`` is its closed form on that line.  The transported sector
+predicate is the catalog's own Persson check pulled back through Phi.
+Divisions are integer ``divmod``s checked for a zero remainder; a
+non-integral value means inconsistent branch data and raises instead of
+rounding.  Only the inverse transport returns exact fractions.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .lattice import IntersectionLattice, Witness, block_diagonal, coefficient_g
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_GENERAL_TYPE,
+    CATALOG,
     ConstructionRecipe,
     ManifoldDescriptor,
     catalog,
@@ -59,13 +64,22 @@ class CoverParams:
         return (self.d - 1) * (self.d + self.a)
 
 
-def hirzebruch_signature(sigma_m: int, deg: int, d_square: int) -> int:
-    """Signature of a cyclic branched cover; raises on non-integral data."""
-    defect = Fraction((deg * deg - 1) * d_square, 3 * deg)
-    value = deg * sigma_m - defect
-    if value.denominator != 1:
+def _cover_invariants(
+    e: int, c1_sq: int, deg: int, d_square: int, k_dot_d: int
+) -> tuple[int, int]:
+    """(e, c1^2) of the cyclic cover of degree ``deg`` of a base with the
+    given e and c1^2, branched over a smooth divisor D = deg B:
+    e' = deg e - (deg - 1) e(D) with e(D) = -(K.D + D^2) by adjunction, and
+    c1'^2 = deg (K + (deg - 1) B)^2.
+
+    Raises unless c1'^2 and the signature (c1'^2 - 2 e') / 3 are integers.
+    """
+    b_part, rest = divmod((deg - 1) ** 2 * d_square, deg)
+    e_cover = deg * e + (deg - 1) * (k_dot_d + d_square)
+    c1_cover = deg * c1_sq + 2 * (deg - 1) * k_dot_d + b_part
+    if rest or (c1_cover - 2 * e_cover) % 3:
         raise CoveringError("inconsistent branch data")
-    return int(value)
+    return e_cover, c1_cover
 
 
 def branched_cover(
@@ -79,25 +93,13 @@ def branched_cover(
 
     The caller asserts that D is divisible by ``deg`` in homology (the
     class B with deg B = D enters only through the stated numbers).
-    Invariants follow the standard covering formulas; the genus of D is
-    supplied by adjunction.
+    Invariants follow the covering formula ``_cover_invariants``.
     """
     if deg < 1:
         raise CoveringError("covering degree must be positive")
     if deg == 1:
         return m_desc
-    e_d = -(k_dot_d + d_square)
-    e = deg * m_desc.e - (deg - 1) * e_d
-    sigma = hirzebruch_signature(m_desc.sigma, deg, d_square)
-    c1 = 2 * e + 3 * sigma
-    # Cross-check against deg*(K + (deg-1) B)^2, a rational identity.
-    direct = (
-        deg * m_desc.c1_squared
-        + 2 * (deg - 1) * k_dot_d
-        + Fraction((deg - 1) ** 2 * d_square, deg)
-    )
-    if direct.denominator != 1 or int(direct) != c1:
-        raise CoveringError("inconsistent branch data")
+    e, c1 = _cover_invariants(m_desc.e, m_desc.c1_squared, deg, d_square, k_dot_d)
 
     lat = IntersectionLattice(("pullback",), block_diagonal([((c1,),)]), primitive_summand=False)
     canonical = lat.vector({"pullback": 1})
@@ -115,7 +117,7 @@ def branched_cover(
     )
     return ManifoldDescriptor(
         e=e,
-        sigma=sigma,
+        sigma=(c1 - 2 * e) // 3,
         spin=False,
         simply_connected=simply_connected,
         symplectic=m_desc.symplectic,
@@ -175,18 +177,10 @@ def pluricanonical_cover(
     c = m_desc.c1_squared
     if c <= 0:
         raise CoveringError("general-type base must have positive c1^2")
-    m, d, a = p.m, p.d, p.a
-    e = m * (m_desc.e + p.delta * c)
-    c1 = m * d * d * c
-    sigma_num = m * (2 * m_desc.e + (d * (d - 2) + 2 * a * (d - 1)) * c)
-    if sigma_num % 3 != 0:
-        raise CoveringError("inconsistent branch data")
-    sigma = -(sigma_num // 3)
-    chi_term = m * (d - 1) * (2 * d + a + 1) * c
-    if chi_term % 12 != 0:
-        raise CoveringError("inconsistent branch data")
-    chi_h = m * m_desc.chi_h + chi_term // 12
-    if (e + sigma) % 4 != 0 or (e + sigma) // 4 != chi_h:
+    m, d, n = p.m, p.d, p.n
+    # The branch divisor lies in |n K|: D^2 = n^2 c1^2 and K.D = n c1^2.
+    e, c1 = _cover_invariants(m_desc.e, c, m, n * n * c, n * c)
+    if (e + c1) % 12 != 0:
         raise CoveringError("inconsistent branch data")
 
     # Pullback of A = K / delta for the base: self-pairing m * c1^2 / delta^2.
@@ -210,7 +204,7 @@ def pluricanonical_cover(
     )
     return ManifoldDescriptor(
         e=e,
-        sigma=sigma,
+        sigma=(c1 - 2 * e) // 3,
         spin=d * delta % 2 == 0,
         simply_connected=True,
         symplectic=True,
@@ -223,7 +217,8 @@ def pluricanonical_cover(
 
 
 def phi_map(p: CoverParams, e: int, c: int) -> tuple[int, int]:
-    """Linear transport of (e, c1^2) under the pluricanonical cover."""
+    """Linear transport of (e, c1^2) under the pluricanonical cover: the
+    closed form of ``_cover_invariants`` on D in |n K|."""
     return (p.m * (e + p.delta * c), p.m * p.d * p.d * c)
 
 
@@ -235,32 +230,27 @@ def phi_inverse(p: CoverParams, e_bar, c_bar) -> tuple[Fraction, Fraction]:
 
 
 def phi_admissible_image(p: CoverParams, e_bar: int, c_bar: int) -> bool:
-    """Image characterization of admissible pairs: e_bar and c_bar carry
-    the right divisibilities and the pulled-back Noether sum is 0 mod 12."""
-    if e_bar % p.m != 0:
-        return False
-    if c_bar % (p.m * p.d * p.d) != 0:
-        return False
-    e = e_bar // p.m
-    c = c_bar // (p.m * p.d * p.d)
-    return (e + (1 - p.delta) * c) % 12 == 0
+    """Whether (e_bar, c_bar) is the image of an integer pair (e, c1^2)
+    that satisfies Noether's formula e + c1^2 = 12 chi_h."""
+    x, rest_e = divmod(e_bar, p.m)
+    c, rest_c = divmod(c_bar, p.m * p.d * p.d)
+    return rest_e == rest_c == 0 and (x - p.delta * c + c) % 12 == 0
+
+
+def _persson_base(p: CoverParams, x: int, y: int) -> tuple[int, int] | None:
+    """Catalog parameters (chi_h, c1^2) of the Persson base at e = x - Delta y,
+    c1^2 = y, whose cover has e = m x and c1^2 = m d^2 y; None when that
+    point fails Noether's formula or the catalog's own Persson check."""
+    chi, rest = divmod(x - p.delta * y + y, 12)
+    if y <= 0 or rest or not all(check(chi, y) for check, _ in CATALOG["persson"].checks):
+        return None
+    return chi, y
 
 
 def persson_image_sector(p: CoverParams, x: int, y: int) -> bool:
     """Whether (x, y) lies in the transported general-type sector, i.e.
-    whether a cover with e = m x and c1^2 = m d^2 y is realized.
-
-    The comparisons are exact rational ones; no rounding.
-    """
-    if x <= 0 or y <= 0:
-        return False
-    if y * (1 - p.delta) < 36 - x:
-        return False
-    if (x + (1 - p.delta) * y) % 12 != 0:
-        return False
-    # (x-36)/(5+delta) <= y <= (x-24)/(2+delta), cross-multiplied with the
-    # positive denominators.
-    return x - 36 <= y * (5 + p.delta) and y * (2 + p.delta) <= x - 24
+    whether a cover with e = m x and c1^2 = m d^2 y is realized."""
+    return _persson_base(p, x, y) is not None
 
 
 def persson_cover(p: CoverParams, x: int, y: int) -> ManifoldDescriptor:
@@ -270,14 +260,10 @@ def persson_cover(p: CoverParams, x: int, y: int) -> ManifoldDescriptor:
     The single undecided point of the pluricanonical criterion (base
     p_g = 2, K^2 = 1 with a triple cover of divisibility 3) is rejected.
     """
-    if not persson_image_sector(p, x, y):
+    params = _persson_base(p, x, y)
+    if params is None:
         raise CoveringError("outside transported Persson sector")
-    e_base = x - p.delta * y
-    chi_base = (e_base + y) // 12
-    base = catalog("persson", chi_base, y)
-    if not pluri_system_defines_map(base, p.n):
-        raise CoveringError("pluricanonical system not known to define map")
-    return pluricanonical_cover(base, p.m, p.d)
+    return pluricanonical_cover(catalog("persson", *params), p.m, p.d)
 
 
 def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:

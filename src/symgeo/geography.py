@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from .coverings import singular_double_cover
 from .errors import ConstructionError, LatticeError
 from .lattice import (
     ClassVector,
@@ -480,6 +481,8 @@ def realizable(chi_h: int, c1_sq: int, d: int) -> Realizability:
     if chi_h < 1:
         return Realizability("no", "chi_h must be positive for b1 = 0")
     if d < 1:
+        if (chi_h, c1_sq, d) == (2, 0, 0):
+            return Realizability("yes", "K3 surface, K = 0", singular_double_cover(2, 2))
         return Realizability("no", "divisibility is a non-negative integer, 0 only for K = 0")
     if c1_sq < 0:
         if d != 1:

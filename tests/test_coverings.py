@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 from conftest import dense
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgeo.coverings import (
     CoverParams,
@@ -20,6 +22,7 @@ from symgeo.errors import CoveringError
 from symgeo.geography import divisibility, validate
 from symgeo.lattice import IntersectionLattice, block_diagonal
 from symgeo.manifolds import (
+    CATALOG,
     ConstructionRecipe,
     ManifoldDescriptor,
     catalog,
@@ -72,6 +75,20 @@ class TestBranchedCover:
     def test_non_integral_signature_rejected(self):
         with pytest.raises(CoveringError, match="inconsistent branch data"):
             branched_cover(quadric(), 1, 0, 2)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from([quadric(), catalog("barlow"), catalog("horikawa_spin", 1)]),
+           st.integers(2, 12), st.integers(-10**4, 10**4), st.integers(-10**4, 10**4))
+    def test_inconsistent_exactly_when_signature_defect_fractional(self, base, deg, d_sq, k_d):
+        # The Hirzebruch signature defect (deg^2 - 1) D^2 / (3 deg) must be
+        # an integer; the cover raises exactly when it is not.
+        fractional = (deg * deg - 1) * d_sq % (3 * deg) != 0
+        if fractional:
+            with pytest.raises(CoveringError, match="inconsistent branch data"):
+                branched_cover(base, d_sq, k_d, deg)
+        else:
+            x = branched_cover(base, d_sq, k_d, deg)
+            assert 3 * deg * x.sigma == 3 * deg * deg * base.sigma - (deg * deg - 1) * d_sq
 
     def test_pi1_unknown_for_nonpositive_branch_square(self):
         x = branched_cover(quadric(), -4, 2, 2)
@@ -128,22 +145,36 @@ class TestPluricanonicalCover:
         assert x.minimal == "yes" and x.simply_connected
 
     def test_chern_consistency_grid(self):
-        base = catalog("lee_park")
+        # Differential oracle: the pluricanonical cover is the cyclic cover
+        # branched over D in |nK| (D^2 = n^2 K^2, K.D = n K^2), and its
+        # (e, c1^2) is the transport Phi of the base's, over every catalog
+        # entry at sample parameters and the Persson points with chi_h <= 8.
+        samples = {"godeaux_like": [(1, 0), (2, 0), (2, 3)],
+                   "horikawa_spin": [(1,), (3,)], "horikawa_nonspin": [(1,), (2,)],
+                   "persson": [(x, y) for x in range(3, 9)
+                               for y in range(max(1, 2 * x - 6), 4 * x - 7)]}
+        bases = [catalog(name, *params) for name in CATALOG
+                 for params in samples.get(name, [()])]
         count = 0
-        for m in range(2, 9):
-            for d in range(2, 13):
-                if (d - 1) % (m - 1) != 0:
-                    continue
-                p = CoverParams(m, d)
-                if not pluri_system_defines_map(base, p.n):
-                    continue
-                x = pluricanonical_cover(base, p.m, p.d)
-                inv = derived_invariants(x)
-                assert inv.c1_squared == 2 * x.e + 3 * x.sigma
-                assert (inv.c1_squared + x.e) % 12 == 0
-                assert validate(x).ok
-                count += 1
-        assert count >= 24
+        for base in bases:
+            c = base.c1_squared
+            for d in range(2, 14):
+                for m in range(2, d + 1):
+                    if (d - 1) % (m - 1) != 0:
+                        continue
+                    p = CoverParams(m, d)
+                    if not pluri_system_defines_map(base, p.n):
+                        continue
+                    x = pluricanonical_cover(base, p.m, p.d)
+                    y = branched_cover(base, p.n * p.n * c, p.n * c, p.m)
+                    assert (x.e, x.sigma) == (y.e, y.sigma)
+                    assert (x.e, x.c1_squared) == phi_map(p, base.e, c)
+                    inv = derived_invariants(x)
+                    assert inv.c1_squared == 2 * x.e + 3 * x.sigma
+                    assert (inv.c1_squared + x.e) % 12 == 0
+                    assert validate(x).ok
+                    count += 1
+        assert count >= 2400
 
     def test_double_cover_specialization(self):
         # Degree-2 covers satisfy e = 24 chi_h(base) + 2d(2d-3) c1^2(base).

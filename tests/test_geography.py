@@ -408,6 +408,14 @@ class TestRealizable:
     def test_zero(self):
         assert realizable(5, 0, 4).status == "no"
         assert realizable(6, 0, 4).status == "yes"
+        # K3, where K = 0 has divisibility 0; no other point has d <= 0.
+        r = realizable(2, 0, 0)
+        inv = derived_invariants(r.descriptor)
+        assert r.status == "yes" and (inv.chi_h, inv.c1_squared) == (2, 0)
+        cert = divisibility(r.descriptor)
+        assert (cert.value, cert.certified) == (0, True) and validate(r.descriptor).ok
+        for chi_h, c1_sq, d in ((1, 0, 0), (3, 0, 0), (2, 1, 0), (2, 0, -1)):
+            assert realizable(chi_h, c1_sq, d).status == "no"
 
     def test_positive(self):
         r = realizable(3, 8, 2)
