@@ -28,8 +28,8 @@ TABLE_ROWS = ((3, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 3), (5, 5), (6, 2), (6
 TABLE_HEADER = "d,m,ma,Delta,e,c1_sq,chi_h,b2_plus,sigma"
 
 
-def _bool_str(x: bool) -> str:
-    return "true" if x else "false"
+def _bool_str(x: bool | None) -> str:
+    return "unknown" if x is None else "true" if x else "false"
 
 
 def _print_descriptor(name: str, params: str, m: ManifoldDescriptor) -> bool:

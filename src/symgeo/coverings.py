@@ -30,6 +30,7 @@ from .manifolds import (
     ConstructionRecipe,
     ManifoldDescriptor,
     catalog,
+    rochlin_spin,
 )
 
 
@@ -93,13 +94,15 @@ def branched_cover(
 
     The caller asserts that D is divisible by ``deg`` in homology (the
     class B with deg B = D enters only through the stated numbers).
-    Invariants follow the covering formula ``_cover_invariants``.
+    Invariants follow the covering formula ``_cover_invariants``.  B is
+    not known, so neither is K', and only the signature decides spin.
     """
     if deg < 1:
         raise CoveringError("covering degree must be positive")
     if deg == 1:
         return m_desc
     e, c1 = _cover_invariants(m_desc.e, m_desc.c1_squared, deg, d_square, k_dot_d)
+    sigma = (c1 - 2 * e) // 3
 
     lat = IntersectionLattice(("pullback",), block_diagonal([((c1,),)]), primitive_summand=False)
     canonical = lat.vector({"pullback": 1})
@@ -117,8 +120,8 @@ def branched_cover(
     )
     return ManifoldDescriptor(
         e=e,
-        sigma=(c1 - 2 * e) // 3,
-        spin=False,
+        sigma=sigma,
+        spin=rochlin_spin(sigma),
         simply_connected=simply_connected,
         symplectic=m_desc.symplectic,
         minimal="unknown",
@@ -165,12 +168,13 @@ def pluricanonical_cover(
     class of the base.  With K = delta A for the base (delta the
     coefficient gcd of its canonical class), it is d delta times the
     pullback of A, hence divisible by exactly d delta, and the cover is
-    again minimal, simply connected and of general type.
+    again minimal, simply connected and of general type.  It is spin when
+    d delta is even; otherwise its spin type is the base's.
     """
     p = CoverParams(cover_m, cover_d)
     if not m_desc.simply_connected:
         raise CoveringError("pluricanonical cover needs a simply-connected base")
-    if m_desc.minimal != "yes" or NOTE_GENERAL_TYPE not in m_desc.recipe.notes:
+    if m_desc.minimal != "yes" or not m_desc.general_type:
         raise CoveringError("pluricanonical cover needs a minimal general-type base")
     if not pluri_system_defines_map(m_desc, p.n):
         raise CoveringError("pluricanonical system not known to define map")
@@ -205,7 +209,7 @@ def pluricanonical_cover(
     return ManifoldDescriptor(
         e=e,
         sigma=(c1 - 2 * e) // 3,
-        spin=d * delta % 2 == 0,
+        spin=True if d * delta % 2 == 0 else m_desc.spin,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
@@ -213,6 +217,7 @@ def pluricanonical_cover(
         canonical=canonical,
         witnesses=witnesses,
         recipe=recipe,
+        general_type=True,
     )
 
 

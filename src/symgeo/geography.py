@@ -81,7 +81,7 @@ def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityC
             parity_note = "spin: divisibility must be even"
             if lower % 2 != 0:
                 parity_note = "inconsistent: spin with odd coefficient gcd"
-        else:
+        elif m.spin is False:
             stripped = odd_part(upper)
             if stripped != upper:
                 parity_note = "non-spin: even part of witness bound discarded"
@@ -122,8 +122,7 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     entries: list[tuple[str, bool, str]] = []
     c1 = m.c1_squared
     cert = divisibility(m)
-    full = m.carries_full_canonical
-    d = cert.lower if (m.lattice.primitive_summand and full) else 0
+    d = cert.lower if m.lattice.primitive_summand else 0
 
     def add(name: str, passed: bool, detail: str) -> None:
         entries.append((name, passed, detail))
@@ -156,18 +155,15 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     else:
         skip("signature_eight")
 
-    if full:
-        bad = []
-        for w in m.witnesses:
-            if w.genus is None or w.self_intersection is None:
-                continue
-            if 2 * w.genus - 2 != dot(m.canonical, w) + w.self_intersection:
-                bad.append(w.name)
-        add("adjunction_witnesses", not bad, "violations: " + ",".join(bad) if bad else "ok")
-    else:
-        skip("adjunction_witnesses")
+    bad = []
+    for w in m.witnesses:
+        if w.genus is None or w.self_intersection is None:
+            continue
+        if 2 * w.genus - 2 != dot(m.canonical, w) + w.self_intersection:
+            bad.append(w.name)
+    add("adjunction_witnesses", not bad, "violations: " + ",".join(bad) if bad else "ok")
 
-    if full and d >= 1:
+    if d >= 1:
         bad = []
         for w in m.witnesses:
             if w.genus is None or w.self_intersection != 0:
@@ -178,11 +174,8 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     else:
         skip("square_zero_genus")
 
-    if full:
-        k_sq = m.canonical_square()
-        add("canonical_square", k_sq == c1, f"K^2 = {k_sq}, 2e+3sigma = {c1}")
-    else:
-        skip("canonical_square")
+    k_sq = m.canonical_square()
+    add("canonical_square", k_sq == c1, f"K^2 = {k_sq}, 2e+3sigma = {c1}")
 
     if cert.certified and cert.value >= 2:
         add("minimality", m.minimal != "no", f"divisibility {cert.value}")

@@ -34,8 +34,8 @@ from .lattice import (
     pairing,
 )
 
-# Recipe note markers.  Notes are provenance strings; a few fixed markers
-# gate derived checks elsewhere in the package.
+# Recipe note markers.  Notes are provenance and no check reads them: the
+# markers echo descriptor fields, and replay compares them (``gating_notes``).
 NOTE_FULL_CANONICAL = "full-canonical"
 NOTE_GENERAL_TYPE = "general-type"
 NOTE_PI1_SECTION = "pi1-normally-generated-by:"
@@ -61,11 +61,12 @@ class ConstructionRecipe:
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
-    """Invariant-level model of a closed oriented 4-manifold."""
+    """Invariant-level model of a closed oriented 4-manifold.  ``spin`` is
+    None when unknown; ``pi1_generator`` indexes a class normally generating pi_1."""
 
     e: int
     sigma: int
-    spin: bool
+    spin: bool | None
     simply_connected: bool
     symplectic: bool
     minimal: str  # "yes" | "no" | "unknown"
@@ -73,6 +74,8 @@ class ManifoldDescriptor:
     canonical: ClassVector
     witnesses: tuple[Witness, ...]
     recipe: ConstructionRecipe
+    general_type: bool = False
+    pi1_generator: int | None = None
 
     def __post_init__(self):
         if self.minimal not in ("yes", "no", "unknown"):
@@ -99,10 +102,6 @@ class ManifoldDescriptor:
         if not self.simply_connected:
             raise ConstructionError("b2+ from e and sigma needs simple connectivity")
         return (self.e - 2 + self.sigma) // 2
-
-    @property
-    def carries_full_canonical(self) -> bool:
-        return NOTE_FULL_CANONICAL in self.recipe.notes
 
     def canonical_square(self) -> int:
         return pairing(self.lattice, self.canonical, self.canonical)
@@ -242,6 +241,7 @@ def knot_product(h: int) -> ManifoldDescriptor:
         canonical=canonical,
         witnesses=witnesses,
         recipe=recipe,
+        pi1_generator=lat.index_of("T_K"),
     )
 
 
@@ -275,6 +275,7 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
         canonical=canonical,
         witnesses=witnesses,
         recipe=recipe,
+        pi1_generator=lat.index_of("Sigma_S"),
     )
 
 
@@ -295,7 +296,7 @@ class CatalogEntry:
     checks: tuple[tuple[Callable[..., bool], str], ...]
     invariants: Callable[..., tuple[int, int]]
     divisibility: int  # K = divisibility * basis class
-    spin: bool
+    spin: bool | None  # None: as far as Rochlin's theorem decides
     notes: tuple[str, ...]
     witness: str | None  # "canonical_dual", "genus2_fibre" or none
     basis: str = "A"
@@ -334,7 +335,7 @@ CATALOG: dict[str, CatalogEntry] = {
     "persson": CatalogEntry(
         ("x", "y"),
         ((lambda x, y: x >= 3 and 2 * x - 6 <= y <= 4 * x - 8, "outside Persson sector"),),
-        lambda x, y: (x, y), 1, False,
+        lambda x, y: (x, y), 1, None,
         ("genus-2-fibration", "divisibility-in-1-2", "spin-undetermined"), None,
         basis="K_M", primitive=False),
 }
@@ -371,10 +372,11 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
     recipe = ConstructionRecipe(
         "catalog", (("name", name),) + tuple(zip(entry.params, params)), (), notes
     )
+    sigma = c1_sq - 8 * chi_h
     return ManifoldDescriptor(
         e=12 * chi_h - c1_sq,
-        sigma=c1_sq - 8 * chi_h,
-        spin=entry.spin,
+        sigma=sigma,
+        spin=rochlin_spin(sigma) if entry.spin is None else entry.spin,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
@@ -382,11 +384,18 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
         canonical=lat.vector({entry.basis: d}),
         witnesses=witnesses,
         recipe=recipe,
+        general_type=True,
     )
 
 
+def rochlin_spin(sigma: int) -> bool | None:
+    """Spin type as far as the signature settles it: by Rochlin's theorem a
+    spin signature is divisible by 16."""
+    return None if sigma % 16 == 0 else False
+
+
 def gating_notes(notes: tuple[str, ...]) -> tuple[str, ...]:
-    """The markers among ``notes`` that gate derived checks, in order."""
+    """The marker notes among ``notes``, in order."""
     gates = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE)
     return tuple(n for n in notes if n in gates or n.startswith(NOTE_PI1_SECTION))
 

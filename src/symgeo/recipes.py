@@ -10,9 +10,10 @@ rejected with the offending line number.  The format has no reference
 syntax, so cyclic documents cannot be expressed; nesting is capped at 64.
 
 Executing a parsed recipe replays the construction and yields a
-descriptor identical to the original, including its provenance.  A
-node's gating notes (``manifolds.gating_notes``) must be the ones its
-replay produces, so a file cannot switch checks on or off.
+descriptor identical to the original, including its provenance.  No
+check reads a note: checks read descriptor fields, which replay derives
+from the operations alone.  A node's marker notes
+(``manifolds.gating_notes``) must still be the ones its replay produces.
 """
 
 from __future__ import annotations

@@ -38,12 +38,16 @@ from .lattice import (
 )
 from .manifolds import (
     NOTE_FULL_CANONICAL,
-    NOTE_PI1_SECTION,
     SPLIT_BLOCK,
     ConstructionRecipe,
     ManifoldDescriptor,
     elliptic_surface,
     triple_names,
+)
+
+
+_RIM_TORI_POSSIBLE = (
+    "rim-tori-possible:rim classes untracked, they do not enter the canonical class here"
 )
 
 
@@ -61,18 +65,18 @@ def _check_square_zero_indivisible(m: ManifoldDescriptor, surface: ClassVector) 
         raise ConstructionError("surgery surface class must be indivisible")
 
 
-def _derive_spin(full: bool, primitive: bool, k: ClassVector) -> bool:
+def _derive_spin(primitive: bool, k: ClassVector) -> bool | None:
     """K is characteristic, so evenness of K decides spin once the lattice
-    carries the full canonical class over a primitive summand."""
-    if not (full and primitive):
-        return False
+    is a primitive summand; otherwise spin is unknown."""
+    if not primitive:
+        return None
     g = coefficient_gcd(k)
     return g == 0 or g % 2 == 0
 
 
-def _derive_minimal(full: bool, primitive: bool, k: ClassVector) -> str:
+def _derive_minimal(primitive: bool, k: ClassVector) -> str:
     # A canonical class of divisibility >= 2 forces minimality.
-    if full and primitive and coefficient_gcd(k) >= 2:
+    if primitive and coefficient_gcd(k) >= 2:
         return "yes"
     return "unknown"
 
@@ -80,18 +84,11 @@ def _derive_minimal(full: bool, primitive: bool, k: ClassVector) -> str:
 def _pi1_collapses(desc: ManifoldDescriptor, surface: ClassVector, complement: bool) -> bool:
     """True when gluing along ``surface`` kills the fundamental group of
     the ``desc`` side: either the piece and the surface complement are
-    simply connected, or pi_1 of the piece is normally generated by the
-    image of the surface (recorded at construction time for section
-    classes)."""
+    simply connected, or the surface is the class whose image normally
+    generates pi_1 of the piece (``desc.pi1_generator``)."""
     if desc.simply_connected and complement:
         return True
-    for note in desc.recipe.notes:
-        if note.startswith(NOTE_PI1_SECTION):
-            name = note[len(NOTE_PI1_SECTION):]
-            if name in desc.lattice.basis_names:
-                if surface == desc.lattice.basis_vector(name):
-                    return True
-    return False
+    return desc.pi1_generator is not None and surface.entries == ((desc.pi1_generator, 1),)
 
 
 @dataclass(frozen=True)
@@ -196,8 +193,8 @@ def fibre_sum(
     """Generalized fibre sum of m and n along square-zero surfaces of genus
     ``genus`` representing the indivisible classes ``class_m`` and
     ``class_n``; ``complement_*`` states that a surface's complement is
-    simply connected.  On a side that carries its full canonical class the
-    genus must satisfy adjunction, K.Sigma = 2g - 2.
+    simply connected.  On both sides the genus must satisfy adjunction,
+    K.Sigma = 2g - 2.
 
     The tracked lattice of the result is the orthogonal complement of each
     surface pair, plus the identified surface Sigma_X and the sewn dual
@@ -217,9 +214,8 @@ def fibre_sum(
     side_m = _resolve_side(m, class_m, "first")
     side_n = _resolve_side(n, class_n, "second")
     for desc, surface in ((m, class_m), (n, class_n)):
-        if desc.carries_full_canonical:
-            if pairing(desc.lattice, desc.canonical, surface) != 2 * g - 2:
-                raise ConstructionError("fibre-sum surface violates the adjunction identity")
+        if pairing(desc.lattice, desc.canonical, surface) != 2 * g - 2:
+            raise ConstructionError("fibre-sum surface violates the adjunction identity")
 
     m_keep = side_m.kept
     n_keep = side_n.kept
@@ -320,15 +316,8 @@ def fibre_sum(
     ) or (
         n.simply_connected and complement_n and _pi1_collapses(m, class_m, complement_m)
     )
-    full = m.carries_full_canonical and n.carries_full_canonical
 
-    notes = []
-    if full:
-        notes.append(NOTE_FULL_CANONICAL)
-    if no_rim_tori:
-        notes.append("no-rim-tori-asserted")
-    else:
-        notes.append("rim-tori-possible:rim classes untracked, they do not enter the canonical class here")
+    notes = [NOTE_FULL_CANONICAL, "no-rim-tori-asserted" if no_rim_tori else _RIM_TORI_POSSIBLE]
     if dropped:
         notes.append("dropped-witnesses:" + ",".join(dropped))
     if zero_notes:
@@ -354,10 +343,10 @@ def fibre_sum(
     return ManifoldDescriptor(
         e=e,
         sigma=sigma,
-        spin=_derive_spin(full, lattice.primitive_summand, canonical),
+        spin=_derive_spin(lattice.primitive_summand, canonical),
         simply_connected=simply_connected,
         symplectic=m.symplectic and n.symplectic,
-        minimal=_derive_minimal(full, lattice.primitive_summand, canonical),
+        minimal=_derive_minimal(lattice.primitive_summand, canonical),
         lattice=lattice,
         canonical=canonical,
         witnesses=tuple(witnesses),
@@ -399,16 +388,13 @@ def knot_surgery(
         raise ConstructionError("knot genus must be non-negative")
     _check_sign(sign)
     _check_square_zero_indivisible(x, torus)
-    if x.carries_full_canonical and pairing(x.lattice, x.canonical, torus) != 0:
+    if pairing(x.lattice, x.canonical, torus) != 0:
         raise ConstructionError("torus violates the adjunction identity")
     shift = torus.scaled(2 * h if sign == "+" else -2 * h)
     canonical = x.canonical + shift
     witnesses = _cap_witnesses(x.witnesses, torus, h, sign)
     simply_connected = x.simply_connected and complement
-    notes = []
-    if x.carries_full_canonical:
-        notes.append(NOTE_FULL_CANONICAL)
-    notes.append(f"fibred-knot-genus:{h}")
+    notes = (NOTE_FULL_CANONICAL, f"fibred-knot-genus:{h}")
     recipe = ConstructionRecipe(
         "knot_surgery",
         (
@@ -418,7 +404,7 @@ def knot_surgery(
             ("complement", complement),
         ),
         (x.recipe,),
-        tuple(notes),
+        notes,
     )
     return ManifoldDescriptor(
         e=x.e,
@@ -426,9 +412,7 @@ def knot_surgery(
         spin=x.spin,
         simply_connected=simply_connected,
         symplectic=x.symplectic,
-        minimal=_derive_minimal(
-            x.carries_full_canonical, x.lattice.primitive_summand, canonical
-        ),
+        minimal=_derive_minimal(x.lattice.primitive_summand, canonical),
         lattice=x.lattice,
         canonical=canonical,
         witnesses=witnesses,
@@ -454,9 +438,8 @@ def generalized_knot_surgery(
         raise ConstructionError(
             "generalized knot surgery requires a simply-connected complement"
         )
-    if m.carries_full_canonical:
-        if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
-            raise ConstructionError("surface violates the adjunction identity")
+    if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
+        raise ConstructionError("surface violates the adjunction identity")
 
     lattice = _append_blocks(m.lattice, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
 
@@ -473,9 +456,7 @@ def generalized_knot_surgery(
     sigma_row = m.lattice.pairing_row(surface)
     witnesses.append(Witness(_fresh("Sigma", {w.name for w in witnesses}), sigma_row, g, 0))
 
-    notes = []
-    if m.carries_full_canonical:
-        notes.append(NOTE_FULL_CANONICAL)
+    notes = [NOTE_FULL_CANONICAL]
     if dropped:
         notes.append("dropped-witnesses:" + ",".join(dropped))
     recipe = ConstructionRecipe(
@@ -495,9 +476,7 @@ def generalized_knot_surgery(
         spin=m.spin,
         simply_connected=True,
         symplectic=m.symplectic,
-        minimal=_derive_minimal(
-            m.carries_full_canonical, lattice.primitive_summand, canonical
-        ),
+        minimal=_derive_minimal(lattice.primitive_summand, canonical),
         lattice=lattice,
         canonical=canonical,
         witnesses=tuple(witnesses),
@@ -536,10 +515,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     witnesses = m.witnesses + tuple(
         Witness(f"exceptional_{lattice.basis_names[i]}", ((i, -1),), 0, -1) for i in new
     )
-    notes = []
-    if m.carries_full_canonical:
-        notes.append(NOTE_FULL_CANONICAL)
-    recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), tuple(notes))
+    recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), (NOTE_FULL_CANONICAL,))
     return ManifoldDescriptor(
         e=m.e + count,
         sigma=m.sigma - count,
@@ -612,11 +588,7 @@ def lagrangian_triple_surgery(
     witness_names = {w.name for w in witnesses}
     witnesses.append(Witness(_fresh(f"C1_t{triple_index}", witness_names), c1_pairings))
 
-    notes = []
-    if step3.carries_full_canonical:
-        notes.append(NOTE_FULL_CANONICAL)
-    notes.append(f"triple:{triple_index}")
-    notes.append("rim-tori-possible:rim classes untracked, they do not enter the canonical class here")
+    notes = (NOTE_FULL_CANONICAL, f"triple:{triple_index}", _RIM_TORI_POSSIBLE)
     recipe = ConstructionRecipe(
         "lagrangian_triple_surgery",
         (
@@ -628,6 +600,6 @@ def lagrangian_triple_surgery(
             ("sign", sign),
         ),
         (m.recipe,),
-        tuple(notes),
+        notes,
     )
     return replace(step3, witnesses=tuple(witnesses), recipe=recipe)

@@ -425,9 +425,8 @@ def test_criterion_7_property_suites(capsys):
             failures.append((label, "chern"))
         if (inv.c1_squared + m.e) % 12 != 0 or inv.chi_h != (inv.c1_squared + m.e) // 12:
             failures.append((label, "noether"))
-        if m.carries_full_canonical:
-            if pairing(m.lattice, m.canonical, m.canonical) != inv.c1_squared:
-                failures.append((label, "canonical square"))
+        if pairing(m.lattice, m.canonical, m.canonical) != inv.c1_squared:
+            failures.append((label, "canonical square"))
         if not validate(m).ok:
             failures.append((label, validate(m).failures()))
         # Spin is equivalent to even certified divisibility for K != 0.

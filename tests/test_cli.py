@@ -212,7 +212,7 @@ class TestVerify:
         assert code == 2
 
     def test_deleted_gating_note_rejected(self, capsys, tmp_path):
-        # Without its full-canonical markers the recipe would skip five checks.
+        # No check reads the markers, yet a file that drops one does not replay.
         target = tmp_path / "r.txt"
         run(capsys, "construct", "spin_surface", "4", "2", "2", "--recipe", str(target))
         lines = target.read_text(encoding="utf-8").splitlines(keepends=True)

@@ -19,7 +19,7 @@ from symgeo.coverings import (
     singular_double_cover,
 )
 from symgeo.errors import CoveringError
-from symgeo.geography import divisibility, validate
+from symgeo.geography import divisibility, spin_surface, validate
 from symgeo.lattice import IntersectionLattice, block_diagonal
 from symgeo.manifolds import (
     CATALOG,
@@ -89,6 +89,13 @@ class TestBranchedCover:
         else:
             x = branched_cover(base, d_sq, k_d, deg)
             assert 3 * deg * x.sigma == 3 * deg * deg * base.sigma - (deg * deg - 1) * d_sq
+
+    def test_spin_is_open_unless_rochlin_rules_it_out(self):
+        # Over Barlow's surface with D = 2K the cover's K' = 2 phi*K is
+        # even, but the stated numbers alone cannot show it: spin is open
+        # at sigma = -16, and ruled out at sigma = -22.
+        assert branched_cover(catalog("barlow"), 4, 2, 2).spin is None
+        assert branched_cover(catalog("barlow"), 16, 4, 2).spin is False
 
     def test_pi1_unknown_for_nonpositive_branch_square(self):
         x = branched_cover(quadric(), -4, 2, 2)
@@ -188,6 +195,15 @@ class TestPluricanonicalCover:
                 x = pluricanonical_cover(base, p.m, p.d)
                 assert x.e == 24 * chi + 2 * d * (2 * d - 3) * c
 
+    def test_spin_type(self):
+        # Spin when d delta is even, else the base's type, open or not.
+        persson = catalog("persson", 5, 8)
+        assert pluricanonical_cover(persson, 2, 3).spin is None
+        assert pluricanonical_cover(persson, 2, 2).spin is True
+        assert pluricanonical_cover(catalog("barlow"), 2, 3).spin is False
+        assert pluricanonical_cover(catalog("horikawa_spin", 1), 2, 3).spin is True
+        assert pluricanonical_cover(persson, 2, 3).general_type
+
     def test_gate_rejections(self):
         with pytest.raises(CoveringError, match="pluricanonical system"):
             # Base with p_g = 2, K^2 = 1 and a triple cover with n = 3.
@@ -196,6 +212,9 @@ class TestPluricanonicalCover:
             from symgeo.manifolds import knot_product
 
             pluricanonical_cover(knot_product(2), 2, 3)
+        with pytest.raises(CoveringError, match="minimal general-type base"):
+            # Minimal and simply connected, but not a general-type surface.
+            pluricanonical_cover(spin_surface(4, 1, 1), 2, 3)
 
 
 class TestPluriSystemGate:

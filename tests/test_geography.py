@@ -36,7 +36,7 @@ from symgeo.manifolds import (
 
 
 def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses=(),
-              primitive=True, notes=("full-canonical",)):
+              primitive=True):
     lat = IntersectionLattice(
         tuple(f"g{i}" for i in range(len(gram))), block_diagonal([gram]), primitive
     )
@@ -44,7 +44,7 @@ def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses
         e=e, sigma=sigma, spin=spin, simply_connected=sc, symplectic=True,
         minimal="unknown", lattice=lat, canonical=class_vector(canonical),
         witnesses=tuple(witnesses),
-        recipe=ConstructionRecipe("catalog", (("name", "barlow"),), (), tuple(notes)),
+        recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
     )
 
 
@@ -120,6 +120,15 @@ class TestDivisibility:
         cert = divisibility(m)
         assert cert.lower == 3 and cert.upper == 3 and cert.certified
         assert "non-spin" in cert.parity_note
+
+    def test_unknown_spin_applies_no_parity_rule(self):
+        # With the spin type open the even part of the witness bound stays.
+        w = Witness("even_pairing", ((0, 2),), None, None)
+        m = synthetic(12, -8, spin=None, canonical=(3, 0), gram=((0, 1), (1, 0)),
+                      witnesses=(w,))
+        cert = divisibility(m)
+        assert (cert.lower, cert.upper, cert.certified) == (3, 6, False)
+        assert cert.parity_note == "no parity constraint"
 
 
 class TestHomotopyElliptic:

@@ -3,11 +3,12 @@
 ``golden/cases.json`` lists CLI commands with their exit code and standard
 output; a ``construct --recipe`` case also names the recipe text it writes,
 stored under ``golden/recipes/``.  The ``verify`` cases replay those
-recipe files, plus four written by hand and one frozen in an older form.
+recipe files, plus five written by hand and one frozen in an older form.
 The hand-written ones are a bare fibre sum, a knot surgery of sign ``-``,
 and a double cover of Barlow's surface branched over D with D^2 = 16,
-K.D = 4 (``branched_cover_barlow_16_4_2.txt``), next to its variant with
-D^2 = 1, K.D = 0, whose branch data are inconsistent (exit 2).  The
+K.D = 4 (``branched_cover_barlow_16_4_2.txt``), next to its variants
+with D = 2K (D^2 = 4, K.D = 2, spin unknown) and with D^2 = 1, K.D = 0,
+whose branch data are inconsistent (exit 2).  The
 frozen one, ``negative_c1_2_3_nested.txt``, blows up one class per nested
 ``blow_up`` node, without the ``count:`` line that ``construct`` writes
 today.  The exit-2 cases carry no standard output.  In an argument,

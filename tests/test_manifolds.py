@@ -109,6 +109,11 @@ class TestKnotProduct:
         with pytest.raises(ConstructionError, match="pairing length mismatch"):
             replace(m, witnesses=(Witness("beyond", ((0, 1), (2, 1))),))
 
+    def test_section_torus_generates_pi1(self):
+        m = knot_product(2)
+        assert m.lattice.basis_names[m.pi1_generator] == "T_K"
+        assert not m.general_type
+
 
 class TestSurfaceBundle:
     def test_invariants(self):
@@ -125,6 +130,11 @@ class TestSurfaceBundle:
         m = surface_bundle_y(2, 1)
         assert dense(m.canonical)[:2] == (0, 2)
         assert m.e == 0
+
+    def test_section_generates_pi1(self):
+        m = surface_bundle_y(3, 2)
+        assert m.lattice.basis_names[m.pi1_generator] == "Sigma_S"
+        assert elliptic_surface(2, 1, 1).pi1_generator is None
 
     def test_block_count_and_square(self):
         g, h = 3, 2
@@ -152,6 +162,17 @@ class TestCatalog:
             catalog("persson", 4, 9)
         with pytest.raises(ConstructionError, match="outside Persson sector"):
             catalog("persson", 2, 1)
+
+    def test_persson_spin_is_open_unless_rochlin_rules_it_out(self):
+        # A spin signature is divisible by 16; no other fact decides spin.
+        assert catalog("persson", 4, 4).spin is False  # sigma = -28
+        assert catalog("persson", 4, 8).spin is False  # sigma = -24
+        assert catalog("persson", 5, 8).spin is None  # sigma = -32
+        assert catalog("persson", 7, 8).spin is None  # sigma = -48
+
+    def test_catalog_surfaces_are_general_type(self):
+        for m in (catalog("barlow"), catalog("horikawa_spin", 1), catalog("persson", 4, 4)):
+            assert m.general_type
 
     def test_horikawa(self):
         m = catalog("horikawa_spin", 3)

@@ -182,10 +182,16 @@ def test_randomized_recipe_determinism():
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.integers(0, 10**6))
 def test_random_trees_replay_validate_and_certify(seed):
-    # Three properties of any construction tree: its recipe text replays
-    # to an equal descriptor, it passes validation, and its certificate's
-    # lower bound divides the upper one.
+    # Four properties of any construction tree: every node's notes start
+    # with the full-canonical marker, its recipe text replays to an equal
+    # descriptor, it passes validation, and its certificate's lower bound
+    # divides the upper one.
     m = random_descriptor(random.Random(seed))
+    nodes = [m.recipe]
+    while nodes:
+        node = nodes.pop()
+        assert node.notes[:1] == ("full-canonical",), node.operation
+        nodes.extend(node.inputs)
     assert execute_recipe(parse_recipe(serialize_recipe(m.recipe))) == m
     report = validate(m)
     assert report.ok, report.failures()

@@ -9,6 +9,7 @@ from symgeo.errors import ConstructionError
 from symgeo.geography import divisibility, inequivalent_family
 from symgeo.lattice import Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
+from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
 from symgeo.surgery import (
     blow_up,
     fibre_sum,
@@ -75,6 +76,22 @@ class TestFibreSum:
         bad = fibre(m).scaled(2)
         with pytest.raises(ConstructionError, match="indivisible"):
             fibre_sum(m, m, 1, bad, "+", True, bad, "+", True, no_rim_tori=True)
+
+    @pytest.mark.parametrize(
+        "h, name, simply_connected", [(1, "T_K", True), (2, "T_K", True), (1, "B_K", False)]
+    )
+    def test_knot_product_section_kills_pi1(self, h, name, simply_connected):
+        # pi_1 of M_K x S^1 is normally generated by its section torus T_K,
+        # so a sum along T_K is simply connected although the torus's
+        # complement is not; a sum along the fibre B_K is not.  Replaying
+        # the recipe text decides the same.
+        e2, k = elliptic_surface(2, 1, 1), knot_product(h)
+        x = fibre_sum(
+            e2, k, 1, fibre(e2), "+", True,
+            k.lattice.basis_vector(name), "+", False, no_rim_tori=True,
+        )
+        again = execute_recipe(parse_recipe(serialize_recipe(x.recipe)))
+        assert x.simply_connected == again.simply_connected == simply_connected
 
     def test_self_sum_of_knot_products_builds_bundles(self):
         for h in (2, 3):
