@@ -15,7 +15,8 @@ from .coverings import (
     pluricanonical_cover,
     singular_double_cover,
 )
-from .errors import ConstructionError, CoveringError, LatticeError, RecipeError, SymgeoError
+from .errors import ConstructionError, CoveringError, InadmissibleError, LatticeError
+from .errors import RecipeError, SymgeoError
 from .geography import (
     DivisibilityCertificate,
     FamilyResult,
@@ -69,6 +70,7 @@ __all__ = [
     "CoveringError",
     "DivisibilityCertificate",
     "FamilyResult",
+    "InadmissibleError",
     "IntersectionLattice",
     "Invariants",
     "LatticeError",

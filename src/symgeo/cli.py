@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import itertools
 import sys
 from pathlib import Path
 
 from . import coverings, geography, manifolds
-from .errors import SymgeoError
+from .errors import InadmissibleError, SymgeoError
 from .lattice import q_set
 from .manifolds import ManifoldDescriptor, derived_invariants
 from .recipes import execute_recipe, parse_recipe, serialize_recipe
@@ -103,9 +104,9 @@ def _write_recipe(path: str | None, m: ManifoldDescriptor) -> None:
 # --- subcommands -------------------------------------------------------------
 
 # Constructors taking integer parameters only: CLI name -> (module, function).
-# The arity is read from the signature once, here; the function is fetched
-# from its module at each call, so a wrapper installed on the module
-# attribute sees the call.
+# The parameter names are read from the signature once, here; the function
+# is fetched from its module at each call, so a wrapper installed on the
+# module attribute sees the call.
 _INT_CONSTRUCTORS = {
     "homotopy_elliptic": (geography, "homotopy_elliptic"),
     "spin_surface": (geography, "spin_surface"),
@@ -116,8 +117,8 @@ _INT_CONSTRUCTORS = {
     "surface_bundle_Y": (manifolds, "surface_bundle_y"),
     "singular_double_cover": (coverings, "singular_double_cover"),
 }
-_ARITY = {
-    name: len(inspect.signature(getattr(module, attr)).parameters)
+_PARAMS = {
+    name: tuple(inspect.signature(getattr(module, attr)).parameters)
     for name, (module, attr) in _INT_CONSTRUCTORS.items()
 }
 
@@ -147,8 +148,8 @@ def _cmd_construct(args) -> int:
         params = f"base={' '.join(base)} d={d} m={degree}"
     elif name in _INT_CONSTRUCTORS:
         module, attr = _INT_CONSTRUCTORS[name]
-        if len(p) != _ARITY[name]:
-            print(f"{name} needs {_ARITY[name]} integer parameters", file=sys.stderr)
+        if len(p) != len(_PARAMS[name]):
+            print(f"{name} needs {len(_PARAMS[name])} integer parameters", file=sys.stderr)
             return 2
         m = getattr(module, attr)(*[int(x) for x in p])
         params = " ".join(p)
@@ -201,35 +202,15 @@ def _cmd_verify(args) -> int:
 
 
 def _scan_points(args):
-    regime = args.regime
-    if regime == "homotopy_elliptic":
-        for n in _parse_range(args.n):
-            for d in _parse_range(args.d):
-                if n < 1 or d < 1 or (n % 2 == 1 and d % 2 == 0):
-                    continue
-                yield "homotopy_elliptic", f"n={n};d={d}", geography.homotopy_elliptic(n, d)
-    elif regime == "spin":
-        for d in _parse_range(args.d):
-            if d < 2 or d % 2 != 0:
-                continue
-            for m in _parse_range(args.m):
-                for t in _parse_range(args.t):
-                    yield "spin_surface", f"d={d};m={m};t={t}", geography.spin_surface(d, m, t)
-    elif regime == "nonspin":
-        for d in _parse_range(args.d):
-            if d < 1 or d % 2 != 1:
-                continue
-            for n in _parse_range(args.n):
-                if n < 2:
-                    continue
-                for t in _parse_range(args.t):
-                    yield "nonspin_surface", f"d={d};n={n};t={t}", geography.nonspin_surface(d, n, t)
-    else:
-        for n in _parse_range(args.n):
-            for r in _parse_range(args.r):
-                if n < 1 or r < 1:
-                    continue
-                yield "negative_c1", f"n={n};r={r}", geography.negative_c1(n, r)
+    """The points of the ranges, in signature order, that the constructor builds."""
+    name = geography.FAMILIES[args.regime][0]
+    names = _PARAMS[name]
+    for values in itertools.product(*(_parse_range(getattr(args, p)) for p in names)):
+        try:
+            m = getattr(geography, name)(*values)
+        except InadmissibleError:
+            continue
+        yield name, ";".join(f"{p}={v}" for p, v in zip(names, values)), m
 
 
 def _cmd_scan(args) -> int:
@@ -314,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scan", help="enumerate realized lattice points as CSV")
     s.add_argument("--regime", required=True,
-                   choices=["homotopy_elliptic", "spin", "nonspin", "negative_c1"])
+                   choices=list(geography.FAMILIES))
     s.add_argument("--n", default="1:4")
     s.add_argument("--d", default="1:4")
     s.add_argument("--m", default="1:2")

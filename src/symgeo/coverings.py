@@ -169,7 +169,9 @@ def pluricanonical_cover(
     coefficient gcd of its canonical class), it is d delta times the
     pullback of A, hence divisible by exactly d delta, and the cover is
     again minimal, simply connected and of general type.  It is spin when
-    d delta is even; otherwise its spin type is the base's.
+    d delta is even.  Otherwise its spin type is the base's for odd m, since
+    the pushforward of the pulled-back class is m times the base's; for
+    even m only Rochlin's theorem on its signature decides.
     """
     p = CoverParams(cover_m, cover_d)
     if not m_desc.simply_connected:
@@ -206,10 +208,11 @@ def pluricanonical_cover(
         (m_desc.recipe,),
         (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE, "axiomatic-dual:pullback_dual"),
     )
+    sigma = (c1 - 2 * e) // 3
     return ManifoldDescriptor(
         e=e,
-        sigma=(c1 - 2 * e) // 3,
-        spin=True if d * delta % 2 == 0 else m_desc.spin,
+        sigma=sigma,
+        spin=True if d * delta % 2 == 0 else m_desc.spin if m % 2 else rochlin_spin(sigma),
         simply_connected=True,
         symplectic=True,
         minimal="yes",

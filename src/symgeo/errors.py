@@ -13,6 +13,10 @@ class ConstructionError(SymgeoError):
     """A constructor or surgery operation was called outside its domain."""
 
 
+class InadmissibleError(ConstructionError):
+    """An existence constructor was given parameters it does not build."""
+
+
 class CoveringError(SymgeoError):
     """Invalid branched-covering data."""
 

@@ -13,6 +13,10 @@ One decision, ``_certificate``, turns the two raw bounds into a
 certificate.  ``certify_class`` computes the bounds of one class;
 ``inequivalent_family`` computes those of its 2^N sign patterns as deltas
 of one base class, since the patterns differ from it only at N positions.
+
+Each existence constructor alone decides which parameters it builds.
+``realizable`` checks ``_OBSTRUCTIONS``, then tries the ``FAMILIES`` table,
+whose rows are also the CLI's ``scan`` regimes.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .coverings import singular_double_cover
-from .errors import ConstructionError, LatticeError
+from .errors import ConstructionError, InadmissibleError, LatticeError
 from .lattice import (
     ClassVector,
     coefficient_gcd,
@@ -182,6 +186,12 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     else:
         skip("minimality")
 
+    if m.simply_connected and m.symplectic and cert.certified and (m.e + m.sigma) % 4 == 0:
+        reason = _obstruction((m.e + m.sigma) // 4, c1, cert.value)
+        add("obstructions", reason is None, reason or "none")
+    else:
+        skip("obstructions")
+
     return ValidationReport(tuple(entries), cert)
 
 
@@ -197,9 +207,9 @@ def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     prefers genuine elliptic surfaces for chi_h <= 2.
     """
     if n < 1 or d < 1:
-        raise ConstructionError("chi_h and divisibility must be positive")
+        raise InadmissibleError("chi_h and divisibility must be positive")
     if n % 2 == 1 and d % 2 == 0:
-        raise ConstructionError("spin parity obstruction")
+        raise InadmissibleError("spin parity obstruction")
     if n == 1:
         k = (d - 1) // 2
         base = elliptic_surface(1, 1, 1)
@@ -226,9 +236,9 @@ def homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     certified canonical divisibility exactly d; rejects odd n with even d.
     """
     if n < 1 or d < 1:
-        raise ConstructionError("chi_h and divisibility must be positive")
+        raise InadmissibleError("chi_h and divisibility must be positive")
     if n % 2 == 1 and d % 2 == 0:
-        raise ConstructionError("spin parity obstruction")
+        raise InadmissibleError("spin parity obstruction")
     if n == 1:
         out = elliptic_surface(1, d + 2, 2)
         return with_recipe_notes(out, "alternative:knot surgery on the fibre of E(1)")
@@ -250,9 +260,9 @@ def spin_surface(d: int, m: int, t: int) -> ManifoldDescriptor:
     """Spin manifold with c1^2 = 2 t d^2, e = t d^2 + 24 m, sigma = -16 m
     and certified divisibility d (d even)."""
     if d < 2 or d % 2 != 0:
-        raise ConstructionError("spin construction requires even divisibility")
+        raise InadmissibleError("spin construction requires even divisibility")
     if m < 1 or t < 1:
-        raise ConstructionError("parameters must be positive")
+        raise InadmissibleError("parameters must be positive")
     k = d // 2
     base = surgered_homotopy_elliptic(2 * m, d)
     return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), k + 1, t * k, True)
@@ -262,9 +272,9 @@ def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
     """Non-spin manifold with c1^2 = 8 t d^2, e = 4 t d^2 + 12 n,
     sigma = -8 n and certified divisibility d (d odd, n >= 2)."""
     if d < 1 or d % 2 != 1:
-        raise ConstructionError("non-spin construction requires odd divisibility")
+        raise InadmissibleError("non-spin construction requires odd divisibility")
     if n < 2 or t < 1:
-        raise ConstructionError("requires n >= 2 and t >= 1")
+        raise InadmissibleError("requires n >= 2 and t >= 1")
     base = surgered_homotopy_elliptic(n, d)
     return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), d + 1, t * d, True)
 
@@ -273,7 +283,7 @@ def negative_c1(n: int, r: int) -> ManifoldDescriptor:
     """(chi_h, c1^2) = (n, -r) by blowing up E(n) r times in one
     ``blow_up`` node; divisibility 1."""
     if n < 1 or r < 1:
-        raise ConstructionError("parameters must be positive")
+        raise InadmissibleError("parameters must be positive")
     return blow_up(elliptic_surface(n, 1, 1), r)
 
 
@@ -464,6 +474,38 @@ class Realizability:
     descriptor: ManifoldDescriptor | None = None
 
 
+# (holds(chi_h, c1^2, d), message) for every simply-connected symplectic
+# manifold; sigma = c1^2 - 8 chi_h, and an even canonical class is spin.
+_OBSTRUCTIONS = (
+    (lambda chi, c1, d: chi >= 1, "chi_h must be positive for b1 = 0"),
+    (lambda chi, c1, d: d >= 1 or (chi, c1, d) == (2, 0, 0),
+     "divisibility is a non-negative integer, 0 only for K = 0"),
+    (lambda chi, c1, d: c1 >= 0 or d == 1,
+     "negative c1^2 forces a blown-up, indivisible canonical class"),
+    (lambda chi, c1, d: c1 % (d * d * (2 - d % 2)) == 0 if d else c1 == 0,
+     "divisibility d needs d^2 | c1^2, and 2d^2 | c1^2 for even d"),
+    (lambda chi, c1, d: d % 2 == 1 or (c1 - 8 * chi) % 16 == 0,
+     "even divisibility needs Rochlin's 16 | c1^2 - 8 chi_h"),
+)
+
+
+def _obstruction(chi_h: int, c1_sq: int, d: int) -> str | None:
+    """Message of the first obstruction the point fails, or None."""
+    return next((msg for holds, msg in _OBSTRUCTIONS if not holds(chi_h, c1_sq, d)), None)
+
+
+# scan regime -> (constructor name, solve).  At a point that passes the
+# obstructions, solve(chi_h, c1^2, d) is None or parameters that the
+# constructor rejects or builds at that point; sigma is -16 m or -8 n.
+FAMILIES = {
+    "homotopy_elliptic": ("homotopy_elliptic", lambda chi, c1, d: (chi, d) if c1 == 0 else None),
+    "spin": ("spin_surface", lambda chi, c1, d: (d, (8 * chi - c1) // 16, c1 // (2 * d * d))),
+    "nonspin": ("nonspin_surface", lambda chi, c1, d: (
+        None if c1 % (8 * d * d) else (d, (8 * chi - c1) // 8, c1 // (8 * d * d)))),
+    "negative_c1": ("negative_c1", lambda chi, c1, d: (chi, -c1) if d == 1 else None),
+}
+
+
 def realizable(chi_h: int, c1_sq: int, d: int) -> Realizability:
     """Search the constructors and obstruction lemmas for a simply-connected
     symplectic manifold at (chi_h, c1^2) with canonical divisibility d.
@@ -471,37 +513,16 @@ def realizable(chi_h: int, c1_sq: int, d: int) -> Realizability:
     Not a completeness claim: points outside the constructive families and
     unhit by an obstruction return "unknown".
     """
-    if chi_h < 1:
-        return Realizability("no", "chi_h must be positive for b1 = 0")
-    if d < 1:
-        if (chi_h, c1_sq, d) == (2, 0, 0):
-            return Realizability("yes", "K3 surface, K = 0", singular_double_cover(2, 2))
-        return Realizability("no", "divisibility is a non-negative integer, 0 only for K = 0")
-    if c1_sq < 0:
-        if d != 1:
-            return Realizability("no", "negative c1^2 forces a blown-up, indivisible canonical class")
-        return Realizability("yes", "blow-ups of an elliptic surface", negative_c1(chi_h, -c1_sq))
-    if c1_sq == 0:
-        if chi_h % 2 == 1 and d % 2 == 0:
-            return Realizability("no", "spin parity obstruction")
-        return Realizability("yes", "homotopy elliptic surface", homotopy_elliptic(chi_h, d))
-    if d % 2 == 0:
-        if c1_sq % (2 * d * d) != 0:
-            return Realizability("no", "even divisibility d needs 2d^2 | c1^2")
-        t = c1_sq // (2 * d * d)
-        quarter = t * d * d // 4
-        if (chi_h - quarter) % 2 != 0:
-            return Realizability("no", "spin chi_h parity obstruction")
-        m = (chi_h - quarter) // 2
-        if m >= 1:
-            return Realizability("yes", "spin family", spin_surface(d, m, t))
-        return Realizability("unknown", "outside the negative-signature spin family")
-    if c1_sq % (d * d) != 0:
-        return Realizability("no", "divisibility d needs d^2 | c1^2")
-    if c1_sq % (8 * d * d) == 0:
-        t = c1_sq // (8 * d * d)
-        n = chi_h - t * d * d
-        if n >= 2:
-            return Realizability("yes", "non-spin family", nonspin_surface(d, n, t))
-        return Realizability("unknown", "outside the negative-signature non-spin family")
+    reason = _obstruction(chi_h, c1_sq, d)
+    if reason is not None:
+        return Realizability("no", reason)
+    if (chi_h, c1_sq, d) == (2, 0, 0):
+        return Realizability("yes", "K3 surface, K = 0", singular_double_cover(2, 2))
+    for name, solve in FAMILIES.values():
+        params = solve(chi_h, c1_sq, d)
+        try:  # the module binding at call time, so a wrapper sees the call
+            if params is not None:
+                return Realizability("yes", f"{name}{params}", globals()[name](*params))
+        except InadmissibleError:
+            pass
     return Realizability("unknown", "no constructor covers this point")

@@ -1,9 +1,12 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
-from symgeo import cli
+from symgeo import cli, geography
 from symgeo.cli import run_command
+from symgeo.errors import ConstructionError
+from symgeo.manifolds import derived_invariants
 
 GOLDEN_RECIPES = Path(__file__).parent / "golden" / "recipes"
 BARLOW_ROW_D3_M2 = "3,2,4,10,42,18,5,9,-22"
@@ -282,6 +285,44 @@ class TestScan:
         for path in paths:
             code, verified, _ = run(capsys, "verify", str(path))
             assert code == 0 and "validation: VALID" in verified, path.name
+
+    @pytest.mark.parametrize("regime, constructor, names", [
+        ("homotopy_elliptic", "homotopy_elliptic", "nd"),
+        ("spin", "spin_surface", "dmt"),
+        ("nonspin", "nonspin_surface", "dnt"),
+        ("negative_c1", "negative_c1", "nr"),
+    ])
+    def test_rows_are_the_points_the_constructor_builds(self, capsys, regime, constructor,
+                                                        names):
+        # Every range holds negative values and 0; a row is printed exactly
+        # where the constructor builds, in the constructor's parameter order.
+        ranges = {"n": (-1, 3), "d": (-1, 4), "m": (-1, 1), "t": (-1, 1), "r": (-1, 2)}
+        argv = ["scan", "--regime", regime]
+        for p, (lo, hi) in ranges.items():
+            argv.append(f"--{p}={lo}:{hi}")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        expected = []
+        for values in itertools.product(*(range(ranges[p][0], ranges[p][1] + 1) for p in names)):
+            try:
+                m = getattr(geography, constructor)(*values)
+            except ConstructionError:
+                continue
+            inv = derived_invariants(m)
+            params = ";".join(f"{p}={v}" for p, v in zip(names, values))
+            expected.append(f"{constructor},{params},{inv.chi_h},{inv.c1_squared},{m.e},{m.sigma}")
+        rows = [",".join(line.split(",")[:6]) for line in out.strip().splitlines()[1:]]
+        assert rows == expected and expected
+
+    def test_failure_inside_a_build_exits_2(self, capsys, monkeypatch):
+        # Only a rejected parameter skips a point; any other construction
+        # error stops the scan.  The constructor is looked up at call time.
+        def broken(d, m, t):
+            raise ConstructionError("broken build")
+        monkeypatch.setattr(geography, "spin_surface", broken)
+        code, out, err = run(capsys, "scan", "--regime", "spin", "--d", "2", "--m", "1",
+                             "--t", "1")
+        assert (code, out) == (2, "") and "broken build" in err
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "scan", "--regime", "spin", "--d", "2:4",

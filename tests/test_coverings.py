@@ -196,13 +196,24 @@ class TestPluricanonicalCover:
                 assert x.e == 24 * chi + 2 * d * (2 * d - 3) * c
 
     def test_spin_type(self):
-        # Spin when d delta is even, else the base's type, open or not.
+        # Spin when d delta is even; else the base's type, open or not, for
+        # odd degree m, and what Rochlin leaves of it for even m.
         persson = catalog("persson", 5, 8)
         assert pluricanonical_cover(persson, 2, 3).spin is None
         assert pluricanonical_cover(persson, 2, 2).spin is True
         assert pluricanonical_cover(catalog("barlow"), 2, 3).spin is False
         assert pluricanonical_cover(catalog("horikawa_spin", 1), 2, 3).spin is True
         assert pluricanonical_cover(persson, 2, 3).general_type
+        horikawa = catalog("horikawa_nonspin", 1)
+        even = pluricanonical_cover(horikawa, 2, 3)
+        assert (even.sigma, even.spin) == (-160, None)
+        assert pluricanonical_cover(horikawa, 3, 3).spin is False
+        for m, d in ((2, 3), (2, 5), (2, 7), (4, 7)):
+            x = pluricanonical_cover(catalog("barlow"), m, d)
+            assert x.sigma % 16 != 0 and x.spin is False
+        # The certificate follows: no parity rule once spin is open.
+        cert = divisibility(even)
+        assert (cert.value, cert.certified, cert.parity_note) == (3, True, "no parity constraint")
 
     def test_gate_rejections(self):
         with pytest.raises(CoveringError, match="pluricanonical system"):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symgeo import geography
-from symgeo.errors import ConstructionError
+from symgeo.errors import ConstructionError, InadmissibleError
 from symgeo.geography import (
     certify_class,
     divisibility,
@@ -33,6 +34,7 @@ from symgeo.manifolds import (
     derived_invariants,
     elliptic_surface,
 )
+from symgeo.surgery import knot_surgery
 
 
 def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses=(),
@@ -80,6 +82,19 @@ class TestValidate:
         w = Witness("liar", ((0, 1),), 2, 0)
         m = synthetic(12, -8, canonical=(1,), gram=((0,),), witnesses=(w,))
         assert "adjunction_witnesses" in validate(m).failures()
+
+    def test_obstructions_entry(self):
+        # Knot surgery of sign - on the fibre of E(4) with a genus-1 knot
+        # leaves K = 0 at chi_h = 4, which only K3's chi_h = 2 allows.
+        base = elliptic_surface(4, 1, 1)
+        m = knot_surgery(base, base.lattice.basis_vector("f"), 1, "-", True)
+        assert (derived_invariants(m).chi_h, divisibility(m).value) == (4, 0)
+        assert validate(m).failures() == ["obstructions"]
+        assert ("obstructions", True, "none") in validate(homotopy_elliptic(4, 2)).entries
+        # Not applicable, and no raise, off integral chi_h or without a
+        # certificate.
+        for m in (synthetic(12, 2), synthetic(12, -8, canonical=(1,), gram=((0,),))):
+            assert ("obstructions", True, "not applicable") in validate(m).entries
 
     def test_square_zero_genus_constraint(self):
         # A square-zero symplectic surface of genus g forces d | 2g - 2.
@@ -151,10 +166,21 @@ class TestHomotopyElliptic:
         assert m.spin
 
     def test_parity_obstruction(self):
-        with pytest.raises(ConstructionError, match="spin parity obstruction"):
+        with pytest.raises(InadmissibleError, match="spin parity obstruction"):
             homotopy_elliptic(3, 2)
-        with pytest.raises(ConstructionError, match="spin parity obstruction"):
+        with pytest.raises(InadmissibleError, match="spin parity obstruction"):
             homotopy_elliptic(1, 4)
+
+    @pytest.mark.parametrize("constructor, params", [
+        (homotopy_elliptic, (0, 1)), (homotopy_elliptic, (1, 0)),
+        (surgered_homotopy_elliptic, (3, 2)), (spin_surface, (3, 1, 1)),
+        (spin_surface, (2, 0, 1)), (spin_surface, (2, 1, 0)), (nonspin_surface, (2, 2, 1)),
+        (nonspin_surface, (1, 1, 1)), (nonspin_surface, (1, 2, 0)),
+        (negative_c1, (0, 1)), (negative_c1, (1, 0)),
+    ])
+    def test_rejected_parameters_are_inadmissible(self, constructor, params):
+        with pytest.raises(InadmissibleError):
+            constructor(*params)
 
     @pytest.mark.parametrize("n,d", [(1, 1), (1, 7), (2, 2), (2, 9), (5, 1),
                                      (6, 6), (7, 7), (8, 3), (9, 5), (12, 8)])
@@ -425,6 +451,49 @@ class TestRealizable:
         assert (cert.value, cert.certified) == (0, True) and validate(r.descriptor).ok
         for chi_h, c1_sq, d in ((1, 0, 0), (3, 0, 0), (2, 1, 0), (2, 0, -1)):
             assert realizable(chi_h, c1_sq, d).status == "no"
+
+    def test_obstruction_messages(self):
+        assert realizable(5, 0, 4).detail == "even divisibility needs Rochlin's 16 | c1^2 - 8 chi_h"
+        assert realizable(4, 6, 3).detail == realizable(4, 4, 2).detail == (
+            "divisibility d needs d^2 | c1^2, and 2d^2 | c1^2 for even d")
+        assert realizable(6, 32, 4).detail == "spin_surface(4, 1, 1)"
+        assert realizable(11, 9, 3).detail == "no constructor covers this point"
+
+    def test_every_yes_is_a_certified_valid_descriptor(self):
+        yes = 0
+        for chi_h in range(-1, 13):
+            for c1_sq in range(-5, 81):
+                for d in range(0, 9):
+                    r = realizable(chi_h, c1_sq, d)
+                    if r.status != "yes":
+                        continue
+                    yes += 1
+                    inv = derived_invariants(r.descriptor)
+                    report = validate(r.descriptor)
+                    cert = report.certificate
+                    assert (inv.chi_h, inv.c1_squared, cert.value) == (chi_h, c1_sq, d)
+                    assert cert.certified and report.ok, (chi_h, c1_sq, d)
+        assert yes >= 200
+
+    @pytest.mark.parametrize("regime", list(geography.FAMILIES))
+    def test_every_family_point_is_realized(self, regime):
+        # Each table row's solve inverts its constructor, and realizable
+        # says "yes" wherever the constructor builds.
+        name, solve = geography.FAMILIES[regime]
+        constructor = getattr(geography, name)
+        arity = constructor.__code__.co_argcount
+        built = 0
+        for params in itertools.product(range(-1, 5), repeat=arity):
+            try:
+                m = constructor(*params)
+            except InadmissibleError:
+                continue
+            built += 1
+            point = (derived_invariants(m).chi_h, derived_invariants(m).c1_squared,
+                     divisibility(m).value)
+            assert solve(*point) == params
+            assert realizable(*point).status == "yes", (regime, params)
+        assert built >= 4
 
     def test_positive(self):
         r = realizable(3, 8, 2)

@@ -3,8 +3,10 @@
 ``golden/cases.json`` lists CLI commands with their exit code and standard
 output; a ``construct --recipe`` case also names the recipe text it writes,
 stored under ``golden/recipes/``.  The ``verify`` cases replay those
-recipe files, plus five written by hand and one frozen in an older form.
-The hand-written ones are a bare fibre sum, a knot surgery of sign ``-``,
+recipe files, plus six written by hand and one frozen in an older form.
+The hand-written ones are a bare fibre sum, two knot surgeries of sign
+``-`` (the one on the fibre of E(4), ``knot_surgery_minus_k_zero.txt``,
+leaves K = 0 at chi_h = 4 and fails the ``obstructions`` check, exit 1),
 and a double cover of Barlow's surface branched over D with D^2 = 16,
 K.D = 4 (``branched_cover_barlow_16_4_2.txt``), next to its variants
 with D = 2K (D^2 = 4, K.D = 2, spin unknown) and with D^2 = 1, K.D = 0,
