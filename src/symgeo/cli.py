@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -24,6 +25,9 @@ from .manifolds import ManifoldDescriptor, derived_invariants
 from .recipes import execute_recipe, parse_recipe, serialize_recipe
 
 CSV_HEADER = "constructor,params,chi_h,c1_sq,e,sigma,spin,divisibility,certified"
+
+# Most points one scan may enumerate; its CSV rows are held in memory.
+MAX_SCAN_POINTS = 100_000
 
 TABLE_ROWS = ((3, 2), (3, 3), (4, 2), (4, 4), (5, 2), (5, 3), (5, 5), (6, 2), (6, 6))
 TABLE_HEADER = "d,m,ma,Delta,e,c1_sq,chi_h,b2_plus,sigma"
@@ -161,7 +165,7 @@ def _cmd_construct(args) -> int:
 
 
 def _construct_family(p: list[str], args) -> int:
-    if len(p) < 4:
+    if len(p) < 4 or (p[2] == "c1sq_zero" and len(p) != 4):
         print(
             "usage: construct inequivalent_family <d> <d0,..,dN> <regime> <n|m> [t]",
             file=sys.stderr,
@@ -201,24 +205,25 @@ def _cmd_verify(args) -> int:
     return 0 if _print_descriptor(recipe.operation, "from recipe", m) else 1
 
 
-def _scan_points(args):
-    """The points of the ranges, in signature order, that the constructor builds."""
+def _cmd_scan(args) -> int:
+    """CSV rows of the range points, in signature order, that the
+    regime's constructor builds."""
     name = geography.FAMILIES[args.regime][0]
     names = _PARAMS[name]
-    for values in itertools.product(*(_parse_range(getattr(args, p)) for p in names)):
-        try:
-            m = getattr(geography, name)(*values)
-        except InadmissibleError:
-            continue
-        yield name, ";".join(f"{p}={v}" for p, v in zip(names, values)), m
-
-
-def _cmd_scan(args) -> int:
+    ranges = [_parse_range(getattr(args, p)) for p in names]
+    if math.prod(max(0, r.stop - r.start) for r in ranges) > MAX_SCAN_POINTS:
+        print(f"scan ranges span more than {MAX_SCAN_POINTS} points", file=sys.stderr)
+        return 2
     rows = [CSV_HEADER]
     recipes_dir = Path(args.recipes) if args.recipes else None
     if recipes_dir:
         recipes_dir.mkdir(parents=True, exist_ok=True)
-    for name, params, m in _scan_points(args):
+    for values in itertools.product(*ranges):
+        try:
+            m = getattr(geography, name)(*values)
+        except InadmissibleError:
+            continue
+        params = ";".join(f"{p}={v}" for p, v in zip(names, values))
         rows.append(_csv_row(name, params, m))
         if recipes_dir:
             stem = f"{name}_{params.replace('=', '').replace(';', '_')}.txt"
@@ -296,11 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="enumerate realized lattice points as CSV")
     s.add_argument("--regime", required=True,
                    choices=list(geography.FAMILIES))
-    s.add_argument("--n", default="1:4")
-    s.add_argument("--d", default="1:4")
-    s.add_argument("--m", default="1:2")
-    s.add_argument("--t", default="1:2")
-    s.add_argument("--r", default="1:2")
+    ranges = {"--n": "1:4", "--d": "1:4", "--m": "1:2", "--t": "1:2", "--r": "1:2"}
+    for option, default in ranges.items():
+        s.add_argument(option, default=default, help=f"value or lo:hi (default {default}); "
+                       f"write a negative bound as {option}=-1:3")
     s.add_argument("--out")
     s.add_argument("--recipes", help="also write one recipe file per row into this directory")
     s.set_defaults(fn=_cmd_scan)

@@ -80,11 +80,13 @@ def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityC
     if not m.witnesses:
         return DivisibilityCertificate(lower, 0, False, "no witnesses")
     parity_note = "no parity constraint"
+    consistent = True
     if m.simply_connected and m.symplectic:
         if m.spin:
             parity_note = "spin: divisibility must be even"
             if lower % 2 != 0:
                 parity_note = "inconsistent: spin with odd coefficient gcd"
+                consistent = False
         elif m.spin is False:
             stripped = odd_part(upper)
             if stripped != upper:
@@ -92,12 +94,7 @@ def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityC
                 upper = stripped
             else:
                 parity_note = "non-spin: divisibility must be odd"
-    certified = (
-        m.lattice.primitive_summand
-        and upper != 0
-        and lower == upper
-        and not parity_note.startswith("inconsistent")
-    )
+    certified = m.lattice.primitive_summand and upper != 0 and lower == upper and consistent
     return DivisibilityCertificate(lower, upper, certified, parity_note)
 
 

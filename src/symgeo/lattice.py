@@ -9,6 +9,13 @@ index.  One check guards that shape, one merge adds and scales such
 lists, and one dot pairs two of them, so every cost grows with the stored
 entries, not with the rank.  All arithmetic is done with Python integers,
 so values are exact at any size.
+
+Lattices grow by a parameter in one place only: :func:`append_blocks`
+lays out every run of repeated blocks (the nuclei of E(n), the split
+blocks of Y_{g,h}, the exceptional classes of blow-ups).  It and the
+fibre sum check the result's rank against ``MAX_RANK`` before building
+anything, so an oversized request fails with a :class:`LatticeError`
+instead of exhausting memory.
 """
 
 from __future__ import annotations
@@ -22,6 +29,10 @@ from .errors import LatticeError
 # inequivalent_family enumerates 2^N sign patterns of an N-entry divisor
 # tail; inputs beyond this are a bug.
 _MAX_DIVISOR_LIST = 20
+
+# Size budget in basis classes.  At about 625 B per stored blow-up class
+# it caps a descriptor near 0.65 GB.  Read at call time by check_rank.
+MAX_RANK = 1 << 20
 
 Entries = tuple[tuple[int, int], ...]
 
@@ -215,6 +226,36 @@ def block_diagonal(
             rows.append(tuple((offset + j, g) for j, g in enumerate(row) if g))
         offset += size
     return tuple(rows)
+
+
+def check_rank(rank: int) -> None:
+    """Raise unless a lattice of ``rank`` classes fits the size budget."""
+    if rank > MAX_RANK:
+        raise LatticeError(f"lattice rank {rank} exceeds the budget of {MAX_RANK} classes")
+
+
+def append_blocks(
+    lat: IntersectionLattice, block: tuple, prefixes: tuple[str, ...], count: int
+) -> IntersectionLattice:
+    """``lat`` with ``count`` orthogonal copies of the square ``block``
+    appended.  A copy is named ``{prefix}_{j}`` for each prefix, at the
+    first index j above the previous copy's where all of these names are
+    free; its rows are the rows of one copy, shifted to its offset."""
+    check_rank(lat.rank + len(block) * count)
+    if not count:
+        return lat
+    taken = set(lat.basis_names)
+    names = list(lat.basis_names)
+    j = 0
+    for _ in range(count):
+        j += 1
+        while not taken.isdisjoint(copy := [f"{p}_{j}" for p in prefixes]):
+            j += 1
+        names += copy
+    one, size = block_diagonal([block]), len(block)
+    offsets = range(lat.rank, lat.rank + size * count, size)
+    shifted = (tuple([(k + i, g) for i, g in row]) for k in offsets for row in one)
+    return IntersectionLattice(tuple(names), lat.rows + tuple(shifted), lat.primitive_summand)
 
 
 def direct_sum(

@@ -30,6 +30,7 @@ from .lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
+    append_blocks,
     block_diagonal,
     pairing,
 )
@@ -145,12 +146,12 @@ def derived_invariants(m: ManifoldDescriptor) -> Invariants:
 # once.  The third torus of the triple, a*T1_i + (R_i - a*T1_i), is derived
 # at surgery time.  Pairings between different triples, and between triples
 # and the fibre, are zero: the nuclei are pairwise disjoint.
-_NUCLEUS_BLOCK = ((0, 1), (1, -2))
+_TRIPLE_PREFIXES = ("T1", "D1", "R", "DR")
 SPLIT_BLOCK = ((2, 1), (1, 0))
 
 
 def triple_names(i: int) -> tuple[str, str, str, str]:
-    return (f"T1_{i}", f"D1_{i}", f"R_{i}", f"DR_{i}")
+    return tuple([f"{p}_{i}" for p in _TRIPLE_PREFIXES])
 
 
 def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
@@ -164,13 +165,8 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         raise ConstructionError("elliptic surface parameters must be positive")
     if gcd(p, q) != 1:
         raise ConstructionError("multiple fibres not coprime")
-    names: list[str] = ["f"]
-    blocks: list[tuple[tuple[int, ...], ...]] = [((0,),)]
-    for i in range(1, n):
-        t1, d1, r, dr = triple_names(i)
-        names.extend([t1, d1, r, dr])
-        blocks.extend([_NUCLEUS_BLOCK, _NUCLEUS_BLOCK])
-    lat = IntersectionLattice(tuple(names), block_diagonal(blocks), primitive_summand=True)
+    nucleus_pair = ((0, 1, 0, 0), (1, -2, 0, 0), (0, 0, 0, 1), (0, 0, 1, -2))
+    lat = append_blocks(IntersectionLattice(("f",), ((),)), nucleus_pair, _TRIPLE_PREFIXES, n - 1)
     k_coeff = n * p * q - p - q
     canonical = lat.vector({"f": k_coeff})
 
@@ -185,11 +181,9 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         # when one multiplicity is 1, a dual class always by unimodularity.
         witnesses.append(Witness("fibre_dual", fibre_dual_row))
         notes.append("axiomatic-dual:fibre_dual")
-    for i in range(1, n):
-        # Triple i holds indices 4i-3 .. 4i in the order of triple_names.
-        t1, _, r, _ = triple_names(i)
-        witnesses.append(Witness(f"sphere_{t1}", lat.rows[4 * i - 2], 0, -2))
-        witnesses.append(Witness(f"sphere_{r}", lat.rows[4 * i], 0, -2))
+    # The dual spheres sit at the even indices, each after the torus it meets.
+    for i in range(2, lat.rank, 2):
+        witnesses.append(Witness(f"sphere_{lat.basis_names[i - 1]}", lat.rows[i], 0, -2))
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 
     spin = n % 2 == 0 and p % 2 == 1 and q % 2 == 1
@@ -251,12 +245,8 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     hyperbolic (section, fibre) pair."""
     if g < 1 or h < 1:
         raise ConstructionError("bundle genera must be positive")
-    names = ["Sigma_S", "Sigma_F"]
-    blocks: list[tuple[tuple[int, ...], ...]] = [((0, 1), (1, 0))]
-    for j in range(1, 2 * h * (g - 1) + 1):
-        names.extend([f"V_{j}", f"W_{j}"])
-        blocks.append(SPLIT_BLOCK)
-    lat = IntersectionLattice(tuple(names), block_diagonal(blocks))
+    pair = IntersectionLattice(("Sigma_S", "Sigma_F"), block_diagonal([((0, 1), (1, 0))]))
+    lat = append_blocks(pair, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
     canonical = lat.vector({"Sigma_S": 2 * h - 2, "Sigma_F": 2 * g - 2})
     witnesses = (
         Witness("section", lat.rows[0], g, 0),

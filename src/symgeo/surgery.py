@@ -30,7 +30,9 @@ from .lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
+    append_blocks,
     block_diagonal,
+    check_rank,
     coefficient_gcd,
     dot,
     pairing,
@@ -159,25 +161,6 @@ def _fresh(base: str, taken: set[str]) -> str:
     return name
 
 
-def _append_blocks(
-    lat: IntersectionLattice, block: tuple, prefixes: tuple[str, ...], count: int
-) -> IntersectionLattice:
-    """``lat`` with ``count`` orthogonal copies of ``block`` appended.  A
-    copy is named ``{prefix}_{j}`` for each prefix, at the first index j
-    above the previous copy's where all of these names are free."""
-    taken = set(lat.basis_names)
-    names = list(lat.basis_names)
-    j = 1
-    for _ in range(count):
-        while any(f"{p}_{j}" in taken for p in prefixes):
-            j += 1
-        names.extend(f"{p}_{j}" for p in prefixes)
-        j += 1
-    return IntersectionLattice(
-        tuple(names), lat.rows + block_diagonal([block] * count, lat.rank), lat.primitive_summand
-    )
-
-
 def fibre_sum(
     m: ManifoldDescriptor,
     n: ManifoldDescriptor,
@@ -219,6 +202,7 @@ def fibre_sum(
 
     m_keep = side_m.kept
     n_keep = side_n.kept
+    check_rank(len(m_keep) + 2 + len(n_keep))
     m_names = [m.lattice.basis_names[i] for i in m_keep]
     sigma_name = m.lattice.basis_names[side_m.sigma_index]
     taken = set(m_names) | {sigma_name}
@@ -441,7 +425,7 @@ def generalized_knot_surgery(
     if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
         raise ConstructionError("surface violates the adjunction identity")
 
-    lattice = _append_blocks(m.lattice, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
+    lattice = append_blocks(m.lattice, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
 
     canonical = replace(m.canonical + surface.scaled(2 * h), rank=lattice.rank)
 
@@ -509,7 +493,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     witness, and adds their sum to the canonical class."""
     if count < 1:
         raise ConstructionError("blow-up count must be positive")
-    lattice = _append_blocks(m.lattice, ((-1,),), ("E",), count)
+    lattice = append_blocks(m.lattice, ((-1,),), ("E",), count)
     new = range(m.lattice.rank, lattice.rank)
     canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
     witnesses = m.witnesses + tuple(

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,17 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_run(capsys, *argv):
+    """Exit code, standard output and tracemalloc peak of one command."""
+    tracemalloc.start()
+    try:
+        code = run_command(list(argv))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, capsys.readouterr().out, peak
 
 
 class TestTables:
@@ -158,6 +170,47 @@ class TestConstruct:
         assert "q_set: 45 15 9 5 3 1" in out
         assert "divisibilities: 45 15 9 5 3 1" in out
         assert out.count("pattern ") == 8
+
+
+    def test_family_c1sq_zero_takes_no_t(self, capsys):
+        code, out, err = run(
+            capsys, "construct", "inequivalent_family", "15", "15,5,3", "c1sq_zero", "5", "9"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("usage: construct inequivalent_family")
+
+
+class TestSizeBudget:
+    """Over-budget input exits 2 with nothing on standard output, having
+    allocated next to nothing.  Sizes are predicted, never built."""
+
+    @pytest.mark.parametrize("argv", [
+        "construct negative_c1 1 100000000",         # 10^8 blow-ups
+        "construct spin_surface 1000 1 1000",        # about 10^9 split classes
+        "construct elliptic_surface 1000000000 1 1",  # 4 * 10^9 nucleus classes
+        "construct surface_bundle_Y 100000 100000",  # about 4 * 10^10 classes
+        "scan --regime negative_c1 --n 1:100000 --r 1:100000",  # 10^10 points
+    ])
+    def test_exits_2_before_allocating(self, capsys, argv):
+        code, out, peak = traced_run(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert peak < 1 << 20
+
+    def test_recipe_count_is_checked(self, capsys, tmp_path):
+        text = (GOLDEN_RECIPES / "negative_c1_2_3.txt").read_text(encoding="utf-8")
+        target = tmp_path / "r.txt"
+        target.write_text(text.replace("count: 3\n", "count: 100000000\n"), encoding="utf-8")
+        code, out, peak = traced_run(capsys, "verify", str(target))
+        assert (code, out) == (2, "")
+        assert peak < 1 << 20
+
+    def test_scan_point_count_is_checked_before_any_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 4)
+        code, out, _ = run(capsys, "scan", "--regime", "negative_c1", "--n", "1:2", "--r", "1:2")
+        assert code == 0 and len(out.splitlines()) == 5
+        monkeypatch.setattr(geography, "negative_c1", None)  # any build would fail
+        code, out, err = run(capsys, "scan", "--regime", "negative_c1", "--n", "1:2", "--r", "1:3")
+        assert (code, out) == (2, "") and "more than 4 points" in err
 
 
 class TestVerify:

@@ -146,6 +146,16 @@ class TestDivisibility:
         assert cert.parity_note == "no parity constraint"
 
 
+    def test_spin_with_odd_coefficient_gcd_is_not_certified(self):
+        # The bounds meet at 3, but a spin canonical class is even.
+        w = Witness("odd_pairing", ((0, 1),), None, None)
+        m = synthetic(12, -8, spin=True, canonical=(3, 0), gram=((0, 1), (1, 0)),
+                      witnesses=(w,))
+        cert = divisibility(m)
+        assert (cert.lower, cert.upper, cert.certified) == (3, 3, False)
+        assert cert.parity_note == "inconsistent: spin with odd coefficient gcd"
+
+
 class TestHomotopyElliptic:
     def test_three_three(self):
         m = homotopy_elliptic(3, 3)

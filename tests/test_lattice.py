@@ -4,11 +4,13 @@ from math import gcd
 import pytest
 from conftest import class_vector, dense, expand, gram
 
+from symgeo import lattice
 from symgeo.errors import LatticeError
 from symgeo.lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
+    append_blocks,
     block_diagonal,
     coefficient_gcd,
     direct_sum,
@@ -16,6 +18,7 @@ from symgeo.lattice import (
     pairing,
     q_set,
 )
+from symgeo.manifolds import SPLIT_BLOCK, elliptic_surface, surface_bundle_y
 
 H = IntersectionLattice(("a", "b"), block_diagonal([((0, 1), (1, 0))]))
 
@@ -185,6 +188,48 @@ def test_direct_sum_identity_with_rank_zero():
 def test_direct_sum_name_collision():
     with pytest.raises(LatticeError, match="collision"):
         direct_sum(H, H)
+
+
+def test_append_blocks_skips_an_index_with_any_prefix_name_taken():
+    lat = IntersectionLattice(("W_1",), ((),))
+    grown = append_blocks(lat, SPLIT_BLOCK, ("V", "W"), 2)
+    assert grown.basis_names == ("W_1", "V_2", "W_2", "V_3", "W_3")
+    assert grown.rows == ((), ((1, 2), (2, 1)), ((1, 1),), ((3, 2), (4, 1)), ((3, 1),))
+
+
+def test_append_blocks_count_zero_returns_an_equal_lattice():
+    assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 0) == H
+    assert elliptic_surface(1, 1, 1).lattice == IntersectionLattice(("f",), ((),))
+    assert surface_bundle_y(1, 3).lattice == IntersectionLattice(("Sigma_S", "Sigma_F"), H.rows)
+
+
+def test_append_blocks_checks_the_budget_first(monkeypatch):
+    monkeypatch.setattr(lattice, "MAX_RANK", 6)
+    assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 2).rank == 6
+    with pytest.raises(LatticeError, match="budget"):
+        append_blocks(H, SPLIT_BLOCK, ("V", "W"), 3)
+    # A count far beyond the budget fails before any name or row is built.
+    with pytest.raises(LatticeError, match="budget"):
+        append_blocks(H, SPLIT_BLOCK, ("V", "W"), 10**18)
+
+
+def test_elliptic_surface_layout_is_pinned():
+    lat = elliptic_surface(3, 1, 1).lattice
+    assert lat.basis_names == (
+        "f", "T1_1", "D1_1", "R_1", "DR_1", "T1_2", "D1_2", "R_2", "DR_2"
+    )
+    assert lat.rows == (
+        (), ((2, 1),), ((1, 1), (2, -2)), ((4, 1),), ((3, 1), (4, -2)),
+        ((6, 1),), ((5, 1), (6, -2)), ((8, 1),), ((7, 1), (8, -2)),
+    )
+
+
+def test_surface_bundle_layout_is_pinned():
+    lat = surface_bundle_y(2, 1).lattice
+    assert lat.basis_names == ("Sigma_S", "Sigma_F", "V_1", "W_1", "V_2", "W_2")
+    assert lat.rows == (
+        ((1, 1),), ((0, 1),), ((2, 2), (3, 1)), ((2, 1),), ((4, 2), (5, 1)), ((4, 1),)
+    )
 
 
 def test_coefficient_gcd_examples():

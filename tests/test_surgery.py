@@ -4,8 +4,8 @@ from dataclasses import replace
 import pytest
 from conftest import class_vector, dense, dense_dot, expand, gram, random_descriptor
 
-from symgeo import geography, surgery
-from symgeo.errors import ConstructionError
+from symgeo import geography, lattice, surgery
+from symgeo.errors import ConstructionError, LatticeError
 from symgeo.geography import divisibility, inequivalent_family
 from symgeo.lattice import Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
@@ -64,6 +64,15 @@ class TestFibreSum:
             sigma = m.lattice.basis_vector("Sigma_F")
             x = fibre_sum(m, m, h, sigma, "+", False, sigma, "+", False, no_rim_tori=False)
             assert x.e == (m.e - (2 - 2 * h)) * 2
+
+    def test_result_rank_is_checked_against_the_budget(self, monkeypatch):
+        e2 = elliptic_surface(2, 1, 1)
+        # Each side keeps its four nucleus classes, plus Sigma_X and B_X.
+        monkeypatch.setattr(lattice, "MAX_RANK", 10)
+        assert sum_along_fibres(e2, e2).lattice.rank == 10
+        monkeypatch.setattr(lattice, "MAX_RANK", 9)
+        with pytest.raises(LatticeError, match="budget"):
+            sum_along_fibres(e2, e2)
 
     def test_nonzero_square_rejected(self):
         m = elliptic_surface(2, 1, 1)
