@@ -13,6 +13,12 @@ predicate is the catalog's own Persson check pulled back through Phi.
 Divisions are integer ``divmod``s checked for a zero remainder; a
 non-integral value means inconsistent branch data and raises instead of
 rounding.  Only the inverse transport returns exact fractions.
+
+No cover states a spin type; ``manifolds.spin_type`` reads it off the
+cover's canonical class.  A pluricanonical cover has K' = d delta phi*A
+with phi*A declared primitive (its dual ``pullback_dual``), so it is spin
+exactly when d delta is even.  A ``branched_cover`` tracks K' only by its
+square, so the parity of that square and Rochlin's theorem decide.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from .manifolds import (
     ConstructionRecipe,
     ManifoldDescriptor,
     catalog,
-    rochlin_spin,
 )
 
 
@@ -95,14 +100,14 @@ def branched_cover(
     The caller asserts that D is divisible by ``deg`` in homology (the
     class B with deg B = D enters only through the stated numbers).
     Invariants follow the covering formula ``_cover_invariants``.  B is
-    not known, so neither is K', and only the signature decides spin.
+    not known, so K' is tracked only as a class of square c1'^2 on a
+    lattice that is not known primitive.
     """
     if deg < 1:
         raise CoveringError("covering degree must be positive")
     if deg == 1:
         return m_desc
     e, c1 = _cover_invariants(m_desc.e, m_desc.c1_squared, deg, d_square, k_dot_d)
-    sigma = (c1 - 2 * e) // 3
 
     lat = IntersectionLattice(("pullback",), block_diagonal([((c1,),)]), primitive_summand=False)
     canonical = lat.vector({"pullback": 1})
@@ -120,8 +125,7 @@ def branched_cover(
     )
     return ManifoldDescriptor(
         e=e,
-        sigma=sigma,
-        spin=rochlin_spin(sigma),
+        sigma=(c1 - 2 * e) // 3,
         simply_connected=simply_connected,
         symplectic=m_desc.symplectic,
         minimal="unknown",
@@ -168,10 +172,7 @@ def pluricanonical_cover(
     class of the base.  With K = delta A for the base (delta the
     coefficient gcd of its canonical class), it is d delta times the
     pullback of A, hence divisible by exactly d delta, and the cover is
-    again minimal, simply connected and of general type.  It is spin when
-    d delta is even.  Otherwise its spin type is the base's for odd m, since
-    the pushforward of the pulled-back class is m times the base's; for
-    even m only Rochlin's theorem on its signature decides.
+    again minimal, simply connected and of general type.
     """
     p = CoverParams(cover_m, cover_d)
     if not m_desc.simply_connected:
@@ -208,11 +209,9 @@ def pluricanonical_cover(
         (m_desc.recipe,),
         (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE, "axiomatic-dual:pullback_dual"),
     )
-    sigma = (c1 - 2 * e) // 3
     return ManifoldDescriptor(
         e=e,
-        sigma=sigma,
-        spin=True if d * delta % 2 == 0 else m_desc.spin if m % 2 else rochlin_spin(sigma),
+        sigma=(c1 - 2 * e) // 3,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
@@ -282,7 +281,6 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
     if n < 1 or m < 1:
         raise ConstructionError("line counts must be positive")
     e = 6 + 2 * (2 * m - 1) * (2 * n - 1)
-    sigma = -4 * m * n
     lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
     canonical = lat.vector({"F_1": n - 2, "F_2": m - 2})
     witnesses: tuple[Witness, ...] = ()
@@ -300,8 +298,7 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
     )
     return ManifoldDescriptor(
         e=e,
-        sigma=sigma,
-        spin=n % 2 == 0 and m % 2 == 0,
+        sigma=-4 * m * n,
         simply_connected=True,
         symplectic=True,
         minimal="yes" if g >= 2 else "unknown",

@@ -122,7 +122,9 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     """Run every applicable numerical constraint; report, never raise."""
     entries: list[tuple[str, bool, str]] = []
     c1 = m.c1_squared
-    cert = divisibility(m)
+    # K pairs once with each witness: the certificate and adjunction share it.
+    k_dots = [dot(m.canonical, w) for w in m.witnesses]
+    cert = _certificate(m, coefficient_gcd(m.canonical), gcd_all(k_dots))
     d = cert.lower if m.lattice.primitive_summand else 0
 
     def add(name: str, passed: bool, detail: str) -> None:
@@ -157,10 +159,10 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
         skip("signature_eight")
 
     bad = []
-    for w in m.witnesses:
+    for w, k_w in zip(m.witnesses, k_dots):
         if w.genus is None or w.self_intersection is None:
             continue
-        if 2 * w.genus - 2 != dot(m.canonical, w) + w.self_intersection:
+        if 2 * w.genus - 2 != k_w + w.self_intersection:
             bad.append(w.name)
     add("adjunction_witnesses", not bad, "violations: " + ",".join(bad) if bad else "ok")
 
@@ -287,6 +289,11 @@ def negative_c1(n: int, r: int) -> ManifoldDescriptor:
 # --- inequivalent symplectic structures -------------------------------------
 
 
+# Most sign patterns one inequivalent_family may enumerate; each gets a
+# certificate and a printed line.  Read at call time.
+MAX_SIGN_PATTERNS = 1 << 12
+
+
 @dataclass(frozen=True)
 class FamilyResult:
     """One manifold, one canonical class per sign pattern, and the set of
@@ -399,6 +406,7 @@ def inequivalent_family(
     patterns give 2^N canonical classes whose certified divisibilities,
     as a set, are exactly q_set(d, divisors).  They are certified from the
     base class and the N per-bit shifts, without building their classes.
+    More than ``MAX_SIGN_PATTERNS`` patterns raise before anything is built.
     """
     divisors = list(divisors)
     q = q_set(d, divisors)
@@ -406,6 +414,10 @@ def inequivalent_family(
     big_n = len(tail)
     if big_n < 1:
         raise ConstructionError("need at least one divisor besides d")
+    if 1 << big_n > MAX_SIGN_PATTERNS:
+        raise ConstructionError(
+            f"{1 << big_n} sign patterns exceed the budget of {MAX_SIGN_PATTERNS}"
+        )
     em, h, params = _triple_parameters(d, tail)
 
     if regime == "c1sq_zero":

@@ -13,15 +13,14 @@ Atomic pieces:
 * surface bundles ``Y_{g,h}`` used for higher-genus knot surgery,
 * a small catalog of minimal complex surfaces of general type.
 
-The spin rule used for ``E(n)_{p,q}`` is "n even and p, q both odd".
-This is the standard classification of spin relatively minimal elliptic
-surfaces; it coincides with the parity of the canonical class on every
-instance (tested).
+No constructor states a spin type: ``ManifoldDescriptor.spin`` is read
+off the canonical class by ``spin_type``, the one spin rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from math import gcd
 from typing import Callable
 
@@ -32,6 +31,7 @@ from .lattice import (
     Witness,
     append_blocks,
     block_diagonal,
+    coefficient_gcd,
     pairing,
 )
 
@@ -62,12 +62,11 @@ class ConstructionRecipe:
 
 @dataclass(frozen=True)
 class ManifoldDescriptor:
-    """Invariant-level model of a closed oriented 4-manifold.  ``spin`` is
-    None when unknown; ``pi1_generator`` indexes a class normally generating pi_1."""
+    """Invariant-level model of a closed oriented 4-manifold.
+    ``pi1_generator`` indexes a class normally generating pi_1."""
 
     e: int
     sigma: int
-    spin: bool | None
     simply_connected: bool
     symplectic: bool
     minimal: str  # "yes" | "no" | "unknown"
@@ -86,6 +85,11 @@ class ManifoldDescriptor:
         for w in self.witnesses:
             if w.pairings and w.pairings[-1][0] >= self.lattice.rank:
                 raise ConstructionError(f"witness {w.name!r} pairing length mismatch")
+
+    @cached_property
+    def spin(self) -> bool | None:
+        """Whether the manifold is spin, None when unknown (``spin_type``)."""
+        return spin_type(self.lattice, self.canonical, self.sigma)
 
     @property
     def c1_squared(self) -> int:
@@ -112,6 +116,25 @@ class ManifoldDescriptor:
             if w.name == name:
                 return w
         raise KeyError(name)
+
+
+def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool | None:
+    """Spin type of a manifold with canonical class ``k`` over ``lattice``
+    and signature ``sigma``; None when unknown.  K is characteristic, so
+    the manifold is spin exactly when K is 2-divisible:
+
+    * an even coefficient gcd (0 included) makes K / 2 an integral class;
+    * K odd on a primitive summand is not 2-divisible;
+    * a tracked class of odd square makes the form odd;
+    * a spin signature is divisible by 16 (Rochlin's theorem).
+    """
+    if coefficient_gcd(k) % 2 == 0:
+        return True
+    if lattice.primitive_summand:
+        return False
+    if any(g % 2 for i, row in enumerate(lattice.rows) for j, g in row if j == i):
+        return False
+    return None if sigma % 16 == 0 else False
 
 
 @dataclass(frozen=True)
@@ -186,7 +209,6 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         witnesses.append(Witness(f"sphere_{lat.basis_names[i - 1]}", lat.rows[i], 0, -2))
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 
-    spin = n % 2 == 0 and p % 2 == 1 and q % 2 == 1
     if n >= 2:
         minimal = "yes"
     else:
@@ -197,7 +219,6 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
     return ManifoldDescriptor(
         e=12 * n,
         sigma=-8 * n,
-        spin=spin,
         simply_connected=True,
         symplectic=True,
         minimal=minimal,
@@ -227,7 +248,6 @@ def knot_product(h: int) -> ManifoldDescriptor:
     return ManifoldDescriptor(
         e=0,
         sigma=0,
-        spin=True,
         simply_connected=False,
         symplectic=h >= 1,
         minimal="unknown",
@@ -257,7 +277,6 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     return ManifoldDescriptor(
         e=4 * (g - 1) * (h - 1),
         sigma=0,
-        spin=True,
         simply_connected=False,
         symplectic=True,
         minimal="unknown",
@@ -286,7 +305,6 @@ class CatalogEntry:
     checks: tuple[tuple[Callable[..., bool], str], ...]
     invariants: Callable[..., tuple[int, int]]
     divisibility: int  # K = divisibility * basis class
-    spin: bool | None  # None: as far as Rochlin's theorem decides
     notes: tuple[str, ...]
     witness: str | None  # "canonical_dual", "genus2_fibre" or none
     basis: str = "A"
@@ -295,14 +313,13 @@ class CatalogEntry:
 
 _GENUS2 = ("genus-2-fibration", "noether-line")
 
-# name -> (params, checks, (chi_h, c1^2), divisibility, spin, notes, witness)
+# name -> (params, checks, (chi_h, c1^2), divisibility, notes, witness)
 CATALOG: dict[str, CatalogEntry] = {
-    "barlow": CatalogEntry(
-        (), (), lambda: (1, 1), 1, False, ("numerical-Godeaux",), "canonical_dual"),
+    "barlow": CatalogEntry((), (), lambda: (1, 1), 1, ("numerical-Godeaux",), "canonical_dual"),
     "lee_park": CatalogEntry(
-        (), (), lambda: (1, 2), 1, False, ("numerical-Campedelli",), "canonical_dual"),
-    "enriques_k1_pg1": CatalogEntry((), (), lambda: (2, 1), 1, False, (), "canonical_dual"),
-    "enriques_k2_pg1": CatalogEntry((), (), lambda: (2, 2), 1, False, (), "canonical_dual"),
+        (), (), lambda: (1, 2), 1, ("numerical-Campedelli",), "canonical_dual"),
+    "enriques_k1_pg1": CatalogEntry((), (), lambda: (2, 1), 1, (), "canonical_dual"),
+    "enriques_k2_pg1": CatalogEntry((), (), lambda: (2, 2), 1, (), "canonical_dual"),
     "godeaux_like": CatalogEntry(
         ("k_sq", "p_g"),
         (
@@ -310,24 +327,23 @@ CATALOG: dict[str, CatalogEntry] = {
             (lambda k_sq, p_g: p_g >= 0 and k_sq >= 2 * p_g - 4,
              "p_g violates the Noether inequality"),
         ),
-        lambda k_sq, p_g: (p_g + 1, k_sq), 1, False, (), "canonical_dual"),
+        lambda k_sq, p_g: (p_g + 1, k_sq), 1, (), "canonical_dual"),
     # Spin surface on the Noether line; the genus-2 fibration pins the
     # divisibility to exactly 2.
     "horikawa_spin": CatalogEntry(
         ("r",), ((lambda r: r >= 1 and r % 2 == 1, "horikawa_spin requires odd r"),),
-        lambda r: (4 * r + 3, 8 * r), 2, True, _GENUS2, "genus2_fibre"),
+        lambda r: (4 * r + 3, 8 * r), 2, _GENUS2, "genus2_fibre"),
     "horikawa_nonspin": CatalogEntry(
         ("s",), ((lambda s: s >= 1, "horikawa_nonspin requires s >= 1"),),
-        lambda s: (4 * s + 3, 8 * s), 1, False, _GENUS2, "genus2_fibre"),
-    # The genus-2 fibration bounds the divisibility by 2, but neither spin
-    # nor exact divisibility is pinned down: K_M is not known primitive, so
-    # the certificate stays open.
+        lambda s: (4 * s + 3, 8 * s), 1, _GENUS2, "genus2_fibre"),
+    # The genus-2 fibration bounds the divisibility by 2, but the exact
+    # divisibility is not pinned down: K_M is not known primitive, so the
+    # certificate stays open, and so does spin where K_M^2 and sigma allow it.
     "persson": CatalogEntry(
         ("x", "y"),
         ((lambda x, y: x >= 3 and 2 * x - 6 <= y <= 4 * x - 8, "outside Persson sector"),),
-        lambda x, y: (x, y), 1, None,
-        ("genus-2-fibration", "divisibility-in-1-2", "spin-undetermined"), None,
-        basis="K_M", primitive=False),
+        lambda x, y: (x, y), 1, ("genus-2-fibration", "divisibility-in-1-2", "spin-undetermined"),
+        None, basis="K_M", primitive=False),
 }
 
 
@@ -362,11 +378,9 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
     recipe = ConstructionRecipe(
         "catalog", (("name", name),) + tuple(zip(entry.params, params)), (), notes
     )
-    sigma = c1_sq - 8 * chi_h
     return ManifoldDescriptor(
         e=12 * chi_h - c1_sq,
-        sigma=sigma,
-        spin=rochlin_spin(sigma) if entry.spin is None else entry.spin,
+        sigma=c1_sq - 8 * chi_h,
         simply_connected=True,
         symplectic=True,
         minimal="yes",
@@ -376,12 +390,6 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
         recipe=recipe,
         general_type=True,
     )
-
-
-def rochlin_spin(sigma: int) -> bool | None:
-    """Spin type as far as the signature settles it: by Rochlin's theorem a
-    spin signature is divisible by 16."""
-    return None if sigma % 16 == 0 else False
 
 
 def gating_notes(notes: tuple[str, ...]) -> tuple[str, ...]:

@@ -67,15 +67,6 @@ def _check_square_zero_indivisible(m: ManifoldDescriptor, surface: ClassVector) 
         raise ConstructionError("surgery surface class must be indivisible")
 
 
-def _derive_spin(primitive: bool, k: ClassVector) -> bool | None:
-    """K is characteristic, so evenness of K decides spin once the lattice
-    is a primitive summand; otherwise spin is unknown."""
-    if not primitive:
-        return None
-    g = coefficient_gcd(k)
-    return g == 0 or g % 2 == 0
-
-
 def _derive_minimal(primitive: bool, k: ClassVector) -> str:
     # A canonical class of divisibility >= 2 forces minimality.
     if primitive and coefficient_gcd(k) >= 2:
@@ -327,7 +318,6 @@ def fibre_sum(
     return ManifoldDescriptor(
         e=e,
         sigma=sigma,
-        spin=_derive_spin(lattice.primitive_summand, canonical),
         simply_connected=simply_connected,
         symplectic=m.symplectic and n.symplectic,
         minimal=_derive_minimal(lattice.primitive_summand, canonical),
@@ -393,7 +383,6 @@ def knot_surgery(
     return ManifoldDescriptor(
         e=x.e,
         sigma=x.sigma,
-        spin=x.spin,
         simply_connected=simply_connected,
         symplectic=x.symplectic,
         minimal=_derive_minimal(x.lattice.primitive_summand, canonical),
@@ -457,7 +446,6 @@ def generalized_knot_surgery(
     return ManifoldDescriptor(
         e=m.e + 4 * h * (g - 1),
         sigma=m.sigma,
-        spin=m.spin,
         simply_connected=True,
         symplectic=m.symplectic,
         minimal=_derive_minimal(lattice.primitive_summand, canonical),
@@ -503,7 +491,6 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     return ManifoldDescriptor(
         e=m.e + count,
         sigma=m.sigma - count,
-        spin=False,
         simply_connected=m.simply_connected,
         symplectic=m.symplectic,
         minimal="no",

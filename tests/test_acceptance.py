@@ -335,7 +335,7 @@ def test_criterion_6_cross_construction_oracles(capsys):
     # Double covers of the quadric against the closed resolution forms.
     quadric_lat = IntersectionLattice(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))]))
     quadric = ManifoldDescriptor(
-        e=4, sigma=0, spin=True, simply_connected=True, symplectic=True,
+        e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=quadric_lat,
         canonical=quadric_lat.vector({"S_1": -2, "S_2": -2}),
         witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),

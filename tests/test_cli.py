@@ -80,17 +80,20 @@ class TestConstruct:
         assert target.read_text(encoding="utf-8").startswith("version: 1")
 
     def test_certifies_the_canonical_class_once(self, capsys, monkeypatch):
-        # The printed certificate is the one validation decided with.
+        # The printed certificate is the one validation decided with, and
+        # validation pairs K with each witness once.
         from symgeo import geography
 
-        calls = []
-        certify = geography.certify_class
+        decided, paired = [], []
+        decide, dot = geography._certificate, geography.dot
         monkeypatch.setattr(
-            geography, "certify_class", lambda m, k: calls.append(k) or certify(m, k)
+            geography, "_certificate", lambda m, lo, up: decided.append(m) or decide(m, lo, up)
         )
+        monkeypatch.setattr(geography, "dot", lambda k, w: paired.append(w.name) or dot(k, w))
         code, out, _ = run(capsys, "construct", "homotopy_elliptic", "4", "2")
         assert code == 0 and "divisibility: 2" in out
-        assert len(calls) == 1
+        assert len(decided) == 1
+        assert sorted(paired) == sorted(w.name for w in decided[0].witnesses)
 
     def test_parameter_error(self, capsys):
         code, _, err = run(capsys, "construct", "homotopy_elliptic", "3", "2")
@@ -190,6 +193,7 @@ class TestSizeBudget:
         "construct elliptic_surface 1000000000 1 1",  # 4 * 10^9 nucleus classes
         "construct surface_bundle_Y 100000 100000",  # about 4 * 10^10 classes
         "scan --regime negative_c1 --n 1:100000 --r 1:100000",  # 10^10 points
+        "construct inequivalent_family 3 3" + ",1" * 13 + " c1sq_zero 27",  # 2^13 patterns
     ])
     def test_exits_2_before_allocating(self, capsys, argv):
         code, out, peak = traced_run(capsys, *argv.split())
@@ -211,6 +215,18 @@ class TestSizeBudget:
         monkeypatch.setattr(geography, "negative_c1", None)  # any build would fail
         code, out, err = run(capsys, "scan", "--regime", "negative_c1", "--n", "1:2", "--r", "1:3")
         assert (code, out) == (2, "") and "more than 4 points" in err
+
+    def test_sign_pattern_count_is_checked_before_any_build(self, capsys, monkeypatch):
+        monkeypatch.setattr(geography, "MAX_SIGN_PATTERNS", 4)
+        code, out, _ = run(
+            capsys, "construct", "inequivalent_family", "3", "3,1,1", "c1sq_zero", "5"
+        )
+        assert code == 0 and out.count("\npattern ") == 4
+        monkeypatch.setattr(geography, "elliptic_surface", None)  # any build would fail
+        code, out, err = run(
+            capsys, "construct", "inequivalent_family", "3", "3,1,1,1", "c1sq_zero", "7"
+        )
+        assert (code, out) == (2, "") and "8 sign patterns exceed the budget of 4" in err
 
 
 class TestVerify:

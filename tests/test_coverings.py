@@ -28,13 +28,14 @@ from symgeo.manifolds import (
     catalog,
     derived_invariants,
 )
+from symgeo.surgery import blow_up
 
 
 def quadric():
     """CP^1 x CP^1 with K = -2 S_1 - 2 S_2 over the hyperbolic lattice."""
     lat = IntersectionLattice(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))]))
     return ManifoldDescriptor(
-        e=4, sigma=0, spin=True, simply_connected=True, symplectic=True,
+        e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=lat, canonical=lat.vector({"S_1": -2, "S_2": -2}),
         witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),
     )
@@ -134,6 +135,22 @@ def cover_tuple(base, d, m):
     return (x.e, inv.c1_squared, inv.chi_h, inv.b2_plus, x.sigma)
 
 
+def catalog_samples():
+    """Every catalog entry at sample parameters, with the Persson points
+    of chi_h <= 8."""
+    samples = {"godeaux_like": [(1, 0), (2, 0), (2, 3)],
+               "horikawa_spin": [(1,), (3,)], "horikawa_nonspin": [(1,), (2,)],
+               "persson": [(x, y) for x in range(3, 9)
+                           for y in range(max(1, 2 * x - 6), 4 * x - 7)]}
+    return [catalog(name, *params) for name in CATALOG for params in samples.get(name, [()])]
+
+
+def cover_params():
+    """Every cover degree m and divisibility d <= 13 with m - 1 | d - 1."""
+    return [CoverParams(m, d) for d in range(2, 14) for m in range(2, d + 1)
+            if (d - 1) % (m - 1) == 0]
+
+
 class TestPluricanonicalCover:
     def test_barlow_rows(self):
         base = catalog("barlow")
@@ -156,32 +173,41 @@ class TestPluricanonicalCover:
         # branched over D in |nK| (D^2 = n^2 K^2, K.D = n K^2), and its
         # (e, c1^2) is the transport Phi of the base's, over every catalog
         # entry at sample parameters and the Persson points with chi_h <= 8.
-        samples = {"godeaux_like": [(1, 0), (2, 0), (2, 3)],
-                   "horikawa_spin": [(1,), (3,)], "horikawa_nonspin": [(1,), (2,)],
-                   "persson": [(x, y) for x in range(3, 9)
-                               for y in range(max(1, 2 * x - 6), 4 * x - 7)]}
-        bases = [catalog(name, *params) for name in CATALOG
-                 for params in samples.get(name, [()])]
         count = 0
-        for base in bases:
+        for base in catalog_samples():
             c = base.c1_squared
-            for d in range(2, 14):
-                for m in range(2, d + 1):
-                    if (d - 1) % (m - 1) != 0:
-                        continue
-                    p = CoverParams(m, d)
-                    if not pluri_system_defines_map(base, p.n):
-                        continue
-                    x = pluricanonical_cover(base, p.m, p.d)
-                    y = branched_cover(base, p.n * p.n * c, p.n * c, p.m)
-                    assert (x.e, x.sigma) == (y.e, y.sigma)
-                    assert (x.e, x.c1_squared) == phi_map(p, base.e, c)
-                    inv = derived_invariants(x)
-                    assert inv.c1_squared == 2 * x.e + 3 * x.sigma
-                    assert (inv.c1_squared + x.e) % 12 == 0
-                    assert validate(x).ok
-                    count += 1
+            for p in cover_params():
+                if not pluri_system_defines_map(base, p.n):
+                    continue
+                x = pluricanonical_cover(base, p.m, p.d)
+                y = branched_cover(base, p.n * p.n * c, p.n * c, p.m)
+                assert (x.e, x.sigma) == (y.e, y.sigma)
+                assert (x.e, x.c1_squared) == phi_map(p, base.e, c)
+                inv = derived_invariants(x)
+                assert inv.c1_squared == 2 * x.e + 3 * x.sigma
+                assert (inv.c1_squared + x.e) % 12 == 0
+                assert validate(x).ok
+                count += 1
         assert count >= 2400
+
+    def test_spin_is_the_parity_of_a_certified_divisibility(self):
+        # K is characteristic, so a certified divisibility d != 0 decides
+        # spin as the parity of d: over every sample base, each of its
+        # covers with d <= 13, and their blow-ups, which are never spin.
+        checked = 0
+        for base in catalog_samples():
+            covers = [pluricanonical_cover(base, p.m, p.d)
+                      for p in cover_params() if pluri_system_defines_map(base, p.n)]
+            for x in [base] + covers:
+                for y in (x, blow_up(x, 1), blow_up(x, 16)):
+                    cert = divisibility(y)
+                    if cert.certified and cert.value != 0:
+                        assert y.spin == (cert.value % 2 == 0)
+                        checked += 1
+                    assert y is x or y.spin is False
+        assert checked >= 1100  # of 7,542 descriptors; Persson bases stay open
+        # sigma = -48 leaves Rochlin silent; the odd square of E_k decides.
+        assert blow_up(catalog("persson", 5, 8), 16).spin is False
 
     def test_double_cover_specialization(self):
         # Degree-2 covers satisfy e = 24 chi_h(base) + 2d(2d-3) c1^2(base).
@@ -196,8 +222,9 @@ class TestPluricanonicalCover:
                 assert x.e == 24 * chi + 2 * d * (2 * d - 3) * c
 
     def test_spin_type(self):
-        # Spin when d delta is even; else the base's type, open or not, for
-        # odd degree m, and what Rochlin leaves of it for even m.
+        # K' = d delta phi*A: spin when d delta is even, not spin when it is
+        # odd and phi*A is primitive; over a Persson base phi*A is not known
+        # primitive, and the parity of its square and Rochlin decide.
         persson = catalog("persson", 5, 8)
         assert pluricanonical_cover(persson, 2, 3).spin is None
         assert pluricanonical_cover(persson, 2, 2).spin is True
@@ -206,14 +233,15 @@ class TestPluricanonicalCover:
         assert pluricanonical_cover(persson, 2, 3).general_type
         horikawa = catalog("horikawa_nonspin", 1)
         even = pluricanonical_cover(horikawa, 2, 3)
-        assert (even.sigma, even.spin) == (-160, None)
+        assert (even.sigma, even.spin) == (-160, False)
         assert pluricanonical_cover(horikawa, 3, 3).spin is False
         for m, d in ((2, 3), (2, 5), (2, 7), (4, 7)):
             x = pluricanonical_cover(catalog("barlow"), m, d)
             assert x.sigma % 16 != 0 and x.spin is False
-        # The certificate follows: no parity rule once spin is open.
+        # The certificate follows: an odd divisibility for a non-spin cover.
         cert = divisibility(even)
-        assert (cert.value, cert.certified, cert.parity_note) == (3, True, "no parity constraint")
+        assert (cert.value, cert.certified, cert.parity_note) == (
+            3, True, "non-spin: divisibility must be odd")
 
     def test_gate_rejections(self):
         with pytest.raises(CoveringError, match="pluricanonical system"):

@@ -37,13 +37,12 @@ from symgeo.manifolds import (
 from symgeo.surgery import knot_surgery
 
 
-def synthetic(e, sigma, *, spin=False, sc=True, canonical=(), gram=(), witnesses=(),
-              primitive=True):
+def synthetic(e, sigma, *, sc=True, canonical=(), gram=(), witnesses=(), primitive=True):
     lat = IntersectionLattice(
         tuple(f"g{i}" for i in range(len(gram))), block_diagonal([gram]), primitive
     )
     return ManifoldDescriptor(
-        e=e, sigma=sigma, spin=spin, simply_connected=sc, symplectic=True,
+        e=e, sigma=sigma, simply_connected=sc, symplectic=True,
         minimal="unknown", lattice=lat, canonical=class_vector(canonical),
         witnesses=tuple(witnesses),
         recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
@@ -55,11 +54,14 @@ class TestValidate:
         assert validate(elliptic_surface(3, 1, 1)).ok
 
     def test_report_carries_its_certificate(self):
-        m = homotopy_elliptic(4, 2)
-        assert validate(m).certificate == divisibility(m)
+        rng = random.Random(5)
+        for m in [homotopy_elliptic(4, 2)] + [random_descriptor(rng) for _ in range(200)]:
+            assert validate(m).certificate == divisibility(m)
 
     def test_rochlin_failure(self):
-        m = synthetic(12, -8, spin=True)
+        # K = 0 is even, so the manifold is spin, and sigma = -8 breaks Rochlin.
+        m = synthetic(12, -8)
+        assert m.spin
         report = validate(m)
         assert "rochlin" in report.failures()
 
@@ -137,21 +139,23 @@ class TestDivisibility:
         assert "non-spin" in cert.parity_note
 
     def test_unknown_spin_applies_no_parity_rule(self):
-        # With the spin type open the even part of the witness bound stays.
+        # An odd K off a primitive summand, an even form and 16 | sigma leave
+        # the spin type open, and the even part of the witness bound stays.
         w = Witness("even_pairing", ((0, 2),), None, None)
-        m = synthetic(12, -8, spin=None, canonical=(3, 0), gram=((0, 1), (1, 0)),
-                      witnesses=(w,))
+        m = synthetic(16, -16, canonical=(3, 0), gram=((0, 1), (1, 0)), witnesses=(w,),
+                      primitive=False)
+        assert m.spin is None
         cert = divisibility(m)
         assert (cert.lower, cert.upper, cert.certified) == (3, 6, False)
         assert cert.parity_note == "no parity constraint"
 
-
     def test_spin_with_odd_coefficient_gcd_is_not_certified(self):
-        # The bounds meet at 3, but a spin canonical class is even.
+        # The bounds of the class 3 g0 meet at 3, but on a manifold with the
+        # even K = 2 g0, hence spin, a canonical class is even.
         w = Witness("odd_pairing", ((0, 1),), None, None)
-        m = synthetic(12, -8, spin=True, canonical=(3, 0), gram=((0, 1), (1, 0)),
-                      witnesses=(w,))
-        cert = divisibility(m)
+        m = synthetic(24, -16, canonical=(2, 0), gram=((0, 1), (1, 0)), witnesses=(w,))
+        assert m.spin
+        cert = certify_class(m, class_vector((3, 0)))
         assert (cert.lower, cert.upper, cert.certified) == (3, 3, False)
         assert cert.parity_note == "inconsistent: spin with odd coefficient gcd"
 

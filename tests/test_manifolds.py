@@ -1,17 +1,48 @@
 from dataclasses import replace
 
 import pytest
-from conftest import dense
+from conftest import class_vector, dense
 
 from symgeo.errors import ConstructionError
-from symgeo.lattice import Witness, coefficient_gcd, pairing
+from symgeo.lattice import IntersectionLattice, Witness, block_diagonal, coefficient_gcd, pairing
 from symgeo.manifolds import (
+    ManifoldDescriptor,
     catalog,
     derived_invariants,
     elliptic_surface,
     knot_product,
+    spin_type,
     surface_bundle_y,
 )
+
+
+class TestSpinType:
+    def test_each_rule(self):
+        form = block_diagonal([((0, 1), (1, 0))])
+        summand = IntersectionLattice(("a", "b"), form)
+        fragment = IntersectionLattice(("a", "b"), form, primitive_summand=False)
+        odd_form = IntersectionLattice(("a",), (((0, 1),),), primitive_summand=False)
+        # An even coefficient gcd, 0 included, is spin on any lattice.
+        assert spin_type(summand, class_vector((0, 0)), -8) is True
+        assert spin_type(fragment, class_vector((2, -4)), -8) is True
+        # An odd K on a primitive summand is not 2-divisible.
+        assert spin_type(summand, class_vector((3, 0)), -16) is False
+        # Off a summand: an odd square, then Rochlin, then unknown.
+        assert spin_type(odd_form, class_vector((1,)), -16) is False
+        assert spin_type(fragment, class_vector((3, 0)), -8) is False
+        assert spin_type(fragment, class_vector((3, 0)), -16) is None
+
+    def test_spin_is_derived_not_stated(self):
+        m = knot_product(2)
+        assert m.spin is True
+        with pytest.raises(TypeError):
+            replace(m, spin=False)
+        with pytest.raises(TypeError):
+            ManifoldDescriptor(
+                e=0, sigma=0, spin=False, simply_connected=False, symplectic=True,
+                minimal="unknown", lattice=m.lattice, canonical=m.canonical,
+                witnesses=(), recipe=m.recipe,
+            )
 
 
 class TestEllipticSurface:
@@ -164,7 +195,8 @@ class TestCatalog:
             catalog("persson", 2, 1)
 
     def test_persson_spin_is_open_unless_rochlin_rules_it_out(self):
-        # A spin signature is divisible by 16; no other fact decides spin.
+        # K_M is odd off a primitive summand, K_M^2 = y is even here, and
+        # only Rochlin's 16 | sigma is left to decide.
         assert catalog("persson", 4, 4).spin is False  # sigma = -28
         assert catalog("persson", 4, 8).spin is False  # sigma = -24
         assert catalog("persson", 5, 8).spin is None  # sigma = -32
@@ -222,7 +254,7 @@ class TestDerivedInvariants:
 
         lat = IntersectionLattice((), ())
         m = ManifoldDescriptor(
-            e=42, sigma=-22, spin=False, simply_connected=True, symplectic=True,
+            e=42, sigma=-22, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),
             witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
         )
@@ -235,7 +267,7 @@ class TestDerivedInvariants:
 
         lat = IntersectionLattice((), ())
         m = ManifoldDescriptor(
-            e=3, sigma=0, spin=False, simply_connected=True, symplectic=True,
+            e=3, sigma=0, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),
             witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
         )
