@@ -36,7 +36,6 @@ from .lattice import (
     IntersectionLattice,
     Witness,
     coefficient_gcd,
-    direct_sum,
     pairing,
     q_set,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "certify_class",
     "coefficient_gcd",
     "derived_invariants",
-    "direct_sum",
     "divisibility",
     "elliptic_surface",
     "execute_recipe",

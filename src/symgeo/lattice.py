@@ -11,18 +11,25 @@ entries, not with the rank.  All arithmetic is done with Python integers,
 so values are exact at any size.
 
 Lattices grow by a parameter in one place only: :func:`append_blocks`
-lays out every run of repeated blocks (the nuclei of E(n), the split
-blocks of Y_{g,h}, the exceptional classes of blow-ups).  It and the
-fibre sum check the result's rank against ``MAX_RANK`` before building
-anything, so an oversized request fails with a :class:`LatticeError`
-instead of exhausting memory.
+adds every run of repeated blocks (the nuclei of E(n), the split blocks
+of Y_{g,h}, the exceptional classes of blow-ups).  A lattice stores a run
+once, as one :class:`BlockRun`: the block, its name prefixes and the copy
+count.  The rank, a row, a name and the index of a name are computed
+from the run's offset, so building, pairing and validating do work per
+run, not per copy; only the readers of the whole basis (``basis_names``,
+``rows``, as the fibre sum needs them) lay the copies out, once per
+lattice.  ``append_blocks`` and the fibre sum check the result's rank
+against ``MAX_RANK`` before building anything, so an oversized request
+fails with a :class:`LatticeError` instead of exhausting memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import LatticeError
 
@@ -136,52 +143,210 @@ class Witness:
             raise LatticeError("witness genus must be non-negative")
 
 
+def _check_form(rows: tuple[Entries, ...]) -> None:
+    """Raise unless ``rows`` are the sparse rows of a symmetric square form."""
+    n = len(rows)
+    for row in rows:
+        _check_entries(row, "a row of the intersection form", n)
+    # Symmetry: scanning rows in order, the entries (i, g) met in column
+    # j must be exactly row j, in order.  One cursor per row checks it in
+    # O(nnz); as every entry takes one slot, no slot is left over.
+    taken = [0] * n
+    for i, row in enumerate(rows):
+        for j, g in row:
+            mirror, k = rows[j], taken[j]
+            if k == len(mirror) or mirror[k] != (i, g):
+                raise LatticeError("intersection form must be symmetric")
+            taken[j] = k + 1
+
+
+def _split_name(name: str) -> tuple[str, int] | None:
+    """``(prefix, label)`` of a name spelled ``{prefix}_{label}`` with a
+    positive decimal label and no leading zero, as run names are; else None.
+    No run reaches a label of 19 digits, so longer ones are not parsed."""
+    prefix, sep, label = name.rpartition("_")
+    if sep and label.isdecimal() and label.isascii() and label[0] != "0" and len(label) < 19:
+        return prefix, int(label)
+    return None
+
+
+def _free_spans(blocked: list[tuple[int, int]], count: int) -> tuple[tuple[int, int], ...]:
+    """The first ``count`` labels from 1 up that no ``(lo, hi)`` interval
+    of ``blocked`` covers, as maximal ``(lo, hi)`` spans."""
+    spans, j = [], 1
+    for lo, hi in sorted(blocked):
+        if lo > j:
+            take = min(lo - j, count)
+            spans.append((j, j + take - 1))
+            count -= take
+            if not count:
+                return tuple(spans)
+        j = max(j, hi + 1)
+    return (*spans, (j, j + count - 1))
+
+
+class BlockRun(NamedTuple):
+    """``count`` orthogonal copies of the square integer ``block``.  Row r
+    of a copy is the class ``{prefixes[r]}_{label}``; the lattice holding
+    the run checks the block and labels the copies by the rule of
+    :func:`append_blocks`."""
+
+    block: tuple[tuple[int, ...], ...]
+    prefixes: tuple[str, ...]
+    count: int
+
+
 @dataclass(frozen=True)
 class IntersectionLattice:
     """Named basis classes with a symmetric integer intersection form.
 
-    The form is stored by its nonzero entries: ``rows[i]`` lists the pairs
-    ``(j, g_ij)`` with ``g_ij != 0`` by increasing ``j``.
+    The basis is a head, the classes ``head_names`` with sparse rows
+    ``head_rows``, followed by the ``runs`` of repeated blocks, each
+    orthogonal to everything else.  A row lists the pairs ``(j, g_ij)``
+    with ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
+    :meth:`name` and :meth:`index_of` read a run from its block and its
+    label spans; ``basis_names`` and ``rows``, the whole basis laid out,
+    are built on first read (a head-only lattice stores them as given).
+    Adjacent runs of one block and one prefix tuple are stored as one.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
     the coefficient gcd of a class vector a valid divisibility bound.
     """
 
-    basis_names: tuple[str, ...]
-    rows: tuple[Entries, ...]
+    head_names: tuple[str, ...]
+    head_rows: tuple[Entries, ...]
     primitive_summand: bool = True
+    runs: tuple[BlockRun, ...] = ()
+    rank: int = field(init=False, repr=False, compare=False)
+    # The index of each head name; the first index of each run; the rows
+    # of one copy of each run at index 0, and the spans of its labels.
+    _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    _placed: tuple[tuple[tuple, tuple], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis_names", tuple(self.basis_names))
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        n = len(self.basis_names)
-        if len(set(self.basis_names)) != n:
+        names = tuple(self.head_names)
+        rows = tuple(map(tuple, self.head_rows))
+        object.__setattr__(self, "head_names", names)
+        object.__setattr__(self, "head_rows", rows)
+        n = len(names)
+        index = dict(zip(names, range(n)))
+        if len(index) != n:
             raise LatticeError("basis names must be pairwise distinct")
-        if len(self.rows) != n:
+        if len(rows) != n:
             raise LatticeError("intersection form must be square: one row per basis class")
-        for row in self.rows:
-            _check_entries(row, "a row of the intersection form", n)
-        # Symmetry: scanning rows in order, the entries (i, g) met in column
-        # j must be exactly row j, in order.  One cursor per row checks it in
-        # O(nnz); as every entry takes one slot, no slot is left over.
-        taken = [0] * n
-        for i, row in enumerate(self.rows):
-            for j, g in row:
-                mirror, k = self.rows[j], taken[j]
-                if k == len(mirror) or mirror[k] != (i, g):
-                    raise LatticeError("intersection form must be symmetric")
-                taken[j] = k + 1
+        _check_form(rows)
+        object.__setattr__(self, "_index", index)
+        if self.runs:
+            self._place_runs()
+            return
+        object.__setattr__(self, "rank", n)
+        object.__setattr__(self, "basis_names", names)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_starts", ())
+        object.__setattr__(self, "_placed", ())
 
-    @property
-    def rank(self) -> int:
-        return len(self.basis_names)
+    def _place_runs(self) -> None:
+        """Check each run's block once, merge adjacent runs of one block
+        and prefix tuple, check the rank, and label each run's copies: a
+        copy takes the first label from 1 up at which no name of its
+        prefixes is in the head or in an earlier run, as laying the copies
+        out one by one would name them."""
+        runs: list[BlockRun] = []
+        run_rows: list[tuple[Entries, ...]] = []
+        for block, prefixes, count in self.runs:
+            block, prefixes = tuple(map(tuple, block)), tuple(prefixes)
+            rows = block_diagonal([block])
+            if len(set(prefixes)) != len(prefixes):
+                raise LatticeError("basis names must be pairwise distinct")
+            if len(prefixes) != len(rows):
+                raise LatticeError("intersection form must be square: one row per basis class")
+            _check_form(rows)
+            if count < 1:
+                raise LatticeError("a block run needs a positive copy count")
+            if runs and runs[-1][:2] == (block, prefixes):
+                count += runs.pop().count
+                run_rows.pop()
+            runs.append(BlockRun(block, prefixes, count))
+            run_rows.append(rows)
+        starts = [len(self.head_names)]
+        for run, rows in zip(runs, run_rows):
+            starts.append(starts[-1] + len(rows) * run.count)
+        check_rank(starts[-1])
+        # Label spans taken so far, by prefix.
+        taken: dict[str, list[tuple[int, int]]] = {}
+        for prefix, label in filter(None, map(_split_name, self.head_names)):
+            taken.setdefault(prefix, []).append((label, label))
+        placed = []
+        for run, rows in zip(runs, run_rows):
+            spans = _free_spans([s for p in run.prefixes for s in taken.get(p, ())], run.count)
+            for p in run.prefixes:
+                taken.setdefault(p, []).extend(spans)
+            placed.append((rows, spans))
+        object.__setattr__(self, "runs", tuple(runs))
+        object.__setattr__(self, "rank", starts.pop())
+        object.__setattr__(self, "_starts", tuple(starts))
+        object.__setattr__(self, "_placed", tuple(placed))
+
+    def _locate(self, i: int) -> tuple[BlockRun, tuple, int, int]:
+        """``(run, placed, copy, r)`` of run index ``i``: row r of a copy
+        of ``run``, whose entry in ``_placed`` is ``placed``."""
+        if not len(self.head_names) <= i < self.rank:
+            raise IndexError(f"basis index {i} out of range")
+        k = bisect_right(self._starts, i) - 1
+        placed = self._placed[k]
+        copy, r = divmod(i - self._starts[k], len(placed[0]))
+        return self.runs[k], placed, copy, r
+
+    def row(self, i: int) -> Entries:
+        """``rows[i]``, without laying out the runs."""
+        if 0 <= i < len(self.head_rows):
+            return self.head_rows[i]
+        _, (rows, _), _, r = self._locate(i)
+        return tuple([(i - r + j, g) for j, g in rows[r]])
+
+    def name(self, i: int) -> str:
+        """``basis_names[i]``, without laying out the runs."""
+        if 0 <= i < len(self.head_names):
+            return self.head_names[i]
+        run, (_, spans), copy, r = self._locate(i)
+        for lo, hi in spans:
+            if copy <= hi - lo:
+                return f"{run.prefixes[r]}_{lo + copy}"
+            copy -= hi - lo + 1
 
     def index_of(self, name: str) -> int:
-        try:
-            return self.basis_names.index(name)
-        except ValueError:
-            raise LatticeError(f"basis mismatch: no class named {name!r}") from None
+        i = self._index.get(name)
+        if i is not None:
+            return i
+        prefix, label = _split_name(name) or (None, 0)
+        for run, start, (rows, spans) in zip(self.runs, self._starts, self._placed):
+            if prefix in run.prefixes:
+                copy = 0
+                for lo, hi in spans:
+                    if lo <= label <= hi:
+                        copy += label - lo
+                        return start + copy * len(rows) + run.prefixes.index(prefix)
+                    copy += hi - lo + 1
+        raise LatticeError(f"basis mismatch: no class named {name!r}")
+
+    @cached_property
+    def basis_names(self) -> tuple[str, ...]:
+        names = list(self.head_names)
+        for run, (_, spans) in zip(self.runs, self._placed):
+            for lo, hi in spans:
+                names += [f"{p}_{j}" for j in range(lo, hi + 1) for p in run.prefixes]
+        return tuple(names)
+
+    @cached_property
+    def rows(self) -> tuple[Entries, ...]:
+        rows = list(self.head_rows)
+        for start, run, (one, _) in zip(self._starts, self.runs, self._placed):
+            size = len(one)
+            for base in range(start, start + size * run.count, size):
+                rows += [tuple([(base + j, g) for j, g in row]) for row in one]
+        return tuple(rows)
 
     def basis_vector(self, name: str) -> ClassVector:
         return ClassVector(self.rank, ((self.index_of(name), 1),))
@@ -194,10 +359,10 @@ class IntersectionLattice:
     def pairing_row(self, v: ClassVector) -> Entries:
         """The nonzero pairings ``(j, v . e_j)`` of ``v`` with the basis
         classes, by increasing ``j``; for the i-th basis class this is
-        ``rows[i]``."""
+        ``row(i)``."""
         if v.rank != self.rank:
             raise LatticeError("basis mismatch")
-        return sparse_sum((c, self.rows[i]) for i, c in v.entries)
+        return sparse_sum((c, self.row(i)) for i, c in v.entries)
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
@@ -238,44 +403,15 @@ def append_blocks(
     lat: IntersectionLattice, block: tuple, prefixes: tuple[str, ...], count: int
 ) -> IntersectionLattice:
     """``lat`` with ``count`` orthogonal copies of the square ``block``
-    appended.  A copy is named ``{prefix}_{j}`` for each prefix, at the
-    first index j above the previous copy's where all of these names are
-    free; its rows are the rows of one copy, shifted to its offset."""
+    appended as one run.  A copy is named ``{prefix}_{j}`` for each prefix,
+    at the first index j above the previous copy's where all of these
+    names are free; its rows are the rows of one copy, shifted to its
+    offset.  The work does not grow with ``count``."""
     check_rank(lat.rank + len(block) * count)
     if not count:
         return lat
-    taken = set(lat.basis_names)
-    names = list(lat.basis_names)
-    j = 0
-    for _ in range(count):
-        j += 1
-        while not taken.isdisjoint(copy := [f"{p}_{j}" for p in prefixes]):
-            j += 1
-        names += copy
-    one, size = block_diagonal([block]), len(block)
-    offsets = range(lat.rank, lat.rank + size * count, size)
-    shifted = (tuple([(k + i, g) for i, g in row]) for k in offsets for row in one)
-    return IntersectionLattice(tuple(names), lat.rows + tuple(shifted), lat.primitive_summand)
-
-
-def direct_sum(
-    a: IntersectionLattice,
-    b: IntersectionLattice,
-    rename: tuple[str, str] = ("", ""),
-) -> IntersectionLattice:
-    """Orthogonal direct sum of two lattices.
-
-    ``rename`` gives a name prefix for each side; the combined basis must
-    be collision free.
-    """
-    pa, pb = rename
-    names = tuple(pa + n for n in a.basis_names) + tuple(pb + n for n in b.basis_names)
-    if len(set(names)) != len(names):
-        raise LatticeError("basis name collision in direct sum")
-    shifted = tuple(tuple((a.rank + j, g) for j, g in row) for row in b.rows)
-    return IntersectionLattice(
-        names, a.rows + shifted, a.primitive_summand and b.primitive_summand
-    )
+    runs = lat.runs + (BlockRun(block, prefixes, count),)
+    return IntersectionLattice(lat.head_names, lat.head_rows, lat.primitive_summand, runs)
 
 
 def coefficient_gcd(v: ClassVector) -> int:

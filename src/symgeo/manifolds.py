@@ -127,12 +127,16 @@ def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool 
     * K odd on a primitive summand is not 2-divisible;
     * a tracked class of odd square makes the form odd;
     * a spin signature is divisible by 16 (Rochlin's theorem).
+
+    The squares are read from the head rows and once from each run's block.
     """
     if coefficient_gcd(k) % 2 == 0:
         return True
     if lattice.primitive_summand:
         return False
-    if any(g % 2 for i, row in enumerate(lattice.rows) for j, g in row if j == i):
+    squares = [g for i, row in enumerate(lattice.head_rows) for j, g in row if j == i]
+    squares += [row[r] for run in lattice.runs for r, row in enumerate(run.block)]
+    if any(g % 2 for g in squares):
         return False
     return None if sigma % 16 == 0 else False
 
@@ -206,7 +210,7 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         notes.append("axiomatic-dual:fibre_dual")
     # The dual spheres sit at the even indices, each after the torus it meets.
     for i in range(2, lat.rank, 2):
-        witnesses.append(Witness(f"sphere_{lat.basis_names[i - 1]}", lat.rows[i], 0, -2))
+        witnesses.append(Witness(f"sphere_{lat.name(i - 1)}", lat.row(i), 0, -2))
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 
     if n >= 2:
@@ -269,8 +273,8 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     lat = append_blocks(pair, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
     canonical = lat.vector({"Sigma_S": 2 * h - 2, "Sigma_F": 2 * g - 2})
     witnesses = (
-        Witness("section", lat.rows[0], g, 0),
-        Witness("fibre", lat.rows[1], h, 0),
+        Witness("section", lat.row(0), g, 0),
+        Witness("fibre", lat.row(1), h, 0),
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "Sigma_S", f"b1:{2 * g}")
     recipe = ConstructionRecipe("surface_bundle_Y", (("g", g), ("h", h)), (), notes)

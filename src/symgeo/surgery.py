@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .errors import ConstructionError
+from .errors import ConstructionError, LatticeError
 from .lattice import (
     ClassVector,
     IntersectionLattice,
@@ -112,19 +112,19 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
         raise ConstructionError(
             f"fibre-sum surface on the {label} side must be a tracked basis class"
         )
-    partners = [(j, g) for j, g in lat.rows[i] if j != i]
+    partners = [(j, g) for j, g in lat.row(i) if j != i]
     if len(partners) > 1:
         raise ConstructionError("fibre-sum surface pairs with more than one tracked class")
     if partners:
         j, g = partners[0]
         if g != 1:
             raise ConstructionError("tracked dual must meet the surface exactly once")
-        if any(k not in (i, j) for k, _ in lat.rows[j]):
+        row_j = lat.row(j)
+        if any(k not in (i, j) for k, _ in row_j):
             raise ConstructionError(
                 "tracked dual pairs with classes outside the surface pair"
             )
         b_genus = None
-        row_j = lat.rows[j]
         for w in desc.witnesses:
             if w.pairings == row_j and w.genus is not None:
                 b_genus = w.genus
@@ -485,7 +485,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     new = range(m.lattice.rank, lattice.rank)
     canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
     witnesses = m.witnesses + tuple(
-        Witness(f"exceptional_{lattice.basis_names[i]}", ((i, -1),), 0, -1) for i in new
+        Witness(f"exceptional_{lattice.name(i)}", ((i, -1),), 0, -1) for i in new
     )
     recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), (NOTE_FULL_CANONICAL,))
     return ManifoldDescriptor(
@@ -521,10 +521,12 @@ def lagrangian_triple_surgery(
         raise ConstructionError("triple surgery parameters out of range")
     _check_sign(sign)
     t1, d1, r, dr = triple_names(triple_index)
-    for name in (t1, d1, r, dr):
-        if name not in m.lattice.basis_names:
-            raise ConstructionError(f"undeclared triple {triple_index}")
     lat0 = m.lattice
+    try:
+        for name in (t1, d1, r, dr):
+            lat0.index_of(name)
+    except LatticeError:
+        raise ConstructionError(f"undeclared triple {triple_index}") from None
     tori = (lat0.basis_vector(t1), lat0.basis_vector(r))
     if any(pairing(lat0, u, v) != 0 for u in tori for v in tori):
         raise ConstructionError(f"triple {triple_index} classes are not isotropic")

@@ -242,6 +242,28 @@ class TestSpinSurface:
 
         assert peak(20, 1, 8) <= 2.5 * peak(20, 1, 4)
 
+    def test_build_and_validate_lay_out_no_block(self):
+        # The split blocks are stored as one run: building and validating
+        # never lay out the basis, and 16 times the blocks cost no memory.
+        def peak(t):
+            tracemalloc.start()
+            try:
+                m = spin_surface(20, 1, t)
+                report = validate(m)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+            assert "rows" not in vars(m.lattice) and "basis_names" not in vars(m.lattice)
+            return peak
+
+        assert peak(64) <= 1.2 * peak(4)
+
+    def test_rank_256k_builds_and_validates(self):
+        m = spin_surface(80, 2, 40)
+        assert m.lattice.rank == 256_013
+        assert validate(m).ok
+
     def test_canonical_entries_do_not_grow_with_blocks(self):
         # K moves by 2h Sigma, which misses the split-class blocks, so
         # doubling them adds no stored canonical entry; a dense class

@@ -3,17 +3,19 @@ from math import gcd
 
 import pytest
 from conftest import class_vector, dense, expand, gram
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from symgeo import lattice
 from symgeo.errors import LatticeError
 from symgeo.lattice import (
+    BlockRun,
     ClassVector,
     IntersectionLattice,
     Witness,
     append_blocks,
     block_diagonal,
     coefficient_gcd,
-    direct_sum,
     dot,
     pairing,
     q_set,
@@ -156,45 +158,101 @@ def test_gram_must_be_symmetric_and_square():
         IntersectionLattice(("a", "a"), block_diagonal([((0, 1), (1, 0))]))
 
 
-def test_direct_sum_hyperbolic_pair():
-    s = direct_sum(H, H, rename=("l.", "r."))
-    assert s.rank == 4
-    assert gram(s) == (
-        (0, 1, 0, 0),
-        (1, 0, 0, 0),
-        (0, 0, 0, 1),
-        (0, 0, 1, 0),
-    )
-
-
-def test_direct_sum_split_class_blocks():
-    # Block form of the genus-1 bundle over a genus-2 surface: 2h(g-1) = 2
-    # split blocks plus the hyperbolic (section, fibre) pair, total rank 6
-    # (b2 = 4h(g-1) + 2).
-    split = IntersectionLattice(("v", "w"), block_diagonal([((2, 1), (1, 0))]))
-    acc = direct_sum(split, split, rename=("1.", "2."))
-    acc = direct_sum(acc, H, rename=("", ""))
-    assert acc.rank == 6
-    assert gram(acc)[0][:2] == (2, 1)
-    assert gram(acc)[4][4:] == (0, 1)
-
-
-def test_direct_sum_identity_with_rank_zero():
-    empty = IntersectionLattice((), ())
-    s = direct_sum(H, empty)
-    assert s.basis_names == H.basis_names and gram(s) == gram(H)
-
-
-def test_direct_sum_name_collision():
-    with pytest.raises(LatticeError, match="collision"):
-        direct_sum(H, H)
-
-
 def test_append_blocks_skips_an_index_with_any_prefix_name_taken():
     lat = IntersectionLattice(("W_1",), ((),))
     grown = append_blocks(lat, SPLIT_BLOCK, ("V", "W"), 2)
     assert grown.basis_names == ("W_1", "V_2", "W_2", "V_3", "W_3")
     assert grown.rows == ((), ((1, 2), (2, 1)), ((1, 1),), ((3, 2), (4, 1)), ((3, 1),))
+
+
+PREFIXES = ("V", "W", "E", "T1", "A_B")
+HEAD_NAMES = tuple(f"{p}_{j}" for p in PREFIXES for j in range(1, 5)) + ("f", "V_01", "W_0", "E_1_")
+
+
+def flat_append(names, rows, block, prefixes, count):
+    """Reference layout of ``append_blocks``: each copy named in turn at
+    the first label above the last where all its names are free, the rows
+    from ``block_diagonal``."""
+    taken, names, j = set(names), list(names), 0
+    for _ in range(count):
+        j += 1
+        while not taken.isdisjoint(f"{p}_{j}" for p in prefixes):
+            j += 1
+        names += [f"{p}_{j}" for p in prefixes]
+    return tuple(names), rows + block_diagonal([block] * count, len(rows))
+
+
+@st.composite
+def block_specs(draw):
+    """A symmetric block of size 1 to 3 and one distinct prefix per row."""
+    size = draw(st.integers(1, 3))
+    entries = [[0] * size for _ in range(size)]
+    for i in range(size):
+        for j in range(i, size):
+            entries[i][j] = entries[j][i] = draw(st.integers(-2, 2))
+    prefixes = draw(st.permutations(PREFIXES))[:size]
+    return tuple(map(tuple, entries)), tuple(prefixes)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True, database=None)
+@given(
+    head=st.lists(st.sampled_from(HEAD_NAMES), unique=True, max_size=8),
+    specs=st.lists(block_specs(), min_size=1, max_size=2),
+    chain=st.lists(st.tuples(st.integers(0, 1), st.integers(1, 5)), min_size=1, max_size=5),
+)
+# test_append_blocks_skips_an_index_with_any_prefix_name_taken
+@example(head=["W_1"], specs=[(SPLIT_BLOCK, ("V", "W"))], chain=[(0, 2)])
+# TestBlowUp.test_count_takes_the_first_free_names, once and chained
+@example(head=["f", "T1_1", "E_2", "R_1", "DR_1"], specs=[(((-1,),), ("E",))], chain=[(0, 2)])
+@example(head=["f", "E_2"], specs=[(((-1,),), ("E",))], chain=[(0, 1), (0, 1)])
+def test_runs_match_a_flat_layout(head, specs, chain):
+    lat = IntersectionLattice(tuple(head), ((),) * len(head))
+    names, rows = lat.basis_names, lat.rows
+    merged, last = [], None
+    for pick, count in chain:
+        block, prefixes = specs[pick % len(specs)]
+        lat = append_blocks(lat, block, prefixes, count)
+        names, rows = flat_append(names, rows, block, prefixes, count)
+        if merged and last == (block, prefixes):
+            merged[-1] = (block, prefixes, merged[-1][2] + count)
+        else:
+            merged.append((block, prefixes, count))
+        last = (block, prefixes)
+    # Appends of one block and prefix tuple in a row equal one append.
+    once = IntersectionLattice(tuple(head), ((),) * len(head))
+    for block, prefixes, count in merged:
+        once = append_blocks(once, block, prefixes, count)
+    assert once == lat and len(lat.runs) == len(merged)
+
+    # Every accessor agrees with the flat reference before any layout.
+    assert lat.rank == len(names)
+    assert [lat.row(i) for i in range(lat.rank)] == list(rows)
+    assert [lat.name(i) for i in range(lat.rank)] == list(names)
+    assert all(lat.index_of(name) == i for i, name in enumerate(names))
+    past = {p: 1 + max([int(n.rpartition("_")[2]) for n in names
+                        if n.rpartition("_")[0] == p and n.rpartition("_")[2].isdigit()] + [0])
+            for p in PREFIXES}
+    near = {f"{p}_{s}" for p in PREFIXES for s in ("0", "01", "+1", "-1", "1_", past[p])}
+    for name in near - set(names):
+        with pytest.raises(LatticeError, match="no class named"):
+            lat.index_of(name)
+    assert "rows" not in vars(lat) and "basis_names" not in vars(lat)
+
+    assert lat.rows == rows and lat.basis_names == names
+    assert gram(lat) == gram(IntersectionLattice(names, rows))
+
+
+def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
+    for block, prefixes, message in [
+        (((0, 1),), ("V",), "square"),
+        (((0, 1), (2, 0)), ("V", "W"), "symmetric"),
+        (SPLIT_BLOCK, ("V", "V"), "distinct"),
+        (SPLIT_BLOCK, ("V",), "one row per basis class"),
+    ]:
+        with pytest.raises(LatticeError, match=message):
+            append_blocks(H, block, prefixes, 10**5)
+    with pytest.raises(LatticeError, match="positive copy count"):
+        IntersectionLattice(("a",), ((),), runs=(BlockRun(SPLIT_BLOCK, ("V", "W"), 0),))
 
 
 def test_append_blocks_count_zero_returns_an_equal_lattice():

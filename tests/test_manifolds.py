@@ -4,7 +4,15 @@ import pytest
 from conftest import class_vector, dense
 
 from symgeo.errors import ConstructionError
-from symgeo.lattice import IntersectionLattice, Witness, block_diagonal, coefficient_gcd, pairing
+from symgeo.lattice import (
+    ClassVector,
+    IntersectionLattice,
+    Witness,
+    append_blocks,
+    block_diagonal,
+    coefficient_gcd,
+    pairing,
+)
 from symgeo.manifolds import (
     ManifoldDescriptor,
     catalog,
@@ -31,6 +39,16 @@ class TestSpinType:
         assert spin_type(odd_form, class_vector((1,)), -16) is False
         assert spin_type(fragment, class_vector((3, 0)), -8) is False
         assert spin_type(fragment, class_vector((3, 0)), -16) is None
+
+    def test_odd_square_in_a_run(self):
+        # A run's block is read once for the odd-square rule.
+        head = IntersectionLattice(("a",), ((),), primitive_summand=False)
+        odd = append_blocks(head, ((2, 1), (1, 1)), ("V", "W"), 5)
+        even = append_blocks(head, ((2, 1), (1, 0)), ("V", "W"), 5)
+        k = ClassVector(odd.rank, ((0, 1),))
+        assert spin_type(odd, k, -16) is False
+        assert spin_type(even, k, -16) is None
+        assert "rows" not in vars(odd) and "rows" not in vars(even)
 
     def test_spin_is_derived_not_stated(self):
         m = knot_product(2)

@@ -7,7 +7,7 @@ from conftest import class_vector, dense, dense_dot, expand, gram, random_descri
 from symgeo import geography, lattice, surgery
 from symgeo.errors import ConstructionError, LatticeError
 from symgeo.geography import divisibility, inequivalent_family
-from symgeo.lattice import Witness, dot, pairing
+from symgeo.lattice import IntersectionLattice, Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
 from symgeo.surgery import (
@@ -313,7 +313,7 @@ class TestBlowUp:
     def test_count_takes_the_first_free_names(self):
         base = elliptic_surface(2, 1, 1)
         names = tuple("E_2" if n == "D1_1" else n for n in base.lattice.basis_names)
-        m = replace(base, lattice=replace(base.lattice, basis_names=names))
+        m = replace(base, lattice=IntersectionLattice(names, base.lattice.rows))
         up = blow_up(m, 2)
         assert up.lattice.basis_names[-2:] == ("E_1", "E_3")
         chain = blow_up(blow_up(m))
