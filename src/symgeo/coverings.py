@@ -131,7 +131,7 @@ def branched_cover(
         minimal="unknown",
         lattice=lat,
         canonical=canonical,
-        witnesses=(),
+        witness_items=(),
         recipe=recipe,
     )
 
@@ -217,7 +217,7 @@ def pluricanonical_cover(
         minimal="yes",
         lattice=lat,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
         general_type=True,
     )
@@ -304,7 +304,7 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
         minimal="yes" if g >= 2 else "unknown",
         lattice=lat,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
     )
 

@@ -34,6 +34,8 @@ from .lattice import (
     odd_part,
     q_set,
     sparse_sum,
+    witness_dots,
+    witness_failures,
 )
 from .manifolds import (
     ManifoldDescriptor,
@@ -67,8 +69,7 @@ def certify_class(m: ManifoldDescriptor, k: ClassVector) -> DivisibilityCertific
     """Certificate for an arbitrary canonical class vector over m's lattice."""
     if k.rank != m.lattice.rank:
         raise LatticeError("basis mismatch")
-    upper = gcd_all(dot(k, w) for w in m.witnesses)
-    return _certificate(m, coefficient_gcd(k), upper)
+    return _certificate(m, coefficient_gcd(k), witness_dots(m.witness_items, k)[1])
 
 
 def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityCertificate:
@@ -77,7 +78,7 @@ def _certificate(m: ManifoldDescriptor, lower: int, upper: int) -> DivisibilityC
     class) and ``upper`` the gcd of its pairings with m's witnesses."""
     if lower == 0:
         return DivisibilityCertificate(0, 0, True, "canonical class is zero")
-    if not m.witnesses:
+    if not m.witness_items:
         return DivisibilityCertificate(lower, 0, False, "no witnesses")
     parity_note = "no parity constraint"
     consistent = True
@@ -123,8 +124,8 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     entries: list[tuple[str, bool, str]] = []
     c1 = m.c1_squared
     # K pairs once with each witness: the certificate and adjunction share it.
-    k_dots = [dot(m.canonical, w) for w in m.witnesses]
-    cert = _certificate(m, coefficient_gcd(m.canonical), gcd_all(k_dots))
+    k_dots, upper = witness_dots(m.witness_items, m.canonical)
+    cert = _certificate(m, coefficient_gcd(m.canonical), upper)
     d = cert.lower if m.lattice.primitive_summand else 0
 
     def add(name: str, passed: bool, detail: str) -> None:
@@ -158,21 +159,14 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
     else:
         skip("signature_eight")
 
-    bad = []
-    for w, k_w in zip(m.witnesses, k_dots):
-        if w.genus is None or w.self_intersection is None:
-            continue
-        if 2 * w.genus - 2 != k_w + w.self_intersection:
-            bad.append(w.name)
+    def violations(fails) -> list[str]:
+        return witness_failures(m.lattice, m.witness_items, k_dots, fails)
+
+    bad = violations(lambda genus, square, k_w: 2 * genus - 2 != k_w + square)
     add("adjunction_witnesses", not bad, "violations: " + ",".join(bad) if bad else "ok")
 
     if d >= 1:
-        bad = []
-        for w in m.witnesses:
-            if w.genus is None or w.self_intersection != 0:
-                continue
-            if (2 * w.genus - 2) % d != 0:
-                bad.append(w.name)
+        bad = violations(lambda genus, square, _: square == 0 and (2 * genus - 2) % d != 0)
         add("square_zero_genus", not bad, "violations: " + ",".join(bad) if bad else "ok")
     else:
         skip("square_zero_genus")

@@ -21,15 +21,27 @@ run, not per copy; only the readers of the whole basis (``basis_names``,
 lattice.  ``append_blocks`` and the fibre sum check the result's rank
 against ``MAX_RANK`` before building anything, so an oversized request
 fails with a :class:`LatticeError` instead of exhausting memory.
+
+Witnesses are stored the same way, as plain :class:`Witness` items and
+:class:`WitnessRun` items, each run one sphere per row of its choice in
+every copy of a block run (the dual spheres of E(n), the exceptional
+spheres of blow-ups).  A class pairs with a run through its own entries
+inside the run (:meth:`WitnessRun.dots`), so :func:`witness_dots` (the
+certificate and validation), :func:`split_witnesses` (knot surgery and
+generalized knot surgery), :func:`witness_failures` (the adjunction
+checks) and :func:`find_witness` lay out only the copies the class meets,
+or the witnesses they report.  Only :func:`lay_out_witnesses`, for
+``ManifoldDescriptor.witnesses`` (the fibre sum, tests), lays out every
+copy.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LatticeError
 
@@ -194,6 +206,168 @@ class BlockRun(NamedTuple):
     block: tuple[tuple[int, ...], ...]
     prefixes: tuple[str, ...]
     count: int
+
+
+class WitnessRun(NamedTuple):
+    """The sphere witnesses of ``count`` consecutive copies of a block run,
+    the first copy at basis index ``start``.  For each ``(r, named)`` of
+    ``spheres``, in order, the class in row r of a copy is an embedded
+    sphere: genus 0, square ``block[r][r]``, pairings that row of the copy,
+    named ``prefix`` followed by the name of row ``named`` of the copy.
+    Witness k of the run is sphere ``k % len(spheres)`` of copy
+    ``k // len(spheres)``."""
+
+    start: int
+    count: int
+    block: tuple[tuple[int, ...], ...]
+    spheres: tuple[tuple[int, int], ...]
+    prefix: str
+
+    @property
+    def stop(self) -> int:
+        """The basis index after the last copy."""
+        return self.start + self.count * len(self.block)
+
+    def witness(self, lat: "IntersectionLattice", k: int) -> Witness:
+        """Witness k of the run, laid out over ``lat``."""
+        copy, s = divmod(k, len(self.spheres))
+        base = self.start + copy * len(self.block)
+        r, named = self.spheres[s]
+        row = self.block[r]
+        pairs = tuple([(base + j, g) for j, g in enumerate(row) if g])
+        return Witness(self.prefix + lat.name(base + named), pairs, 0, row[r])
+
+    def copies(self, first: int, stop: int) -> "WitnessRun":
+        """The run of copies ``first`` to ``stop - 1`` of this one."""
+        return self._replace(start=self.start + first * len(self.block), count=stop - first)
+
+    def dots(self, entries: Entries) -> list[tuple[int, int]]:
+        """``(k, v . w_k)`` for the witnesses k of every copy in which the
+        class with sparse ``entries`` has an entry, by increasing k; the
+        other witnesses pair 0 with it.  Only those entries are read."""
+        size, n = len(self.block), len(self.spheres)
+        rows = [tuple((j, g) for j, g in enumerate(self.block[r]) if g) for r, _ in self.spheres]
+        out, stop = [], self.stop
+        j, end = bisect_left(entries, (self.start,)), len(entries)
+        while j < end and entries[j][0] < stop:
+            copy = (entries[j][0] - self.start) // size
+            base = self.start + copy * size
+            local = []
+            while j < end and entries[j][0] < base + size:
+                local.append((entries[j][0] - base, entries[j][1]))
+                j += 1
+            out += [(copy * n + s, sparse_dot(local, row)) for s, row in enumerate(rows)]
+        return out
+
+
+WitnessItems = tuple[Witness | WitnessRun, ...]
+
+
+def lay_out_witnesses(lat: "IntersectionLattice", items: WitnessItems) -> tuple[Witness, ...]:
+    """One :class:`Witness` per surface of ``items``, in order."""
+    out: list[Witness] = []
+    for w in items:
+        if isinstance(w, WitnessRun):
+            out += [w.witness(lat, k) for k in range(w.count * len(w.spheres))]
+        else:
+            out.append(w)
+    return tuple(out)
+
+
+def append_witness_run(items: WitnessItems, run: WitnessRun) -> WitnessItems:
+    """``items`` followed by ``run``, which joins a last run that it
+    continues; a run of no copies adds nothing."""
+    if not run.count:
+        return items
+    last = items[-1] if items else None
+    if isinstance(last, WitnessRun) and last[2:] == run[2:] and last.stop == run.start:
+        return items[:-1] + (last._replace(count=last.count + run.count),)
+    return items + (run,)
+
+
+def witness_dots(items: WitnessItems, v: ClassVector) -> tuple[list, int]:
+    """The pairings of ``v`` with the witnesses of each item, and their
+    gcd: ``dot(v, w)`` for a plain witness, and for a run the pairs of
+    :meth:`WitnessRun.dots`."""
+    dots, bound = [], 0
+    for w in items:
+        if isinstance(w, WitnessRun):
+            pairs = w.dots(v.entries)
+            bound = gcd(bound, *(value for _, value in pairs))
+            dots.append(pairs)
+        else:
+            value = dot(v, w)
+            bound = gcd(bound, value)
+            dots.append(value)
+    return dots, bound
+
+
+def split_witnesses(
+    lat: "IntersectionLattice", items: WitnessItems, v: ClassVector
+) -> Iterator[tuple[Witness | WitnessRun, int]]:
+    """The items paired with ``v``: each plain witness with ``dot(v, w)``;
+    each run split at the copies in which ``v`` has an entry, whose
+    witnesses are laid out with their pairings, the copies between kept as
+    runs that pair 0 with ``v``."""
+    for w in items:
+        if not isinstance(w, WitnessRun):
+            yield w, dot(v, w)
+            continue
+        n, done = len(w.spheres), 0
+        for k, value in w.dots(v.entries):
+            if k // n > done:
+                yield w.copies(done, k // n), 0
+            yield w.witness(lat, k), value
+            done = k // n + 1
+        if done < w.count:
+            yield w.copies(done, w.count), 0
+
+
+def witness_failures(
+    lat: "IntersectionLattice",
+    items: WitnessItems,
+    dots: list,
+    fails: Callable[[int, int, int], bool],
+) -> list[str]:
+    """Names, in order, of the witnesses w of declared genus and
+    self-intersection for which ``fails(genus, square, v . w)`` holds,
+    where ``dots`` are the pairings of :func:`witness_dots`.  A run's
+    untouched copies are read only when a sphere pairing 0 with v fails."""
+    bad = []
+    for w, value in zip(items, dots):
+        if not isinstance(w, WitnessRun):
+            if w.genus is not None and w.self_intersection is not None:
+                if fails(w.genus, w.self_intersection, value):
+                    bad.append(w.name)
+            continue
+        squares = [w.block[r][r] for r, _ in w.spheres]
+        values = dict(value)
+        n = len(squares)
+        ks = range(w.count * n) if any(fails(0, s, 0) for s in squares) else values
+        bad += [w.witness(lat, k).name for k in ks if fails(0, squares[k % n], values.get(k, 0))]
+    return bad
+
+
+def find_witness(lat: "IntersectionLattice", items: WitnessItems, name: str) -> Witness | None:
+    """The first witness of ``items`` named ``name``, or None; a run is
+    searched by the lattice index of the name, not copy by copy."""
+    for w in items:
+        if not isinstance(w, WitnessRun):
+            if w.name == name:
+                return w
+            continue
+        if not name.startswith(w.prefix):
+            continue
+        try:
+            i = lat.index_of(name[len(w.prefix):])
+        except LatticeError:
+            continue
+        if w.start <= i < w.stop:
+            copy, row = divmod(i - w.start, len(w.block))
+            for s, (_, named) in enumerate(w.spheres):
+                if named == row:
+                    return w.witness(lat, copy * len(w.spheres) + s)
+    return None
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,15 @@ the tracked fragment of the intersection lattice, the canonical class as
 a sparse integer vector over that fragment, a list of witness surfaces, and a
 provenance recipe that can be re-executed to reproduce the descriptor.
 
+The lattice stores repeated blocks as runs, and the witnesses store the
+spheres of repeated blocks as ``lattice.WitnessRun`` items: E(n) keeps
+one run for its 2(n - 1) dual spheres and ``blow_up`` one for its
+exceptional spheres.  Knot surgery, generalized knot surgery and
+validation read the runs through the ``lattice`` witness functions, which
+lay out only the copies a surgery class or K meets;
+``ManifoldDescriptor.witnesses`` lays out every copy on first read, for
+the fibre sum, the triple surgery and tests.
+
 Atomic pieces:
 
 * relatively minimal elliptic surfaces ``E(n)_{p,q}``,
@@ -29,9 +38,14 @@ from .lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
+    WitnessItems,
+    WitnessRun,
     append_blocks,
+    append_witness_run,
     block_diagonal,
     coefficient_gcd,
+    find_witness,
+    lay_out_witnesses,
     pairing,
 )
 
@@ -63,6 +77,8 @@ class ConstructionRecipe:
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Invariant-level model of a closed oriented 4-manifold.
+    ``witness_items`` stores the witness surfaces as plain witnesses and
+    witness runs; ``witnesses`` reads them one :class:`Witness` each.
     ``pi1_generator`` indexes a class normally generating pi_1."""
 
     e: int
@@ -72,7 +88,7 @@ class ManifoldDescriptor:
     minimal: str  # "yes" | "no" | "unknown"
     lattice: IntersectionLattice
     canonical: ClassVector
-    witnesses: tuple[Witness, ...]
+    witness_items: WitnessItems
     recipe: ConstructionRecipe
     general_type: bool = False
     pi1_generator: int | None = None
@@ -82,9 +98,23 @@ class ManifoldDescriptor:
             raise ConstructionError("minimal must be yes, no or unknown")
         if self.canonical.rank != self.lattice.rank:
             raise ConstructionError("canonical class length does not match lattice rank")
-        for w in self.witnesses:
-            if w.pairings and w.pairings[-1][0] >= self.lattice.rank:
+        runs = False
+        for w in self.witness_items:
+            if isinstance(w, WitnessRun):
+                runs = True
+                if w.stop > self.lattice.rank:
+                    raise ConstructionError(f"witness run {w.prefix!r} pairing length mismatch")
+            elif w.pairings and w.pairings[-1][0] >= self.lattice.rank:
                 raise ConstructionError(f"witness {w.name!r} pairing length mismatch")
+        if not runs:
+            object.__setattr__(self, "witnesses", self.witness_items)
+
+    @cached_property
+    def witnesses(self) -> tuple[Witness, ...]:
+        """The witness surfaces, one :class:`Witness` each, laid out from
+        ``witness_items`` on first read (stored as given when they hold no
+        run)."""
+        return lay_out_witnesses(self.lattice, self.witness_items)
 
     @cached_property
     def spin(self) -> bool | None:
@@ -112,10 +142,10 @@ class ManifoldDescriptor:
         return pairing(self.lattice, self.canonical, self.canonical)
 
     def witness(self, name: str) -> Witness:
-        for w in self.witnesses:
-            if w.name == name:
-                return w
-        raise KeyError(name)
+        w = find_witness(self.lattice, self.witness_items, name)
+        if w is None:
+            raise KeyError(name)
+        return w
 
 
 def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool | None:
@@ -193,24 +223,25 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
     if gcd(p, q) != 1:
         raise ConstructionError("multiple fibres not coprime")
     nucleus_pair = ((0, 1, 0, 0), (1, -2, 0, 0), (0, 0, 0, 1), (0, 0, 1, -2))
-    lat = append_blocks(IntersectionLattice(("f",), ((),)), nucleus_pair, _TRIPLE_PREFIXES, n - 1)
+    head = IntersectionLattice(("f",), ((),))
+    lat = append_blocks(head, nucleus_pair, _TRIPLE_PREFIXES, n - 1)
     k_coeff = n * p * q - p - q
     canonical = lat.vector({"f": k_coeff})
 
-    witnesses: list[Witness] = []
     notes = [NOTE_FULL_CANONICAL, f"rim-torus-triples:{n - 1}"]
     fibre_dual_row = ((0, 1),)  # meets f once, nuclei not at all
     if p == 1 and q == 1:
         # Honest section: sphere of square -n meeting the fibre once.
-        witnesses.append(Witness("section", fibre_dual_row, 0, -n))
+        witnesses = (Witness("section", fibre_dual_row, 0, -n),)
     else:
         # Dual class to the multiple fibre; a sphere meeting f once exists
         # when one multiplicity is 1, a dual class always by unimodularity.
-        witnesses.append(Witness("fibre_dual", fibre_dual_row))
+        witnesses = (Witness("fibre_dual", fibre_dual_row),)
         notes.append("axiomatic-dual:fibre_dual")
-    # The dual spheres sit at the even indices, each after the torus it meets.
-    for i in range(2, lat.rank, 2):
-        witnesses.append(Witness(f"sphere_{lat.name(i - 1)}", lat.row(i), 0, -2))
+    # In each nucleus the dual spheres D1 and DR (rows 1, 3) are named
+    # after the torus they meet (rows 0, 2).
+    spheres = WitnessRun(head.rank, n - 1, nucleus_pair, ((1, 0), (3, 2)), "sphere_")
+    witnesses = append_witness_run(witnesses, spheres)
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 
     if n >= 2:
@@ -228,7 +259,7 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         minimal=minimal,
         lattice=lat,
         canonical=canonical,
-        witnesses=tuple(witnesses),
+        witness_items=witnesses,
         recipe=recipe,
     )
 
@@ -257,7 +288,7 @@ def knot_product(h: int) -> ManifoldDescriptor:
         minimal="unknown",
         lattice=lat,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
         pi1_generator=lat.index_of("T_K"),
     )
@@ -286,7 +317,7 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
         minimal="unknown",
         lattice=lat,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
         pi1_generator=lat.index_of("Sigma_S"),
     )
@@ -390,7 +421,7 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
         minimal="yes",
         lattice=lat,
         canonical=lat.vector({entry.basis: d}),
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
         general_type=True,
     )

@@ -24,19 +24,25 @@ other intersection pattern keeps the pairing vector but forgets the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Callable
 
 from .errors import ConstructionError, LatticeError
 from .lattice import (
     ClassVector,
     IntersectionLattice,
     Witness,
+    WitnessItems,
+    WitnessRun,
     append_blocks,
+    append_witness_run,
     block_diagonal,
     check_rank,
     coefficient_gcd,
     dot,
+    find_witness,
     pairing,
     sparse_sum,
+    split_witnesses,
 )
 from .manifolds import (
     NOTE_FULL_CANONICAL,
@@ -143,10 +149,10 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
     raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
 
 
-def _fresh(base: str, taken: set[str]) -> str:
+def _fresh(base: str, taken: Callable[[str], bool]) -> str:
     name = base
     k = 2
-    while name in taken:
+    while taken(name):
         name = f"{base}.{k}"
         k += 1
     return name
@@ -197,7 +203,7 @@ def fibre_sum(
     m_names = [m.lattice.basis_names[i] for i in m_keep]
     sigma_name = m.lattice.basis_names[side_m.sigma_index]
     taken = set(m_names) | {sigma_name}
-    b_name = _fresh("B_" + sigma_name, taken)
+    b_name = _fresh("B_" + sigma_name, taken.__contains__)
     taken.add(b_name)
 
     raw_n_names = [n.lattice.basis_names[i] for i in n_keep]
@@ -283,8 +289,8 @@ def fibre_sum(
     b_genus = None
     if side_m.b_genus is not None and side_n.b_genus is not None:
         b_genus = side_m.b_genus + side_n.b_genus
-    witness_taken = {w.name for w in witnesses}
-    witnesses.append(Witness(_fresh(b_name, witness_taken), b_pairings, b_genus, b_square))
+    b_witness = _fresh(b_name, {w.name for w in witnesses}.__contains__)
+    witnesses.append(Witness(b_witness, b_pairings, b_genus, b_square))
 
     simply_connected = (
         m.simply_connected and complement_m and _pi1_collapses(n, class_n, complement_n)
@@ -323,23 +329,24 @@ def fibre_sum(
         minimal=_derive_minimal(lattice.primitive_summand, canonical),
         lattice=lattice,
         canonical=canonical,
-        witnesses=tuple(witnesses),
+        witness_items=tuple(witnesses),
         recipe=recipe,
     )
 
 
 def _cap_witnesses(
-    witnesses: tuple[Witness, ...], torus: ClassVector, h: int, sign: str
-) -> tuple[Witness, ...]:
+    x: ManifoldDescriptor, torus: ClassVector, h: int, sign: str
+) -> WitnessItems:
     # Capping with Seifert surfaces leaves the homology class, and hence
     # the self-intersection, untouched; only the genus grows.  A single
     # intersection point, positive for the torus's symplectic orientation,
     # gives an exact new genus; anything else leaves the genus unknown.
+    if h == 0:
+        return x.witness_items
     positive = 1 if sign == "+" else -1
     out = []
-    for w in witnesses:
-        t = dot(torus, w)
-        if t == 0 or h == 0:
+    for w, t in split_witnesses(x.lattice, x.witness_items, torus):
+        if t == 0:
             out.append(w)
         elif t == positive and w.genus is not None:
             out.append(replace(w, genus=w.genus + h))
@@ -366,7 +373,7 @@ def knot_surgery(
         raise ConstructionError("torus violates the adjunction identity")
     shift = torus.scaled(2 * h if sign == "+" else -2 * h)
     canonical = x.canonical + shift
-    witnesses = _cap_witnesses(x.witnesses, torus, h, sign)
+    witnesses = _cap_witnesses(x, torus, h, sign)
     simply_connected = x.simply_connected and complement
     notes = (NOTE_FULL_CANONICAL, f"fibred-knot-genus:{h}")
     recipe = ConstructionRecipe(
@@ -388,7 +395,7 @@ def knot_surgery(
         minimal=_derive_minimal(x.lattice.primitive_summand, canonical),
         lattice=x.lattice,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
     )
 
@@ -419,15 +426,16 @@ def generalized_knot_surgery(
     canonical = replace(m.canonical + surface.scaled(2 * h), rank=lattice.rank)
 
     # The new classes pair with no old one, so kept witnesses are unchanged.
-    witnesses: list[Witness] = []
+    witnesses: list[Witness | WitnessRun] = []
     dropped = []
-    for w in m.witnesses:
-        if dot(surface, w) != 0:
+    for w, t in split_witnesses(m.lattice, m.witness_items, surface):
+        if t != 0:
             dropped.append(w.name)
             continue
         witnesses.append(w)
     sigma_row = m.lattice.pairing_row(surface)
-    witnesses.append(Witness(_fresh("Sigma", {w.name for w in witnesses}), sigma_row, g, 0))
+    sigma = _fresh("Sigma", lambda name: find_witness(lattice, witnesses, name) is not None)
+    witnesses.append(Witness(sigma, sigma_row, g, 0))
 
     notes = [NOTE_FULL_CANONICAL]
     if dropped:
@@ -451,7 +459,7 @@ def generalized_knot_surgery(
         minimal=_derive_minimal(lattice.primitive_summand, canonical),
         lattice=lattice,
         canonical=canonical,
-        witnesses=tuple(witnesses),
+        witness_items=tuple(witnesses),
         recipe=recipe,
     )
 
@@ -481,12 +489,12 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     witness, and adds their sum to the canonical class."""
     if count < 1:
         raise ConstructionError("blow-up count must be positive")
-    lattice = append_blocks(m.lattice, ((-1,),), ("E",), count)
+    exceptional = ((-1,),)
+    lattice = append_blocks(m.lattice, exceptional, ("E",), count)
     new = range(m.lattice.rank, lattice.rank)
     canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
-    witnesses = m.witnesses + tuple(
-        Witness(f"exceptional_{lattice.name(i)}", ((i, -1),), 0, -1) for i in new
-    )
+    spheres = WitnessRun(m.lattice.rank, count, exceptional, ((0, 0),), "exceptional_")
+    witnesses = append_witness_run(m.witness_items, spheres)
     recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), (NOTE_FULL_CANONICAL,))
     return ManifoldDescriptor(
         e=m.e + count,
@@ -496,7 +504,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
         minimal="no",
         lattice=lattice,
         canonical=canonical,
-        witnesses=witnesses,
+        witness_items=witnesses,
         recipe=recipe,
     )
 
@@ -558,8 +566,8 @@ def lagrangian_triple_surgery(
             witnesses.append(replace(w, name=f"C2_t{triple_index}"))
         else:
             witnesses.append(w)
-    witness_names = {w.name for w in witnesses}
-    witnesses.append(Witness(_fresh(f"C1_t{triple_index}", witness_names), c1_pairings))
+    c1_name = _fresh(f"C1_t{triple_index}", {w.name for w in witnesses}.__contains__)
+    witnesses.append(Witness(c1_name, c1_pairings))
 
     notes = (NOTE_FULL_CANONICAL, f"triple:{triple_index}", _RIM_TORI_POSSIBLE)
     recipe = ConstructionRecipe(
@@ -575,4 +583,4 @@ def lagrangian_triple_surgery(
         (m.recipe,),
         notes,
     )
-    return replace(step3, witnesses=tuple(witnesses), recipe=recipe)
+    return replace(step3, witness_items=tuple(witnesses), recipe=recipe)

@@ -338,7 +338,7 @@ def test_criterion_6_cross_construction_oracles(capsys):
         e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=quadric_lat,
         canonical=quadric_lat.vector({"S_1": -2, "S_2": -2}),
-        witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),
+        witness_items=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),
     )
     for n in range(1, 13):
         for m in range(1, 13):

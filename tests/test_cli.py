@@ -81,19 +81,21 @@ class TestConstruct:
 
     def test_certifies_the_canonical_class_once(self, capsys, monkeypatch):
         # The printed certificate is the one validation decided with, and
-        # validation pairs K with each witness once.
+        # validation pairs K with the stored witnesses once.
         from symgeo import geography
 
         decided, paired = [], []
-        decide, dot = geography._certificate, geography.dot
+        decide, pair = geography._certificate, geography.witness_dots
         monkeypatch.setattr(
             geography, "_certificate", lambda m, lo, up: decided.append(m) or decide(m, lo, up)
         )
-        monkeypatch.setattr(geography, "dot", lambda k, w: paired.append(w.name) or dot(k, w))
+        monkeypatch.setattr(
+            geography, "witness_dots", lambda items, k: paired.append(items) or pair(items, k)
+        )
         code, out, _ = run(capsys, "construct", "homotopy_elliptic", "4", "2")
         assert code == 0 and "divisibility: 2" in out
         assert len(decided) == 1
-        assert sorted(paired) == sorted(w.name for w in decided[0].witnesses)
+        assert paired == [decided[0].witness_items]
 
     def test_parameter_error(self, capsys):
         code, _, err = run(capsys, "construct", "homotopy_elliptic", "3", "2")

@@ -37,7 +37,7 @@ def quadric():
     return ManifoldDescriptor(
         e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=lat, canonical=lat.vector({"S_1": -2, "S_2": -2}),
-        witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),
+        witness_items=(), recipe=ConstructionRecipe("catalog", (("name", "quadric"),)),
     )
 
 

@@ -7,7 +7,7 @@ from conftest import class_vector, dense, dense_dot, random_descriptor
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from symgeo import geography
+from symgeo import geography, lattice
 from symgeo.errors import ConstructionError, InadmissibleError
 from symgeo.geography import (
     certify_class,
@@ -44,7 +44,7 @@ def synthetic(e, sigma, *, sc=True, canonical=(), gram=(), witnesses=(), primiti
     return ManifoldDescriptor(
         e=e, sigma=sigma, simply_connected=sc, symplectic=True,
         minimal="unknown", lattice=lat, canonical=class_vector(canonical),
-        witnesses=tuple(witnesses),
+        witness_items=tuple(witnesses),
         recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
     )
 
@@ -558,7 +558,7 @@ class TestDenseDot:
             calls.append(1)
             return dense_dot(v, w)
 
-        monkeypatch.setattr(geography, "dot", counted)
+        monkeypatch.setattr(lattice, "dot", counted)
         dense = [(certify_class(m, k), validate(m).entries) for m, k in cases]
         assert sparse == dense
         assert len(calls) > 0

@@ -59,7 +59,7 @@ class TestSpinType:
             ManifoldDescriptor(
                 e=0, sigma=0, spin=False, simply_connected=False, symplectic=True,
                 minimal="unknown", lattice=m.lattice, canonical=m.canonical,
-                witnesses=(), recipe=m.recipe,
+                witness_items=(), recipe=m.recipe,
             )
 
 
@@ -154,9 +154,9 @@ class TestKnotProduct:
 
     def test_witness_index_beyond_rank_rejected(self):
         m = knot_product(2)
-        replace(m, witnesses=(Witness("last", ((1, 1),)),))
+        replace(m, witness_items=(Witness("last", ((1, 1),)),))
         with pytest.raises(ConstructionError, match="pairing length mismatch"):
-            replace(m, witnesses=(Witness("beyond", ((0, 1), (2, 1))),))
+            replace(m, witness_items=(Witness("beyond", ((0, 1), (2, 1))),))
 
     def test_section_torus_generates_pi1(self):
         m = knot_product(2)
@@ -274,7 +274,7 @@ class TestDerivedInvariants:
         m = ManifoldDescriptor(
             e=42, sigma=-22, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),
-            witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
+            witness_items=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
         )
         inv = derived_invariants(m)
         assert (inv.chi_h, inv.b2_plus) == (5, 9)
@@ -287,7 +287,7 @@ class TestDerivedInvariants:
         m = ManifoldDescriptor(
             e=3, sigma=0, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),
-            witnesses=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
+            witness_items=(), recipe=ConstructionRecipe("catalog", (("name", "barlow"),)),
         )
         with pytest.raises(ConstructionError, match="not almost-complex consistent"):
             derived_invariants(m)

@@ -175,7 +175,7 @@ class TestKnotSurgery:
         # while a sphere pairing -1 with f keeps a genus raised by h.
         base = elliptic_surface(2, 1, 1)
         probe = Witness("reversed_section", ((0, -1),), 0, -2)
-        m = replace(base, witnesses=base.witnesses + (probe,))
+        m = replace(base, witness_items=base.witnesses + (probe,))
         x = knot_surgery(m, fibre(m), 4, "-", True)
         assert x.witness("section").genus is None
         assert x.witness("reversed_section").genus == 4
@@ -279,7 +279,7 @@ class TestBlowUp:
         base = elliptic_surface(3, 1, 1)
         m = blow_up(base)
         assert len(m.witnesses) == len(base.witnesses) + 1
-        assert all(a is b for a, b in zip(m.witnesses, base.witnesses))
+        assert all(a is b for a, b in zip(m.witness_items, base.witness_items))
 
     def test_k3_deltas(self):
         m = blow_up(elliptic_surface(2, 1, 1))
@@ -532,7 +532,7 @@ class TestDenseReference:
         base = elliptic_surface(2, 1, 1)
         lat = base.lattice
         probe = Witness("probe", ((lat.index_of("f"), 1), (lat.index_of("DR_1"), 3)))
-        m = replace(base, witnesses=base.witnesses + (probe,))
+        m = replace(base, witness_items=base.witnesses + (probe,))
         e1 = elliptic_surface(1, 1, 1)
         calls = {}
         x = checked(fibre_sum, dense_fibre_sum, calls)(
