@@ -425,12 +425,7 @@ def inequivalent_family(
             if n % 2 != 0 or n < 3 * big_n + 1:
                 raise ConstructionError("need even chi_h >= 3N+1 for even divisibility")
             length = n - 2 * big_n
-        x = elliptic_surface(length, 1, 1)
-        triples = list(range(1, big_n + 1))
-        for idx, (a_i, h_i) in zip(triples, params):
-            x = lagrangian_triple_surgery(x, idx, a_i, em, h_i, h, "+")
-        g_final = (length * (d - 1) + 2) // 2
-        w = knot_surgery(x, x.lattice.basis_vector("f"), g_final, "+", True)
+        w, first = elliptic_surface(length, 1, 1), 1
     elif regime == "spin_positive":
         if m is None or t is None:
             raise ConstructionError("spin_positive regime needs m and t")
@@ -439,10 +434,7 @@ def inequivalent_family(
         if 2 * m < 3 * big_n + 2:
             raise ConstructionError("need 2m >= 3N+2")
         length = 2 * m - 2 * big_n
-        w = spin_surface(d, length // 2, t)
-        triples = list(range(2, big_n + 2))
-        for idx, (a_i, h_i) in zip(triples, params):
-            w = lagrangian_triple_surgery(w, idx, a_i, em, h_i, h, "+")
+        w, first = spin_surface(d, length // 2, t), 2
     elif regime == "nonspin_positive":
         if m is None or t is None:
             raise ConstructionError("nonspin_positive regime needs m and t")
@@ -451,12 +443,17 @@ def inequivalent_family(
         if m < 2 * big_n + 2:
             raise ConstructionError("need m >= 2N+2")
         length = m - big_n
-        w = nonspin_surface(d, length, t)
-        triples = list(range(2, big_n + 2))
-        for idx, (a_i, h_i) in zip(triples, params):
-            w = lagrangian_triple_surgery(w, idx, a_i, em, h_i, h, "+")
+        w, first = nonspin_surface(d, length, t), 2
     else:
         raise ConstructionError(f"unknown regime {regime!r}")
+
+    # spin_surface and nonspin_surface have surgered triple 1 already.
+    triples = range(first, first + big_n)
+    for idx, (a_i, h_i) in zip(triples, params):
+        w = lagrangian_triple_surgery(w, idx, a_i, em, h_i, h, "+")
+    if regime == "c1sq_zero":
+        g_final = (length * (d - 1) + 2) // 2
+        w = knot_surgery(w, w.lattice.basis_vector("f"), g_final, "+", True)
 
     shifts = [
         (w.lattice.index_of(triple_names(idx)[0]), -4 * h_i)

@@ -16,11 +16,11 @@ of Y_{g,h}, the exceptional classes of blow-ups).  A lattice stores a run
 once, as one :class:`BlockRun`: the block, its name prefixes and the copy
 count.  The rank, a row, a name and the index of a name are computed
 from the run's offset, so building, pairing and validating do work per
-run, not per copy; only the readers of the whole basis (``basis_names``,
-``rows``, as the fibre sum needs them) lay the copies out, once per
-lattice.  ``append_blocks`` and the fibre sum check the result's rank
-against ``MAX_RANK`` before building anything, so an oversized request
-fails with a :class:`LatticeError` instead of exhausting memory.
+run, not per copy; the basis is read only through these accessors, and
+a reader of the whole basis (the fibre sum) calls them once per class.
+A lattice with runs and the fibre sum check the result's rank against
+``MAX_RANK`` before building anything, so an oversized request fails
+with a :class:`LatticeError` instead of exhausting memory.
 
 Witnesses are stored the same way, as plain :class:`Witness` items and
 :class:`WitnessRun` items, each run one sphere per row of its choice in
@@ -28,25 +28,25 @@ every copy of a block run (the dual spheres of E(n), the exceptional
 spheres of blow-ups).  A class pairs with a run through its own entries
 inside the run (:meth:`WitnessRun.dots`), so :func:`witness_dots` (the
 certificate and validation), :func:`split_witnesses` (knot surgery and
-generalized knot surgery), :func:`witness_failures` (the adjunction
-checks) and :func:`find_witness` lay out only the copies the class meets,
-or the witnesses they report.  Only :func:`lay_out_witnesses`, for
-``ManifoldDescriptor.witnesses`` (the fibre sum, tests), lays out every
-copy.
+generalized knot surgery) and :func:`witness_failures` (the adjunction
+checks) lay out only the copies the class meets, or the witnesses they
+report.  Only :func:`lay_out_witnesses`, for
+``ManifoldDescriptor.witnesses`` (the fibre sum, the triple surgery,
+name lookup), lays out every copy.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import LatticeError
 
-# inequivalent_family enumerates 2^N sign patterns of an N-entry divisor
-# tail; inputs beyond this are a bug.
+# Longest divisor tail q_set accepts: it bounds the divisor list of the
+# CLI's qset input.  inequivalent_family has its own limit,
+# geography.MAX_SIGN_PATTERNS.
 _MAX_DIVISOR_LIST = 20
 
 # Size budget in basis classes.  At about 625 B per stored blow-up class
@@ -135,12 +135,11 @@ class Witness:
 
     ``pairings`` lists the pairs ``(i, p)`` with ``p != 0`` the
     intersection number of the witness with the i-th basis class, by
-    increasing ``i``: the shape of a row of
-    :attr:`IntersectionLattice.rows`.  The witness does not know the rank;
-    its descriptor checks that every index lies below it.  ``genus`` and
-    ``self_intersection`` are declared only when a concrete embedded
-    representative of that type is known; the adjunction validator skips
-    witnesses with either field missing.
+    increasing ``i``: the shape of :meth:`IntersectionLattice.row`.  The
+    witness does not know the rank; its descriptor checks that every index
+    lies below it.  ``genus`` and ``self_intersection`` are declared only
+    when a concrete embedded representative of that type is known; the
+    adjunction validator skips witnesses with either field missing.
     """
 
     name: str
@@ -348,28 +347,6 @@ def witness_failures(
     return bad
 
 
-def find_witness(lat: "IntersectionLattice", items: WitnessItems, name: str) -> Witness | None:
-    """The first witness of ``items`` named ``name``, or None; a run is
-    searched by the lattice index of the name, not copy by copy."""
-    for w in items:
-        if not isinstance(w, WitnessRun):
-            if w.name == name:
-                return w
-            continue
-        if not name.startswith(w.prefix):
-            continue
-        try:
-            i = lat.index_of(name[len(w.prefix):])
-        except LatticeError:
-            continue
-        if w.start <= i < w.stop:
-            copy, row = divmod(i - w.start, len(w.block))
-            for s, (_, named) in enumerate(w.spheres):
-                if named == row:
-                    return w.witness(lat, copy * len(w.spheres) + s)
-    return None
-
-
 @dataclass(frozen=True)
 class IntersectionLattice:
     """Named basis classes with a symmetric integer intersection form.
@@ -379,9 +356,8 @@ class IntersectionLattice:
     orthogonal to everything else.  A row lists the pairs ``(j, g_ij)``
     with ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
     :meth:`name` and :meth:`index_of` read a run from its block and its
-    label spans; ``basis_names`` and ``rows``, the whole basis laid out,
-    are built on first read (a head-only lattice stores them as given).
-    Adjacent runs of one block and one prefix tuple are stored as one.
+    label spans, and are the only readers of the basis.  Adjacent runs of
+    one block and one prefix tuple are stored as one.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
@@ -416,8 +392,6 @@ class IntersectionLattice:
             self._place_runs()
             return
         object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "basis_names", names)
-        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_starts", ())
         object.__setattr__(self, "_placed", ())
 
@@ -474,14 +448,14 @@ class IntersectionLattice:
         return self.runs[k], placed, copy, r
 
     def row(self, i: int) -> Entries:
-        """``rows[i]``, without laying out the runs."""
+        """The sparse row of basis class ``i``, without laying out the runs."""
         if 0 <= i < len(self.head_rows):
             return self.head_rows[i]
         _, (rows, _), _, r = self._locate(i)
         return tuple([(i - r + j, g) for j, g in rows[r]])
 
     def name(self, i: int) -> str:
-        """``basis_names[i]``, without laying out the runs."""
+        """The name of basis class ``i``, without laying out the runs."""
         if 0 <= i < len(self.head_names):
             return self.head_names[i]
         run, (_, spans), copy, r = self._locate(i)
@@ -504,23 +478,6 @@ class IntersectionLattice:
                         return start + copy * len(rows) + run.prefixes.index(prefix)
                     copy += hi - lo + 1
         raise LatticeError(f"basis mismatch: no class named {name!r}")
-
-    @cached_property
-    def basis_names(self) -> tuple[str, ...]:
-        names = list(self.head_names)
-        for run, (_, spans) in zip(self.runs, self._placed):
-            for lo, hi in spans:
-                names += [f"{p}_{j}" for j in range(lo, hi + 1) for p in run.prefixes]
-        return tuple(names)
-
-    @cached_property
-    def rows(self) -> tuple[Entries, ...]:
-        rows = list(self.head_rows)
-        for start, run, (one, _) in zip(self._starts, self.runs, self._placed):
-            size = len(one)
-            for base in range(start, start + size * run.count, size):
-                rows += [tuple([(base + j, g) for j, g in row]) for row in one]
-        return tuple(rows)
 
     def basis_vector(self, name: str) -> ClassVector:
         return ClassVector(self.rank, ((self.index_of(name), 1),))
@@ -581,7 +538,6 @@ def append_blocks(
     at the first index j above the previous copy's where all of these
     names are free; its rows are the rows of one copy, shifted to its
     offset.  The work does not grow with ``count``."""
-    check_rank(lat.rank + len(block) * count)
     if not count:
         return lat
     runs = lat.runs + (BlockRun(block, prefixes, count),)

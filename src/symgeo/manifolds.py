@@ -13,7 +13,8 @@ exceptional spheres.  Knot surgery, generalized knot surgery and
 validation read the runs through the ``lattice`` witness functions, which
 lay out only the copies a surgery class or K meets;
 ``ManifoldDescriptor.witnesses`` lays out every copy on first read, for
-the fibre sum, the triple surgery and tests.
+the fibre sum, the triple surgery and the name lookup
+``ManifoldDescriptor.witness``.
 
 Atomic pieces:
 
@@ -44,7 +45,6 @@ from .lattice import (
     append_witness_run,
     block_diagonal,
     coefficient_gcd,
-    find_witness,
     lay_out_witnesses,
     pairing,
 )
@@ -142,10 +142,11 @@ class ManifoldDescriptor:
         return pairing(self.lattice, self.canonical, self.canonical)
 
     def witness(self, name: str) -> Witness:
-        w = find_witness(self.lattice, self.witness_items, name)
-        if w is None:
-            raise KeyError(name)
-        return w
+        """The first witness named ``name``; KeyError when none is."""
+        for w in self.witnesses:
+            if w.name == name:
+                return w
+        raise KeyError(name)
 
 
 def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool | None:
@@ -275,8 +276,8 @@ def knot_product(h: int) -> ManifoldDescriptor:
     lat = IntersectionLattice(("T_K", "B_K"), block_diagonal([((0, 1), (1, 0))]))
     canonical = lat.vector({"T_K": 2 * h - 2})
     witnesses = (
-        Witness("section_torus", lat.rows[0], 1, 0),
-        Witness("fibre", lat.rows[1], h, 0),
+        Witness("section_torus", lat.row(0), 1, 0),
+        Witness("fibre", lat.row(1), h, 0),
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "T_K", "b1:2", f"fibre-genus:{h}")
     recipe = ConstructionRecipe("knot_product", (("h", h),), (), notes)

@@ -39,7 +39,6 @@ from .lattice import (
     check_rank,
     coefficient_gcd,
     dot,
-    find_witness,
     pairing,
     sparse_sum,
     split_witnesses,
@@ -200,13 +199,13 @@ def fibre_sum(
     m_keep = side_m.kept
     n_keep = side_n.kept
     check_rank(len(m_keep) + 2 + len(n_keep))
-    m_names = [m.lattice.basis_names[i] for i in m_keep]
-    sigma_name = m.lattice.basis_names[side_m.sigma_index]
+    m_names = [m.lattice.name(i) for i in m_keep]
+    sigma_name = m.lattice.name(side_m.sigma_index)
     taken = set(m_names) | {sigma_name}
     b_name = _fresh("B_" + sigma_name, taken.__contains__)
     taken.add(b_name)
 
-    raw_n_names = [n.lattice.basis_names[i] for i in n_keep]
+    raw_n_names = [n.lattice.name(i) for i in n_keep]
     prefix = ""
     if any(name in taken for name in raw_n_names):
         k = 1
@@ -232,8 +231,8 @@ def fibre_sum(
     # No kept class pairs with a removed one, so re-indexing the kept rows
     # of each side loses no entry.
     def kept_rows(side: _Side, index: dict[int, int]) -> tuple:
-        rows = side.desc.lattice.rows
-        return tuple(tuple(carry(rows[i], index)) for i in index)
+        lat = side.desc.lattice
+        return tuple(tuple(carry(lat.row(i), index)) for i in index)
 
     lattice = IntersectionLattice(
         new_names,
@@ -434,7 +433,9 @@ def generalized_knot_surgery(
             continue
         witnesses.append(w)
     sigma_row = m.lattice.pairing_row(surface)
-    sigma = _fresh("Sigma", lambda name: find_witness(lattice, witnesses, name) is not None)
+    # A run's witnesses are named sphere_... or exceptional_..., never Sigma or Sigma.k.
+    plain = {w.name for w in witnesses if isinstance(w, Witness)}
+    sigma = _fresh("Sigma", plain.__contains__)
     witnesses.append(Witness(sigma, sigma_row, g, 0))
 
     notes = [NOTE_FULL_CANONICAL]

@@ -254,7 +254,6 @@ class TestSpinSurface:
             finally:
                 tracemalloc.stop()
             assert report.ok
-            assert "rows" not in vars(m.lattice) and "basis_names" not in vars(m.lattice)
             return peak
 
         assert peak(64) <= 1.2 * peak(4)

@@ -2,7 +2,7 @@ import random
 from math import gcd
 
 import pytest
-from conftest import class_vector, dense, expand, gram
+from conftest import class_vector, dense, expand, gram, lattice_names, lattice_rows
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -91,7 +91,7 @@ def test_pairing_row_matches_dense_random():
             dense_pairing(entries, dense(v), e) for e in units
         )
         for i, e in enumerate(units):
-            assert lat.pairing_row(class_vector(e)) == lat.rows[i]
+            assert lat.pairing_row(class_vector(e)) == lat.row(i)
 
 
 def test_class_arithmetic_and_dot_match_dense_random():
@@ -161,8 +161,8 @@ def test_gram_must_be_symmetric_and_square():
 def test_append_blocks_skips_an_index_with_any_prefix_name_taken():
     lat = IntersectionLattice(("W_1",), ((),))
     grown = append_blocks(lat, SPLIT_BLOCK, ("V", "W"), 2)
-    assert grown.basis_names == ("W_1", "V_2", "W_2", "V_3", "W_3")
-    assert grown.rows == ((), ((1, 2), (2, 1)), ((1, 1),), ((3, 2), (4, 1)), ((3, 1),))
+    assert lattice_names(grown) == ("W_1", "V_2", "W_2", "V_3", "W_3")
+    assert lattice_rows(grown) == ((), ((1, 2), (2, 1)), ((1, 1),), ((3, 2), (4, 1)), ((3, 1),))
 
 
 PREFIXES = ("V", "W", "E", "T1", "A_B")
@@ -207,7 +207,7 @@ def block_specs(draw):
 @example(head=["f", "E_2"], specs=[(((-1,),), ("E",))], chain=[(0, 1), (0, 1)])
 def test_runs_match_a_flat_layout(head, specs, chain):
     lat = IntersectionLattice(tuple(head), ((),) * len(head))
-    names, rows = lat.basis_names, lat.rows
+    names, rows = tuple(head), lat.head_rows
     merged, last = [], None
     for pick, count in chain:
         block, prefixes = specs[pick % len(specs)]
@@ -224,10 +224,10 @@ def test_runs_match_a_flat_layout(head, specs, chain):
         once = append_blocks(once, block, prefixes, count)
     assert once == lat and len(lat.runs) == len(merged)
 
-    # Every accessor agrees with the flat reference before any layout.
+    # Every accessor agrees with the flat reference.
     assert lat.rank == len(names)
-    assert [lat.row(i) for i in range(lat.rank)] == list(rows)
-    assert [lat.name(i) for i in range(lat.rank)] == list(names)
+    assert lattice_rows(lat) == rows
+    assert lattice_names(lat) == names
     assert all(lat.index_of(name) == i for i, name in enumerate(names))
     past = {p: 1 + max([int(n.rpartition("_")[2]) for n in names
                         if n.rpartition("_")[0] == p and n.rpartition("_")[2].isdigit()] + [0])
@@ -236,9 +236,6 @@ def test_runs_match_a_flat_layout(head, specs, chain):
     for name in near - set(names):
         with pytest.raises(LatticeError, match="no class named"):
             lat.index_of(name)
-    assert "rows" not in vars(lat) and "basis_names" not in vars(lat)
-
-    assert lat.rows == rows and lat.basis_names == names
     assert gram(lat) == gram(IntersectionLattice(names, rows))
 
 
@@ -258,7 +255,7 @@ def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
 def test_append_blocks_count_zero_returns_an_equal_lattice():
     assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 0) == H
     assert elliptic_surface(1, 1, 1).lattice == IntersectionLattice(("f",), ((),))
-    assert surface_bundle_y(1, 3).lattice == IntersectionLattice(("Sigma_S", "Sigma_F"), H.rows)
+    assert surface_bundle_y(1, 3).lattice == IntersectionLattice(("Sigma_S", "Sigma_F"), H.head_rows)
 
 
 def test_append_blocks_checks_the_budget_first(monkeypatch):
@@ -273,10 +270,10 @@ def test_append_blocks_checks_the_budget_first(monkeypatch):
 
 def test_elliptic_surface_layout_is_pinned():
     lat = elliptic_surface(3, 1, 1).lattice
-    assert lat.basis_names == (
+    assert lattice_names(lat) == (
         "f", "T1_1", "D1_1", "R_1", "DR_1", "T1_2", "D1_2", "R_2", "DR_2"
     )
-    assert lat.rows == (
+    assert lattice_rows(lat) == (
         (), ((2, 1),), ((1, 1), (2, -2)), ((4, 1),), ((3, 1), (4, -2)),
         ((6, 1),), ((5, 1), (6, -2)), ((8, 1),), ((7, 1), (8, -2)),
     )
@@ -284,8 +281,8 @@ def test_elliptic_surface_layout_is_pinned():
 
 def test_surface_bundle_layout_is_pinned():
     lat = surface_bundle_y(2, 1).lattice
-    assert lat.basis_names == ("Sigma_S", "Sigma_F", "V_1", "W_1", "V_2", "W_2")
-    assert lat.rows == (
+    assert lattice_names(lat) == ("Sigma_S", "Sigma_F", "V_1", "W_1", "V_2", "W_2")
+    assert lattice_rows(lat) == (
         ((1, 1),), ((0, 1),), ((2, 2), (3, 1)), ((2, 1),), ((4, 2), (5, 1)), ((4, 1),)
     )
 

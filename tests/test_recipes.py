@@ -1,5 +1,6 @@
 import inspect
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -197,6 +198,24 @@ def test_random_trees_replay_validate_and_certify(seed):
     assert report.ok, report.failures()
     cert = divisibility(m)
     assert cert.upper % cert.lower == 0 if cert.lower else cert.upper == 0
+
+
+def test_random_trees_reach_every_operation():
+    # Each operation random_descriptor draws is in at least 10 of the
+    # trees of seeds 0-199, so the tree properties above reach them all.
+    trees = Counter()
+    for seed in range(200):
+        nodes, ops = [random_descriptor(random.Random(seed)).recipe], set()
+        while nodes:
+            node = nodes.pop()
+            ops.add(node.operation)
+            nodes.extend(node.inputs)
+        trees.update(ops)
+    operations = (
+        "elliptic_surface", "knot_surgery", "blow_up", "log_transform", "fibre_sum",
+        "lagrangian_triple_surgery", "generalized_knot_surgery",
+    )
+    assert {op: trees[op] for op in operations if trees[op] < 10} == {}
 
 
 def test_execute_rejects_unknown_node():

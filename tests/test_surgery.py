@@ -2,11 +2,22 @@ import random
 from dataclasses import replace
 
 import pytest
-from conftest import class_vector, dense, dense_dot, expand, gram, random_descriptor
+from conftest import (
+    class_vector, dense, dense_dot, expand, gram, lattice_names, lattice_rows, random_descriptor,
+)
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symgeo import geography, lattice, surgery
-from symgeo.errors import ConstructionError, LatticeError
-from symgeo.geography import divisibility, inequivalent_family
+from symgeo.errors import ConstructionError, LatticeError, SymgeoError
+from symgeo.geography import (
+    divisibility,
+    homotopy_elliptic,
+    inequivalent_family,
+    negative_c1,
+    spin_surface,
+)
 from symgeo.lattice import IntersectionLattice, Witness, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
@@ -123,6 +134,50 @@ class TestFibreSum:
                 assert dense(x.canonical)[fibre_i] == 2 * g - 2
                 assert dense(x.canonical)[section_i] == 2 * h - 2
                 assert pairing(x.lattice, x.canonical, x.canonical) == 2 * x.e + 3 * x.sigma
+
+
+def flat_copy(m):
+    """``m`` with its lattice rebuilt as one head, read class by class
+    through ``name`` and ``row``, with no runs; the witness items stay."""
+    lat = m.lattice
+    flat = IntersectionLattice(lattice_names(lat), lattice_rows(lat), lat.primitive_summand)
+    return replace(m, lattice=flat)
+
+
+def sum_or_error(m, other, along):
+    """The fibre sum of ``m`` and ``other`` along the class ``along`` of
+    ``m`` and the fibre of ``other``, or the message it is refused with."""
+    try:
+        return fibre_sum(
+            m, other, 1, m.lattice.basis_vector(along), "+", True, fibre(other), "+", True,
+            no_rim_tori=True,
+        )
+    except SymgeoError as err:
+        return str(err)
+
+
+@st.composite
+def run_points(draw):
+    """A small homotopy elliptic, blown-up or spin point, whose lattice
+    and witnesses hold runs once it has a nucleus."""
+    kind = draw(st.sampled_from(["homotopy_elliptic", "negative_c1", "spin_surface"]))
+    if kind == "homotopy_elliptic":
+        n = draw(st.integers(1, 6))
+        return homotopy_elliptic(n, draw(st.integers(1, 5).filter(lambda d: n % 2 == 0 or d % 2)))
+    if kind == "negative_c1":
+        return negative_c1(draw(st.integers(1, 4)), draw(st.integers(1, 6)))
+    return spin_surface(draw(st.sampled_from([2, 4])), draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(m=run_points(), data=st.data())
+def test_fibre_sum_does_not_depend_on_run_storage(m, data):
+    flat = flat_copy(m)
+    assert not flat.lattice.runs and flat.witness_items == m.witness_items
+    triples = sum(run.count for run in m.lattice.runs if run.prefixes[0] == "T1")
+    along = data.draw(st.sampled_from(["f"] + [f"R_{i}" for i in range(1, triples + 1)]))
+    other = elliptic_surface(data.draw(st.integers(1, 2)), 1, 1)
+    assert sum_or_error(m, other, along) == sum_or_error(flat, other, along)
 
 
 class TestKnotSurgery:
@@ -312,10 +367,10 @@ class TestBlowUp:
 
     def test_count_takes_the_first_free_names(self):
         base = elliptic_surface(2, 1, 1)
-        names = tuple("E_2" if n == "D1_1" else n for n in base.lattice.basis_names)
-        m = replace(base, lattice=IntersectionLattice(names, base.lattice.rows))
+        names = tuple("E_2" if n == "D1_1" else n for n in lattice_names(base.lattice))
+        m = replace(base, lattice=IntersectionLattice(names, lattice_rows(base.lattice)))
         up = blow_up(m, 2)
-        assert up.lattice.basis_names[-2:] == ("E_1", "E_3")
+        assert lattice_names(up.lattice)[-2:] == ("E_1", "E_3")
         chain = blow_up(blow_up(m))
         assert replace(up, recipe=chain.recipe) == chain
 
@@ -363,7 +418,7 @@ def base_extension(x, base):
     # The base canonical class inside the surgered lattice (zero here, but
     # written generally for clarity of the identity being checked).
     coeffs = [0] * x.lattice.rank
-    for name, c in zip(base.lattice.basis_names, dense(base.canonical)):
+    for name, c in zip(lattice_names(base.lattice), dense(base.canonical)):
         if c:
             coeffs[x.lattice.index_of(name)] = c
     return class_vector(coeffs)

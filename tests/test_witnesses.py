@@ -202,7 +202,6 @@ def test_build_and_validate_lay_out_no_sphere():
             tracemalloc.stop()
         assert report.ok
         assert "witnesses" not in vars(m) and len(m.witness_items) == 4
-        assert "rows" not in vars(m.lattice) and "basis_names" not in vars(m.lattice)
         return peak
 
     assert peak(32_000) <= 1.5 * peak(2_000)
