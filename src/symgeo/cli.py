@@ -15,6 +15,7 @@ import argparse
 import inspect
 import itertools
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -301,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("scan", help="enumerate realized lattice points as CSV")
     s.add_argument("--regime", required=True,
                    choices=list(geography.FAMILIES))
+    # A range such as -1:3 is a value, not an option, as argparse takes -1.
+    s._negative_number_matcher = re.compile(r"^-\d+(:-?\d+)?$")
     ranges = {"--n": "1:4", "--d": "1:4", "--m": "1:2", "--t": "1:2", "--r": "1:2"}
     for option, default in ranges.items():
-        s.add_argument(option, default=default, help=f"value or lo:hi (default {default}); "
-                       f"write a negative bound as {option}=-1:3")
+        s.add_argument(option, default=default, help=f"value or lo:hi (default {default})")
     s.add_argument("--out")
     s.add_argument("--recipes", help="also write one recipe file per row into this directory")
     s.set_defaults(fn=_cmd_scan)

@@ -28,12 +28,14 @@ from .coverings import singular_double_cover
 from .errors import ConstructionError, InadmissibleError, LatticeError
 from .lattice import (
     ClassVector,
+    WitnessRun,
     coefficient_gcd,
     dot,
     gcd_all,
     odd_part,
     q_set,
     sparse_sum,
+    split_witnesses,
     witness_dots,
     witness_failures,
 )
@@ -333,18 +335,17 @@ def _pattern_certificates(
     base = dict(w.canonical.entries)
     moved = {pos: (bit, shift) for bit, (pos, shift) in enumerate(shifts)}
     lower_fixed = gcd_all(c for i, c in base.items() if i not in moved)
-    upper_fixed = 0
-    moving: list[tuple[int, list[tuple[int, int]]]] = []
-    for wit in w.witnesses:
-        steps = []
-        for i, p in wit.pairings:
-            if i in moved:
-                bit, shift = moved[i]
-                steps.append((bit, shift * p))
+    fixed, moving = [], []
+    at_shifts = ClassVector(w.lattice.rank, tuple((pos, 1) for pos in sorted(moved)))
+    for wit, _ in split_witnesses(w.lattice, w.witness_items, at_shifts):
+        # A run piece holds the copies that miss every shifted position.
+        pairs = () if isinstance(wit, WitnessRun) else wit.pairings
+        steps = [(moved[i][0], moved[i][1] * p) for i, p in pairs if i in moved]
         if steps:
             moving.append((dot(w.canonical, wit), steps))
         else:
-            upper_fixed = gcd(upper_fixed, dot(w.canonical, wit))
+            fixed.append(wit)
+    upper_fixed = witness_dots(tuple(fixed), w.canonical)[1]
     certificates = []
     for mask in range(1 << len(shifts)):
         lower = lower_fixed

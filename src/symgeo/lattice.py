@@ -27,12 +27,11 @@ Witnesses are stored the same way, as plain :class:`Witness` items and
 every copy of a block run (the dual spheres of E(n), the exceptional
 spheres of blow-ups).  A class pairs with a run through its own entries
 inside the run (:meth:`WitnessRun.dots`), so :func:`witness_dots` (the
-certificate and validation), :func:`split_witnesses` (knot surgery and
-generalized knot surgery) and :func:`witness_failures` (the adjunction
-checks) lay out only the copies the class meets, or the witnesses they
-report.  Only :func:`lay_out_witnesses`, for
-``ManifoldDescriptor.witnesses`` (the fibre sum, the triple surgery,
-name lookup), lays out every copy.
+certificates and validation), :func:`split_witnesses` (the surgeries and
+the fibre sum, which carry the other copies on as runs) and
+:func:`witness_failures` (the adjunction checks) lay out only the copies
+the class meets, or the witnesses they report.  Only
+:func:`lay_out_witnesses`, which no operation calls, lays out every copy.
 """
 
 from __future__ import annotations
@@ -212,7 +211,10 @@ class WitnessRun(NamedTuple):
     the first copy at basis index ``start``.  For each ``(r, named)`` of
     ``spheres``, in order, the class in row r of a copy is an embedded
     sphere: genus 0, square ``block[r][r]``, pairings that row of the copy,
-    named ``prefix`` followed by the name of row ``named`` of the copy.
+    named as row ``named`` of the copy with ``prefix`` put after the last
+    ``.``.  A run class's name holds a ``.`` only from the ``N{k}.`` that a
+    fibre sum puts before its second side's names, so a run carried there
+    names a sphere ``N1.sphere_T1_1``, as the sum names a laid-out one.
     Witness k of the run is sphere ``k % len(spheres)`` of copy
     ``k // len(spheres)``."""
 
@@ -234,7 +236,8 @@ class WitnessRun(NamedTuple):
         r, named = self.spheres[s]
         row = self.block[r]
         pairs = tuple([(base + j, g) for j, g in enumerate(row) if g])
-        return Witness(self.prefix + lat.name(base + named), pairs, 0, row[r])
+        path, sep, name = lat.name(base + named).rpartition(".")
+        return Witness(path + sep + self.prefix + name, pairs, 0, row[r])
 
     def copies(self, first: int, stop: int) -> "WitnessRun":
         """The run of copies ``first`` to ``stop - 1`` of this one."""

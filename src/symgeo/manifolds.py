@@ -9,12 +9,11 @@ provenance recipe that can be re-executed to reproduce the descriptor.
 The lattice stores repeated blocks as runs, and the witnesses store the
 spheres of repeated blocks as ``lattice.WitnessRun`` items: E(n) keeps
 one run for its 2(n - 1) dual spheres and ``blow_up`` one for its
-exceptional spheres.  Knot surgery, generalized knot surgery and
-validation read the runs through the ``lattice`` witness functions, which
-lay out only the copies a surgery class or K meets;
-``ManifoldDescriptor.witnesses`` lays out every copy on first read, for
-the fibre sum, the triple surgery and the name lookup
-``ManifoldDescriptor.witness``.
+exceptional spheres.  Every surgery, the fibre sum and validation read
+the runs through the ``lattice`` witness functions, which lay out only
+the copies a surgery class or K meets, and carry the other copies on as
+runs.  The descriptor's ``witnesses`` property lays out every copy on
+first read; no operation reads it.
 
 Atomic pieces:
 
@@ -77,9 +76,9 @@ class ConstructionRecipe:
 @dataclass(frozen=True)
 class ManifoldDescriptor:
     """Invariant-level model of a closed oriented 4-manifold.
-    ``witness_items`` stores the witness surfaces as plain witnesses and
-    witness runs; ``witnesses`` reads them one :class:`Witness` each.
-    ``pi1_generator`` indexes a class normally generating pi_1."""
+    ``witness_items`` holds the witness surfaces as plain witnesses and
+    witness runs, the form every operation reads; ``witnesses`` lays them
+    out.  ``pi1_generator`` indexes a class normally generating pi_1."""
 
     e: int
     sigma: int
@@ -98,22 +97,17 @@ class ManifoldDescriptor:
             raise ConstructionError("minimal must be yes, no or unknown")
         if self.canonical.rank != self.lattice.rank:
             raise ConstructionError("canonical class length does not match lattice rank")
-        runs = False
         for w in self.witness_items:
             if isinstance(w, WitnessRun):
-                runs = True
                 if w.stop > self.lattice.rank:
                     raise ConstructionError(f"witness run {w.prefix!r} pairing length mismatch")
             elif w.pairings and w.pairings[-1][0] >= self.lattice.rank:
                 raise ConstructionError(f"witness {w.name!r} pairing length mismatch")
-        if not runs:
-            object.__setattr__(self, "witnesses", self.witness_items)
 
     @cached_property
     def witnesses(self) -> tuple[Witness, ...]:
         """The witness surfaces, one :class:`Witness` each, laid out from
-        ``witness_items`` on first read (stored as given when they hold no
-        run)."""
+        ``witness_items`` on first read."""
         return lay_out_witnesses(self.lattice, self.witness_items)
 
     @cached_property
@@ -140,13 +134,6 @@ class ManifoldDescriptor:
 
     def canonical_square(self) -> int:
         return pairing(self.lattice, self.canonical, self.canonical)
-
-    def witness(self, name: str) -> Witness:
-        """The first witness named ``name``; KeyError when none is."""
-        for w in self.witnesses:
-            if w.name == name:
-                return w
-        raise KeyError(name)
 
 
 def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool | None:

@@ -24,7 +24,7 @@ other intersection pattern keeps the pairing vector but forgets the genus.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Container, Iterable
 
 from .errors import ConstructionError, LatticeError
 from .lattice import (
@@ -38,7 +38,6 @@ from .lattice import (
     block_diagonal,
     check_rank,
     coefficient_gcd,
-    dot,
     pairing,
     sparse_sum,
     split_witnesses,
@@ -94,18 +93,19 @@ class _Side:
     """Resolved data of one summand of a fibre sum."""
 
     desc: ManifoldDescriptor
-    surface: ClassVector
     sigma_index: int
     b_basis_index: int | None  # dual surface tracked as a basis class
     b_witness: Witness | None  # or known only as a witness
     b_square: int
     b_genus: int | None
     b_row: tuple[tuple[int, int], ...]  # nonzero pairings of the dual with the basis
-    removed: frozenset[int]
+    # The witness items split at the surface, each with its pairing.
+    pieces: tuple[tuple[Witness | WitnessRun, int], ...]
 
     @property
     def kept(self) -> list[int]:
-        return [i for i in range(self.desc.lattice.rank) if i not in self.removed]
+        removed = (self.sigma_index, self.b_basis_index)
+        return [i for i in range(self.desc.lattice.rank) if i not in removed]
 
 
 def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) -> _Side:
@@ -120,6 +120,9 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
     partners = [(j, g) for j, g in lat.row(i) if j != i]
     if len(partners) > 1:
         raise ConstructionError("fibre-sum surface pairs with more than one tracked class")
+    pieces = tuple(split_witnesses(lat, desc.witness_items, surface))
+    # A dual meets the surface once, so it is a laid-out piece pairing 1.
+    meeting = [w for w, t in pieces if t == 1]
     if partners:
         j, g = partners[0]
         if g != 1:
@@ -129,32 +132,32 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
             raise ConstructionError(
                 "tracked dual pairs with classes outside the surface pair"
             )
-        b_genus = None
-        for w in desc.witnesses:
-            if w.pairings == row_j and w.genus is not None:
-                b_genus = w.genus
-                break
+        b_genus = next(
+            (w.genus for w in meeting if w.pairings == row_j and w.genus is not None), None
+        )
         b_square = next((g for k, g in row_j if k == j), 0)
-        return _Side(desc, surface, i, j, None, b_square, b_genus, row_j, frozenset((i, j)))
-    for w in desc.witnesses:
-        if dot(surface, w) == 1:
-            if w.self_intersection is None:
-                raise ConstructionError(
-                    "dual surface self-intersection unknown; cannot form fibre sum"
-                )
-            return _Side(
-                desc, surface, i, None, w, w.self_intersection, w.genus, w.pairings, frozenset((i,))
-            )
-    raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
+        return _Side(desc, i, j, None, b_square, b_genus, row_j, pieces)
+    if not meeting:
+        raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
+    w = meeting[0]
+    if w.self_intersection is None:
+        raise ConstructionError("dual surface self-intersection unknown; cannot form fibre sum")
+    return _Side(desc, i, None, w, w.self_intersection, w.genus, w.pairings, pieces)
 
 
-def _fresh(base: str, taken: Callable[[str], bool]) -> str:
+def _fresh(base: str, taken: Container[str]) -> str:
     name = base
     k = 2
-    while taken(name):
+    while name in taken:
         name = f"{base}.{k}"
         k += 1
     return name
+
+
+def _plain_names(items: Iterable[Witness | WitnessRun]) -> set[str]:
+    # A run's witnesses are named ...sphere_... or ...exceptional_..., never
+    # after a surgery's new surface, so fresh names are drawn against these.
+    return {w.name for w in items if isinstance(w, Witness)}
 
 
 def fibre_sum(
@@ -202,7 +205,7 @@ def fibre_sum(
     m_names = [m.lattice.name(i) for i in m_keep]
     sigma_name = m.lattice.name(side_m.sigma_index)
     taken = set(m_names) | {sigma_name}
-    b_name = _fresh("B_" + sigma_name, taken.__contains__)
+    b_name = _fresh("B_" + sigma_name, taken)
     taken.add(b_name)
 
     raw_n_names = [n.lattice.name(i) for i in n_keep]
@@ -258,21 +261,27 @@ def fibre_sum(
         (1, ((sigma_pos, 2), (b_pos, 2 - 2 * g))),
     ]))
 
-    witnesses: list[Witness] = []
+    witnesses: list[Witness | WitnessRun] = []
     dropped: list[str] = []
     zero_notes = False
 
     def embed_witnesses(side: _Side, index: dict[int, int], name_prefix: str) -> None:
         """Carry the witnesses of one side that miss its surface; a witness
-        pairing with a tracked dual pairs the same with B_X."""
+        pairing with a tracked dual pairs the same with B_X.  Every copy of
+        a run that the surface meets was laid out, so a run piece lies in
+        kept classes, contiguous and in order, and moves as a whole; its
+        spheres take the ``name_prefix`` of their classes' new names."""
         nonlocal zero_notes
-        for w in side.desc.witnesses:
+        for w, t in side.pieces:
             if w is side.b_witness:
                 continue
-            if dot(side.surface, w) != 0:
+            if t != 0:
                 dropped.append(name_prefix + w.name)
                 continue
             zero_notes = zero_notes or side.b_basis_index is None
+            if isinstance(w, WitnessRun):
+                witnesses.append(w._replace(start=index[w.start]))
+                continue
             pairs = sorted(carry(w.pairings, index))
             witnesses.append(Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))
 
@@ -288,7 +297,7 @@ def fibre_sum(
     b_genus = None
     if side_m.b_genus is not None and side_n.b_genus is not None:
         b_genus = side_m.b_genus + side_n.b_genus
-    b_witness = _fresh(b_name, {w.name for w in witnesses}.__contains__)
+    b_witness = _fresh(b_name, _plain_names(witnesses))
     witnesses.append(Witness(b_witness, b_pairings, b_genus, b_square))
 
     simply_connected = (
@@ -433,9 +442,7 @@ def generalized_knot_surgery(
             continue
         witnesses.append(w)
     sigma_row = m.lattice.pairing_row(surface)
-    # A run's witnesses are named sphere_... or exceptional_..., never Sigma or Sigma.k.
-    plain = {w.name for w in witnesses if isinstance(w, Witness)}
-    sigma = _fresh("Sigma", plain.__contains__)
+    sigma = _fresh("Sigma", _plain_names(witnesses))
     witnesses.append(Witness(sigma, sigma_row, g, 0))
 
     notes = [NOTE_FULL_CANONICAL]
@@ -561,13 +568,12 @@ def lagrangian_triple_surgery(
     b_name = "B_" + r
     lat = step3.lattice
     c1_pairings = lat.pairing_row(lat.basis_vector(d1) + lat.basis_vector(b_name).scaled(a))
-    witnesses = []
-    for w in step3.witnesses:
-        if w.name == b_name:
-            witnesses.append(replace(w, name=f"C2_t{triple_index}"))
-        else:
-            witnesses.append(w)
-    c1_name = _fresh(f"C1_t{triple_index}", {w.name for w in witnesses}.__contains__)
+    c2_name = f"C2_t{triple_index}"
+    witnesses = [
+        replace(w, name=c2_name) if isinstance(w, Witness) and w.name == b_name else w
+        for w in step3.witness_items
+    ]
+    c1_name = _fresh(f"C1_t{triple_index}", _plain_names(witnesses))
     witnesses.append(Witness(c1_name, c1_pairings))
 
     notes = (NOTE_FULL_CANONICAL, f"triple:{triple_index}", _RIM_TORI_POSSIBLE)

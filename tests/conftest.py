@@ -52,6 +52,15 @@ def dense_dot(v, w):
     return sum(a * p for a, p in zip(dense(v), expand(w.pairings, v.rank)))
 
 
+def witness(m, name):
+    """The first laid-out witness of ``m`` named ``name``; KeyError when
+    none is."""
+    for w in m.witnesses:
+        if w.name == name:
+            return w
+    raise KeyError(name)
+
+
 def has_class(m, name):
     """Whether the lattice of ``m`` has a basis class named ``name``."""
     try:

@@ -346,6 +346,14 @@ class TestScan:
         assert code == 0
         assert "negative_c1,n=2;r=3,2,-3,27,-19,false,1,true" in out
 
+    @pytest.mark.parametrize("value", ["-1:3", "-3:-1", "-2"])
+    def test_a_negative_range_is_a_value(self, capsys, value):
+        # A range that starts below 0 may follow its option as the next
+        # word, as a negative number may; the rows are those of --n=value.
+        spaced = run(capsys, "scan", "--regime", "negative_c1", "--n", value, "--r", "1")
+        joined = run(capsys, "scan", "--regime", "negative_c1", f"--n={value}", "--r", "1")
+        assert spaced == joined and spaced[0] == 0 and spaced[1].startswith("constructor,")
+
     def test_negative_regime_recipes_past_the_nesting_cap(self, capsys, tmp_path):
         rdir = tmp_path / "recipes"
         code, out, _ = run(capsys, "scan", "--regime", "negative_c1",

@@ -6,7 +6,7 @@ from dataclasses import replace
 from math import gcd
 
 import pytest
-from conftest import random_descriptor
+from conftest import random_descriptor, witness
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,7 @@ from symgeo.errors import ConstructionError
 from symgeo.geography import (
     certify_class,
     homotopy_elliptic,
+    inequivalent_family,
     negative_c1,
     nonspin_surface,
     spin_surface,
@@ -31,7 +32,7 @@ from symgeo.lattice import (
 )
 from symgeo.manifolds import elliptic_surface
 from symgeo.recipes import REGISTRY
-from symgeo.surgery import blow_up
+from symgeo.surgery import blow_up, fibre_sum
 
 
 def _flat_spheres(lat, first):
@@ -102,7 +103,7 @@ def test_runs_match_a_flat_reference(m, data):
     assert m.witnesses == flat.witnesses
     assert len(m.witnesses) == len(flat.witness_items)
     for w in reversed(flat.witnesses):
-        assert m.witness(w.name) == next(x for x in flat.witnesses if x.name == w.name)
+        assert witness(m, w.name) == next(x for x in flat.witnesses if x.name == w.name)
     # A class with a few entries anywhere, so that runs are split and
     # paired at copies other than the first.
     positions = data.draw(st.lists(st.integers(0, m.lattice.rank - 1), max_size=4, unique=True))
@@ -127,12 +128,12 @@ def test_runs_match_a_flat_reference(m, data):
 
 def test_a_named_witness_outside_the_run_is_missing():
     m = blow_up(elliptic_surface(3, 1, 1))
-    assert m.witness("sphere_R_2") == m.witnesses[-2]
-    assert m.witness("exceptional_E_1") == m.witnesses[-1]
+    assert witness(m, "sphere_R_2") == m.witnesses[-2]
+    assert witness(m, "exceptional_E_1") == m.witnesses[-1]
     names = ("sphere_D1_1", "sphere_R_3", "sphere_f", "sphere_E_1", "exceptional_R_1", "sphere_")
     for name in names:
         with pytest.raises(KeyError):
-            m.witness(name)
+            witness(m, name)
 
 
 def test_a_run_past_the_rank_is_rejected():
@@ -166,7 +167,8 @@ def test_blow_ups_validate_in_linear_work(monkeypatch):
     # The entries every sparse_dot walks while certifying and validating
     # r blow-ups grow linearly in r: four times the blow-ups, about four
     # times the work (sixteen times when each exceptional sphere is
-    # paired with the whole canonical class).
+    # paired with the whole canonical class).  A fibre sum carries the
+    # exceptional spheres on as one run, so the same holds after it.
     walked = []
     inner = lattice.sparse_dot
 
@@ -174,8 +176,13 @@ def test_blow_ups_validate_in_linear_work(monkeypatch):
         walked.append(len(a) + len(b))
         return inner(a, b)
 
-    def work(r):
-        m = negative_c1(1, r)
+    def summed(r):
+        m, e1 = negative_c1(2, r), elliptic_surface(1, 1, 1)
+        f, f1 = m.lattice.basis_vector("f"), e1.lattice.basis_vector("f")
+        return fibre_sum(m, e1, 1, f, "+", True, f1, "+", True, no_rim_tori=True)
+
+    def work(build, r):
+        m = build(r)
         walked.clear()
         monkeypatch.setattr(lattice, "sparse_dot", counted)
         try:
@@ -185,7 +192,21 @@ def test_blow_ups_validate_in_linear_work(monkeypatch):
             monkeypatch.setattr(lattice, "sparse_dot", inner)
         return sum(walked)
 
-    assert work(4000) <= 5 * work(1000)
+    for build in (lambda r: negative_c1(1, r), summed):
+        assert work(build, 4000) <= 5 * work(build, 1000)
+
+
+def test_families_keep_their_witness_runs():
+    # The triple surgeries carry E(n)'s dual spheres on as runs, so a
+    # family stores as many witness items at any n or t.
+    def items(regime, **size):
+        d, divisors = (3, [3, 1]) if regime == "c1sq_zero" else (8, [8, 2, 4])
+        m = inequivalent_family(d, divisors, regime, **size).descriptor
+        assert len(m.witness_items) < len(m.witnesses)
+        return len(m.witness_items)
+
+    assert items("c1sq_zero", n=500) == items("c1sq_zero", n=4000)
+    assert items("spin_positive", m=6, t=1) == items("spin_positive", m=6, t=16)
 
 
 def test_build_and_validate_lay_out_no_sphere():
