@@ -188,12 +188,12 @@ def _construct_family(p: list[str], args) -> int:
     _write_recipe(args.recipe, w)
     _print_descriptor("inequivalent_family", " ".join(p), w)
     print("q_set: " + " ".join(str(q) for q in sorted(result.q, reverse=True)))
-    n_patterns = len(result.certificates)
-    big_n = n_patterns.bit_length() - 1
-    for mask in range(n_patterns):
-        pattern = "".join("-" if mask >> bit & 1 else "+" for bit in range(big_n))
-        cert = result.certificates[mask]
-        print(f"pattern {pattern}: divisibility {cert.value} certified {_bool_str(cert.certified)}")
+    patterns, certs = [""], result.certificates
+    for _ in result.shifts:  # pattern mask at index mask, as in certs
+        patterns = [x + "+" for x in patterns] + [x + "-" for x in patterns]
+    tails = {c: f"divisibility {c.value} certified {_bool_str(c.certified)}" for c in set(certs)}
+    # One call, fed one line at a time: the 2^N lines are never held at once.
+    sys.stdout.writelines(f"pattern {x}: {tails[c]}\n" for x, c in zip(patterns, certs))
     realized = set(result.divisibilities)
     print(f"divisibilities: {' '.join(str(v) for v in sorted(realized, reverse=True))}")
     return 0 if realized == set(result.q) else 1

@@ -11,8 +11,8 @@ would make the manifold spin), which is how several odd-divisibility
 constructions are certified without an explicit odd-pairing surface.
 One decision, ``_certificate``, turns the two raw bounds into a
 certificate.  ``certify_class`` computes the bounds of one class;
-``inequivalent_family`` computes those of its 2^N sign patterns as deltas
-of one base class, since the patterns differ from it only at N positions.
+``inequivalent_family`` doubles per-bit gcds over the N positions where
+its 2^N sign patterns differ from one base class, in O(1) per pattern.
 
 Each existence constructor alone decides which parameters it builds.
 ``realizable`` checks ``_OBSTRUCTIONS``, then tries the ``FAMILIES`` table,
@@ -328,37 +328,48 @@ def _pattern_certificates(
 
     The coefficients outside the shifted positions, and the pairings of
     the witnesses that miss them, are the same for every pattern, so their
-    gcds are taken once.  Each pattern then folds in its N moved
-    coefficients and, for every witness meeting a shifted position, its
-    base pairing plus the steps ``shift * pairing`` of the set bits.
+    gcds are taken once.  Each bit gives a (clear, set) pair of gcds: its
+    moved coefficient, and the pairings of the witnesses that meet only
+    its position.  Doubling over the bits, the clear half first, spreads
+    them to all 2^N patterns in O(2^N) work; a witness meeting several
+    positions gets its 2^N pairings the same way.  Patterns with equal
+    bounds share one certificate.
     """
     base = dict(w.canonical.entries)
     moved = {pos: (bit, shift) for bit, (pos, shift) in enumerate(shifts)}
     lower_fixed = gcd_all(c for i, c in base.items() if i not in moved)
-    fixed, moving = [], []
+    fixed, several, upper_pairs = [], [], [(0, 0)] * len(shifts)
     at_shifts = ClassVector(w.lattice.rank, tuple((pos, 1) for pos in sorted(moved)))
     for wit, _ in split_witnesses(w.lattice, w.witness_items, at_shifts):
         # A run piece holds the copies that miss every shifted position.
         pairs = () if isinstance(wit, WitnessRun) else wit.pairings
-        steps = [(moved[i][0], moved[i][1] * p) for i, p in pairs if i in moved]
-        if steps:
-            moving.append((dot(w.canonical, wit), steps))
+        steps = {moved[i][0]: moved[i][1] * p for i, p in pairs if i in moved}
+        if len(steps) == 1:
+            [(bit, step)] = steps.items()
+            value = dot(w.canonical, wit)
+            clear, set_ = upper_pairs[bit]
+            upper_pairs[bit] = gcd(clear, value), gcd(set_, value + step)
+        elif steps:
+            several.append((dot(w.canonical, wit), steps))
         else:
             fixed.append(wit)
     upper_fixed = witness_dots(tuple(fixed), w.canonical)[1]
-    certificates = []
-    for mask in range(1 << len(shifts)):
-        lower = lower_fixed
-        for bit, (pos, shift) in enumerate(shifts):
-            lower = gcd(lower, base.get(pos, 0) + (shift if mask >> bit & 1 else 0))
-        upper = upper_fixed
-        for value, steps in moving:
-            for bit, step in steps:
-                if mask >> bit & 1:
-                    value += step
-            upper = gcd(upper, value)
-        certificates.append(_certificate(w, lower, upper))
-    return certificates
+    lowers = _doubled(gcd, lower_fixed, [(base.get(i, 0), base.get(i, 0) + s) for i, s in shifts])
+    uppers = _doubled(gcd, upper_fixed, upper_pairs)
+    for value, steps in several:
+        values = _doubled(int.__add__, value, [(0, steps.get(b, 0)) for b in range(len(shifts))])
+        uppers = list(map(gcd, uppers, values))
+    shared = {pair: _certificate(w, *pair) for pair in set(zip(lowers, uppers))}
+    return [shared[pair] for pair in zip(lowers, uppers)]
+
+
+def _doubled(op, first: int, pairs: list[tuple[int, int]]) -> list[int]:
+    """At index ``mask``, ``first`` folded by ``op`` with ``pairs[b][0]``
+    for each clear bit b of ``mask`` and ``pairs[b][1]`` for each set one."""
+    out = [first]
+    for clear, set_ in pairs:
+        out = [op(x, clear) for x in out] + [op(x, set_) for x in out]
+    return out
 
 
 def _triple_parameters(d: int, tail: list[int]) -> tuple[int, int, list[tuple[int, int]]]:

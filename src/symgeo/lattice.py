@@ -500,9 +500,11 @@ class IntersectionLattice:
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
-    """Evaluate the intersection pairing of two class vectors."""
-    if w.rank != lat.rank:
+    """Evaluate the (symmetric) pairing, reading the sparser class's rows."""
+    if v.rank != lat.rank or w.rank != lat.rank:
         raise LatticeError("basis mismatch")
+    if len(w.entries) < len(v.entries):
+        v, w = w, v
     return sparse_dot(lat.pairing_row(v), w.entries)
 
 

@@ -270,7 +270,8 @@ def fibre_sum(
         pairing with a tracked dual pairs the same with B_X.  Every copy of
         a run that the surface meets was laid out, so a run piece lies in
         kept classes, contiguous and in order, and moves as a whole; its
-        spheres take the ``name_prefix`` of their classes' new names."""
+        spheres take the ``name_prefix`` of their classes' new names.  It
+        joins the item before it when it continues that run."""
         nonlocal zero_notes
         for w, t in side.pieces:
             if w is side.b_witness:
@@ -280,7 +281,8 @@ def fibre_sum(
                 continue
             zero_notes = zero_notes or side.b_basis_index is None
             if isinstance(w, WitnessRun):
-                witnesses.append(w._replace(start=index[w.start]))
+                run = w._replace(start=index[w.start])
+                witnesses[-1:] = append_witness_run(tuple(witnesses[-1:]), run)
                 continue
             pairs = sorted(carry(w.pairings, index))
             witnesses.append(Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))

@@ -176,6 +176,34 @@ class TestConstruct:
         assert "divisibilities: 45 15 9 5 3 1" in out
         assert out.count("pattern ") == 8
 
+    @pytest.mark.parametrize("big_n", [1, 5, 9])
+    @pytest.mark.parametrize("regime", ["c1sq_zero", "spin_positive", "nonspin_positive"])
+    def test_family_pattern_lines(self, capsys, regime, big_n):
+        # Each pattern line against its class certified afresh: sign k of
+        # the pattern is "-" exactly when bit k of its mask is set.
+        if regime == "c1sq_zero":
+            d, tail, params = 3, [1] * big_n, {"n": 2 * big_n + 1}
+        elif regime == "spin_positive":
+            d, tail, params = 8, [(2, 4, 8)[i % 3] for i in range(big_n)], {
+                "m": (3 * big_n + 3) // 2, "t": 1}
+        else:
+            d, tail, params = 5, [(1, 5)[i % 2] for i in range(big_n)], {
+                "m": 2 * big_n + 2, "t": 1}
+        divisors = [d] + tail
+        code, out, _ = run(
+            capsys, "construct", "inequivalent_family", str(d), ",".join(map(str, divisors)),
+            regime, *map(str, params.values()),
+        )
+        res = geography.inequivalent_family(d, divisors, regime, **params)
+        expected = []
+        for mask, vec in enumerate(res.canonical_classes):
+            cert = geography.certify_class(res.descriptor, vec)
+            signs = "".join("-" if mask >> bit & 1 else "+" for bit in range(big_n))
+            expected.append(
+                f"pattern {signs}: divisibility {cert.value} certified {str(cert.certified).lower()}"
+            )
+        assert code == 0
+        assert [line for line in out.splitlines() if line.startswith("pattern ")] == expected
 
     def test_family_c1sq_zero_takes_no_t(self, capsys):
         code, out, err = run(

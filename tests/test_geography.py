@@ -455,9 +455,19 @@ class TestInequivalentFamily:
         # coefficients here are not tied to one another as in the family,
         # so a wrong step cannot hide in the gcd.
         m = random_descriptor(random.Random(data.draw(st.integers(0, 10**6))))
-        positions = data.draw(
-            st.lists(st.integers(0, m.lattice.rank - 1), min_size=1, max_size=3, unique=True)
-        )
+        # Half the draws shift positions inside one plain witness's
+        # pairings, so that the witness meets several of them.
+        plain = [w for w in m.witness_items
+                 if not isinstance(w, lattice.WitnessRun) and len(w.pairings) > 1]
+        if plain and data.draw(st.booleans()):
+            met = [i for i, _ in data.draw(st.sampled_from(plain)).pairings]
+            positions = data.draw(
+                st.lists(st.sampled_from(met), min_size=2, max_size=6, unique=True)
+            )
+        else:
+            positions = data.draw(
+                st.lists(st.integers(0, m.lattice.rank - 1), min_size=1, max_size=6, unique=True)
+            )
         shifts = [(pos, data.draw(st.integers(-9, 9))) for pos in positions]
         expected = []
         for mask in range(1 << len(shifts)):
@@ -467,6 +477,30 @@ class TestInequivalentFamily:
                     coeffs[pos] += shift
             expected.append(certify_class(m, class_vector(coeffs)))
         assert geography._pattern_certificates(m, shifts) == expected
+
+    def test_pattern_work_is_linear_in_the_patterns(self, monkeypatch):
+        # Doubling spends O(1) gcds per pattern and one _certificate per
+        # distinct certificate; a per-pattern fold over the N bits would
+        # grow the gcds 2^6 * 12/6 times from N = 6 to N = 12.
+        calls = {"gcd": 0, "_certificate": 0}
+
+        def counted(name):
+            real = getattr(geography, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(geography, name, counted(name))
+        gcds = {}
+        for big_n in (6, 12):
+            calls.update(gcd=0, _certificate=0)
+            res = inequivalent_family(3, [3] + [1] * big_n, "c1sq_zero", n=2 * big_n + 2)
+            assert calls["_certificate"] <= len(set(res.certificates))
+            gcds[big_n] = calls["gcd"]
+        assert gcds[12] <= 1.5 * 2**6 * gcds[6]
 
 
 class TestRealizable:

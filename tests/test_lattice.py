@@ -56,6 +56,12 @@ def test_pairing_dimension_mismatch():
         pairing(H, class_vector((1, 0, 0)), class_vector((0, 1)))
 
 
+def test_pairing_checks_both_ranks_whichever_is_sparser():
+    for v, w in [((1, 1, 1), (0, 1)), ((0, 1), (1, 1, 1)), ((1, 1), (0, 0, 1))]:
+        with pytest.raises(LatticeError, match="basis mismatch"):
+            pairing(H, class_vector(v), class_vector(w))
+
+
 def test_pairing_bilinear_symmetric_random():
     rng = random.Random(7)
     for _ in range(40):

@@ -204,6 +204,22 @@ def test_fibre_sum_does_not_depend_on_run_storage(m, data):
     assert outcome(triples_twice, m) == outcome(triples_twice, flat)
 
 
+def test_fibre_sum_joins_runs_that_continue_each_other():
+    # The sum along f drops x's f and B_f, which sit between the sphere
+    # runs of x's two E(2) halves, so on each side those runs join.
+    e2 = elliptic_surface(2, 1, 1)
+    x = sum_along_fibres(e2, e2)
+    assert [(w.start, w.count) for w in x.witness_items[:2]] == [(0, 1), (6, 1)]
+    y = sum_along_fibres(x, x)
+    runs = [(w.start, w.count) for w in y.witness_items if isinstance(w, WitnessRun)]
+    assert runs == [(0, 2), (10, 2)]
+    assert [w.name for w in y.witnesses] == [
+        "sphere_T1_1", "sphere_R_1", "N1.sphere_T1_1", "N1.sphere_R_1",
+        "N2.sphere_T1_1", "N2.sphere_R_1", "N2.N1.sphere_T1_1", "N2.N1.sphere_R_1", "B_f",
+    ]
+    assert outcome(sum_along_fibres, x, x) == outcome(sum_along_fibres, flat_copy(x), flat_copy(x))
+
+
 class TestKnotSurgery:
     def test_unknot_is_identity_on_canonical(self):
         m = elliptic_surface(2, 1, 1)
