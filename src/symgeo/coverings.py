@@ -33,9 +33,10 @@ from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_GENERAL_TYPE,
     CATALOG,
-    ConstructionRecipe,
     ManifoldDescriptor,
     catalog,
+    operation,
+    recipe_node,
 )
 
 
@@ -88,6 +89,7 @@ def _cover_invariants(
     return e_cover, c1_cover
 
 
+@operation()
 def branched_cover(
     m_desc: ManifoldDescriptor,
     d_square: int,
@@ -117,12 +119,7 @@ def branched_cover(
     else:
         simply_connected = False
         notes.append("pi1-unknown:branch divisor square not positive")
-    recipe = ConstructionRecipe(
-        "branched_cover",
-        (("d_square", d_square), ("k_dot_d", k_dot_d), ("deg", deg)),
-        (m_desc.recipe,),
-        tuple(notes),
-    )
+    recipe = recipe_node("branched_cover", (m_desc.recipe,), (d_square, k_dot_d, deg), tuple(notes))
     return ManifoldDescriptor(
         e=e,
         sigma=(c1 - 2 * e) // 3,
@@ -161,6 +158,7 @@ def pluri_system_defines_map(m_desc: ManifoldDescriptor, n: int) -> bool:
     return k_sq == 4 and p_g == 0
 
 
+@operation()
 def pluricanonical_cover(
     m_desc: ManifoldDescriptor, cover_m: int, cover_d: int
 ) -> ManifoldDescriptor:
@@ -203,10 +201,8 @@ def pluricanonical_cover(
     )
     canonical = lat.vector({"phiA": d * delta})
     witnesses = (Witness("pullback_dual", ((0, 1),)),)
-    recipe = ConstructionRecipe(
-        "pluricanonical_cover",
-        (("cover_m", m), ("cover_d", d)),
-        (m_desc.recipe,),
+    recipe = recipe_node(
+        "pluricanonical_cover", (m_desc.recipe,), (m, d),
         (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE, "axiomatic-dual:pullback_dual"),
     )
     return ManifoldDescriptor(
@@ -273,6 +269,7 @@ def persson_cover(p: CoverParams, x: int, y: int) -> ManifoldDescriptor:
     return pluricanonical_cover(catalog("persson", *params), p.m, p.d)
 
 
+@operation()
 def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
     """Resolution of the double cover of the quadric branched over 2n + 2m
     lines: two fibration classes F_1, F_2 with F_1 F_2 = 2 carry the
@@ -293,9 +290,7 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
         pairs = tuple((i, x) for i, x in enumerate((u, v)) if x)
         witnesses = (Witness("canonical_dual", pairs),)
         notes.append("axiomatic-dual:canonical_dual")
-    recipe = ConstructionRecipe(
-        "singular_double_cover", (("n", n), ("m", m)), (), tuple(notes)
-    )
+    recipe = recipe_node("singular_double_cover", (), (n, m), tuple(notes))
     return ManifoldDescriptor(
         e=e,
         sigma=-4 * m * n,

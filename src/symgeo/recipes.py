@@ -9,6 +9,13 @@ types, duplicates, out-of-order keys and over-deep nesting are all
 rejected with the offending line number.  The format has no reference
 syntax, so cyclic documents cannot be expressed; nesting is capped at 64.
 
+An operation's schema is its constructor's signature, registered with
+``manifolds.operation`` where the constructor is defined: the leading
+descriptor parameters are the node's inputs, the rest its parameters in
+order, optional exactly when defaulted.  ``REGISTRY`` is read from those
+registrations; only ``catalog`` takes its parameters from its table.
+Parsing walks the lines once, so its time is linear in the document.
+
 Executing a parsed recipe replays the construction and yields a
 descriptor identical to the original, including its provenance.  No
 check reads a note: checks read descriptor fields, which replay derives
@@ -18,11 +25,13 @@ from the operations alone.  A node's marker notes
 
 from __future__ import annotations
 
-import inspect
 import re
+import sys
 from dataclasses import replace
 from typing import Callable
 
+# ``coverings`` and ``surgery`` are imported so that their operations
+# register themselves in ``manifolds.OPERATIONS``.
 from . import coverings, manifolds, surgery
 from .errors import RecipeError
 from .lattice import ClassVector
@@ -31,38 +40,21 @@ from .manifolds import ConstructionRecipe, ManifoldDescriptor, ParamValue, gatin
 SCHEMA_VERSION = 1
 MAX_DEPTH = 64
 
-_INT = "int"
-_CLASS = "class"
-_STR = "str"
-_BOOL = "bool"
-
-_KINDS = {int: _INT, str: _STR, bool: _BOOL, ClassVector: _CLASS}
-
-# op -> (ordered (param, type, required), input arity, builder)
 _Builder = Callable[[ConstructionRecipe, list[ManifoldDescriptor]], ManifoldDescriptor]
 
 
-def _signature_op(module, attr: str) -> tuple[tuple[tuple[str, str, bool], ...], int, _Builder]:
-    """Registry entry of an op whose recipe parameters are exactly its
-    constructor's parameters after the descriptor inputs, in order; every
-    op but ``catalog`` is one.  A parameter's kind is read from its
-    annotation (``int``, ``str``, ``bool`` or ``ClassVector``), and the
-    arity is the number of ``ManifoldDescriptor`` parameters in front.
-    A parameter is optional exactly when the constructor gives it a
-    default, and a node that omits it replays with that default.
-
-    The schema and arity are read from the signature once; the constructor
-    is fetched from its module at each call, so a wrapper installed on the
-    module attribute sees recipe replays too.
-    """
-    params = list(inspect.signature(getattr(module, attr), eval_str=True).parameters.values())
-    arity = sum(1 for p in params if p.annotation is ManifoldDescriptor)
-    schema = tuple((p.name, _KINDS[p.annotation], p.default is p.empty) for p in params[arity:])
+def _signature_op(constructor: Callable[..., ManifoldDescriptor]) -> _Builder:
+    """Builder of a registered operation: calls its constructor with the
+    node's inputs and then its parameters as keywords, so a node that
+    omits an optional parameter replays with its default.  The constructor
+    is fetched from its module at each call, so a wrapper installed on
+    the module attribute sees recipe replays too."""
+    module, attr = sys.modules[constructor.__module__], constructor.__name__
 
     def build(node, children):
         return getattr(module, attr)(*children, **dict(node.params))
 
-    return schema, arity, build
+    return build
 
 
 def _build_catalog(node, children):
@@ -80,34 +72,25 @@ def _build_catalog(node, children):
 # Catalog parameters in table order; each entry takes exactly its own.
 _CATALOG_PARAMS = tuple(dict.fromkeys(p for e in manifolds.CATALOG.values() for p in e.params))
 
-REGISTRY: dict[str, tuple[tuple[tuple[str, str, bool], ...], int, _Builder]] = {
-    "elliptic_surface": _signature_op(manifolds, "elliptic_surface"),
-    "knot_product": _signature_op(manifolds, "knot_product"),
-    "surface_bundle_Y": _signature_op(manifolds, "surface_bundle_y"),
-    "catalog": (
-        (("name", _STR, True),) + tuple((p, _INT, False) for p in _CATALOG_PARAMS),
-        0, _build_catalog),
-    "singular_double_cover": _signature_op(coverings, "singular_double_cover"),
-    "fibre_sum": _signature_op(surgery, "fibre_sum"),
-    "knot_surgery": _signature_op(surgery, "knot_surgery"),
-    "generalized_knot_surgery": _signature_op(surgery, "generalized_knot_surgery"),
-    "log_transform": _signature_op(surgery, "log_transform"),
-    "blow_up": _signature_op(surgery, "blow_up"),
-    "lagrangian_triple_surgery": _signature_op(surgery, "lagrangian_triple_surgery"),
-    "branched_cover": _signature_op(coverings, "branched_cover"),
-    "pluricanonical_cover": _signature_op(coverings, "pluricanonical_cover"),
+# op -> (ordered (param, kind, required), input arity, builder), a kind
+# being an annotation: int, str, bool or ClassVector.  The entries are read
+# from ``manifolds.OPERATIONS``, so a constructor's signature is the only
+# copy of its schema; ``catalog`` takes its parameters from its table.
+REGISTRY: dict[str, tuple[tuple[tuple[str, type, bool], ...], int, _Builder]] = {
+    op: (tuple(zip(o.names, o.kinds, o.required)), o.arity, _signature_op(o.constructor))
+    for op, o in manifolds.OPERATIONS.items()
 }
+REGISTRY["catalog"] = (
+    (("name", str, True),) + tuple((p, int, False) for p in _CATALOG_PARAMS), 0, _build_catalog)
 
 _STR_VALUE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _INT_VALUE = re.compile(r"^-?[0-9]+$")
 
 
-def _format_value(value: ParamValue, kind: str) -> str:
-    if kind == _INT:
-        return str(value)
-    if kind == _BOOL:
+def _format_value(value: ParamValue, kind: type) -> str:
+    if kind is bool:
         return "true" if value else "false"
-    if kind == _CLASS:
+    if kind is ClassVector:
         # Class vectors are sparse in memory and dense in the text.
         dense = [0] * value.rank
         for i, c in value.entries:
@@ -129,7 +112,6 @@ def _serialize_node(node: ConstructionRecipe, depth: int, lines: list[str]) -> N
     if node.operation not in REGISTRY:
         raise RecipeError(f"unknown operation {node.operation!r}")
     schema, arity, _ = REGISTRY[node.operation]
-    kinds = {name: kind for name, kind, _ in schema}
     pad = "  " * depth
     lines.append(f"{pad}op: {node.operation}")
     given = dict(node.params)
@@ -175,22 +157,30 @@ def _lex(text: str) -> list[_Line]:
     return out
 
 
-def _parse_value(kind: str, raw: str, number: int) -> ParamValue:
-    if kind == _INT:
+def _ints(parts: list[str], number: int) -> list[int]:
+    try:
+        return [int(p) for p in parts]
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise RecipeError("integer has more digits than the interpreter converts",
+                          number) from None
+
+
+def _parse_value(kind: type, raw: str, number: int) -> ParamValue:
+    if kind is int:
         if not _INT_VALUE.match(raw):
             raise RecipeError(f"expected an integer, got {raw!r}", number)
-        return int(raw)
-    if kind == _BOOL:
+        return _ints([raw], number)[0]
+    if kind is bool:
         if raw == "true":
             return True
         if raw == "false":
             return False
         raise RecipeError(f"expected true or false, got {raw!r}", number)
-    if kind == _CLASS:
+    if kind is ClassVector:
         parts = raw.split(",")
         if not all(_INT_VALUE.match(p.strip()) for p in parts):
             raise RecipeError(f"expected a comma-separated integer vector, got {raw!r}", number)
-        values = [int(p) for p in parts]
+        values = _ints(parts, number)
         return ClassVector(len(values), tuple((i, c) for i, c in enumerate(values) if c))
     if not _STR_VALUE.match(raw):
         raise RecipeError(f"invalid string value {raw!r}", number)
@@ -207,19 +197,21 @@ def parse_recipe(text: str) -> ConstructionRecipe:
         raise RecipeError("document must start with a version line", head.number)
     if head.value != str(SCHEMA_VERSION):
         raise RecipeError(f"unsupported schema version {head.value!r}", head.number)
-    node, rest = _parse_node(lines[1:], 0)
-    if rest:
-        raise RecipeError("trailing content after the root recipe", rest[0].number)
+    node, end = _parse_node(lines, 1, 0)
+    if end < len(lines):
+        raise RecipeError("trailing content after the root recipe", lines[end].number)
     return node
 
 
-def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, list[_Line]]:
+def _parse_node(lines: list[_Line], start: int, depth: int) -> tuple[ConstructionRecipe, int]:
+    """The node whose 'op:' line is ``lines[start]``, and the index of the
+    line after it.  The lines are walked by index, never copied."""
     if depth >= MAX_DEPTH:
         raise RecipeError("recipe nesting exceeds the supported depth",
-                          lines[0].number if lines else None)
-    if not lines:
+                          lines[start].number if start < len(lines) else None)
+    if start >= len(lines):
         raise RecipeError("expected an 'op:' line, found end of document")
-    first = lines[0]
+    first = lines[start]
     if first.indent != depth:
         raise RecipeError(f"expected indentation level {depth}", first.number)
     if first.key != "op":
@@ -232,11 +224,11 @@ def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, lis
     params: list[tuple[str, ParamValue]] = []
     notes: list[str] = []
     inputs: list[ConstructionRecipe] = []
-    rest = lines[1:]
+    at = start + 1
     cursor = 0  # position in the schema; parameters must come in order
     stage = "params"
-    while rest:
-        line = rest[0]
+    while at < len(lines):
+        line = lines[at]
         if line.indent < depth:
             break
         if line.indent > depth:
@@ -246,7 +238,7 @@ def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, lis
         if line.key == "input":
             if line.value:
                 raise RecipeError("'input:' takes no value", line.number)
-            child, rest = _parse_node(rest[1:], depth + 1)
+            child, at = _parse_node(lines, at + 1, depth + 1)
             inputs.append(child)
             stage = "inputs"
             continue
@@ -257,7 +249,7 @@ def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, lis
                 raise RecipeError("empty note", line.number)
             notes.append(line.value)
             stage = "notes"
-            rest = rest[1:]
+            at += 1
             continue
         if stage != "params":
             raise RecipeError("parameters must precede notes and inputs", line.number)
@@ -271,7 +263,7 @@ def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, lis
         name, kind, _ = schema[cursor]
         params.append((name, _parse_value(kind, line.value, line.number)))
         cursor += 1
-        rest = rest[1:]
+        at += 1
     while cursor < len(schema):
         if schema[cursor][2]:
             raise RecipeError(f"operation {op!r} missing parameter {schema[cursor][0]!r}",
@@ -280,7 +272,7 @@ def _parse_node(lines: list[_Line], depth: int) -> tuple[ConstructionRecipe, lis
     if len(inputs) != arity:
         raise RecipeError(
             f"operation {op!r} expects {arity} inputs, got {len(inputs)}", first.number)
-    return ConstructionRecipe(op, tuple(params), tuple(inputs), tuple(notes)), rest
+    return ConstructionRecipe(op, tuple(params), tuple(inputs), tuple(notes)), at
 
 
 def execute_recipe(recipe: ConstructionRecipe, _depth: int = 0) -> ManifoldDescriptor:

@@ -9,9 +9,10 @@ provenance notes.
 
 A surgery surface is given by the operation's own parameters: its class
 over the input's lattice, its genus where the operation needs one, its
-symplectic sign and whether its complement is simply connected.  These
-are the parameters the operation records in its recipe, in the same
-order, so each operation's recipe schema is its signature.
+symplectic sign and whether its complement is simply connected.  Each
+operation is registered with ``manifolds.operation`` and builds its
+recipe node with ``manifolds.recipe_node`` from its parameter values in
+signature order, so its signature is the only copy of its recipe schema.
 
 Witness surfaces are carried through surgeries.  A knot surgery along a
 torus T caps every tracked surface meeting T with fibre-genus copies of
@@ -45,9 +46,10 @@ from .lattice import (
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     SPLIT_BLOCK,
-    ConstructionRecipe,
     ManifoldDescriptor,
     elliptic_surface,
+    operation,
+    recipe_node,
     triple_names,
 )
 
@@ -160,6 +162,7 @@ def _plain_names(items: Iterable[Witness | WitnessRun]) -> set[str]:
     return {w.name for w in items if isinstance(w, Witness)}
 
 
+@operation()
 def fibre_sum(
     m: ManifoldDescriptor,
     n: ManifoldDescriptor,
@@ -314,21 +317,8 @@ def fibre_sum(
     if zero_notes:
         notes.append("assumed-disjoint:witness pairings with sewn dual set to zero")
 
-    recipe = ConstructionRecipe(
-        "fibre_sum",
-        (
-            ("genus", g),
-            ("class_m", class_m),
-            ("sign_m", sign_m),
-            ("complement_m", complement_m),
-            ("class_n", class_n),
-            ("sign_n", sign_n),
-            ("complement_n", complement_n),
-            ("no_rim_tori", no_rim_tori),
-        ),
-        (m.recipe, n.recipe),
-        tuple(notes),
-    )
+    params = (g, class_m, sign_m, complement_m, class_n, sign_n, complement_n, no_rim_tori)
+    recipe = recipe_node("fibre_sum", (m.recipe, n.recipe), params, tuple(notes))
     e = m.e + n.e + 4 * g - 4
     sigma = m.sigma + n.sigma
     return ManifoldDescriptor(
@@ -365,6 +355,7 @@ def _cap_witnesses(
     return tuple(out)
 
 
+@operation()
 def knot_surgery(
     x: ManifoldDescriptor, torus: ClassVector, h: int, sign: str, complement: bool
 ) -> ManifoldDescriptor:
@@ -386,17 +377,7 @@ def knot_surgery(
     witnesses = _cap_witnesses(x, torus, h, sign)
     simply_connected = x.simply_connected and complement
     notes = (NOTE_FULL_CANONICAL, f"fibred-knot-genus:{h}")
-    recipe = ConstructionRecipe(
-        "knot_surgery",
-        (
-            ("torus", torus),
-            ("h", h),
-            ("sign", sign),
-            ("complement", complement),
-        ),
-        (x.recipe,),
-        notes,
-    )
+    recipe = recipe_node("knot_surgery", (x.recipe,), (torus, h, sign, complement), notes)
     return ManifoldDescriptor(
         e=x.e,
         sigma=x.sigma,
@@ -410,6 +391,7 @@ def knot_surgery(
     )
 
 
+@operation()
 def generalized_knot_surgery(
     m: ManifoldDescriptor, surface: ClassVector, genus: int, h: int, complement: bool
 ) -> ManifoldDescriptor:
@@ -450,17 +432,8 @@ def generalized_knot_surgery(
     notes = [NOTE_FULL_CANONICAL]
     if dropped:
         notes.append("dropped-witnesses:" + ",".join(dropped))
-    recipe = ConstructionRecipe(
-        "generalized_knot_surgery",
-        (
-            ("surface", surface),
-            ("genus", g),
-            ("h", h),
-            ("complement", complement),
-        ),
-        (m.recipe,),
-        tuple(notes),
-    )
+    recipe = recipe_node(
+        "generalized_knot_surgery", (m.recipe,), (surface, g, h, complement), tuple(notes))
     return ManifoldDescriptor(
         e=m.e + 4 * h * (g - 1),
         sigma=m.sigma,
@@ -474,6 +447,7 @@ def generalized_knot_surgery(
     )
 
 
+@operation()
 def log_transform(x: ManifoldDescriptor, p: int) -> ManifoldDescriptor:
     """Logarithmic transform of multiplicity p on an unsurgered E(n)."""
     if p < 1:
@@ -483,15 +457,12 @@ def log_transform(x: ManifoldDescriptor, p: int) -> ManifoldDescriptor:
         raise ConstructionError("log transform requires an unsurgered elliptic surface")
     n = r.param("n")
     out = elliptic_surface(n, p, 1)
-    recipe = ConstructionRecipe(
-        "log_transform",
-        (("p", p),),
-        (x.recipe,),
-        out.recipe.notes + (f"multiple-fibre:{p}",),
-    )
+    recipe = recipe_node(
+        "log_transform", (x.recipe,), (p,), out.recipe.notes + (f"multiple-fibre:{p}",))
     return replace(out, recipe=recipe)
 
 
+@operation()
 def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     """Connected sum with ``count`` reversed projective planes, built in
     one pass and recorded as one recipe node: adds ``count`` exceptional
@@ -505,7 +476,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
     spheres = WitnessRun(m.lattice.rank, count, exceptional, ((0, 0),), "exceptional_")
     witnesses = append_witness_run(m.witness_items, spheres)
-    recipe = ConstructionRecipe("blow_up", (("count", count),), (m.recipe,), (NOTE_FULL_CANONICAL,))
+    recipe = recipe_node("blow_up", (m.recipe,), (count,), (NOTE_FULL_CANONICAL,))
     return ManifoldDescriptor(
         e=m.e + count,
         sigma=m.sigma - count,
@@ -519,6 +490,7 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     )
 
 
+@operation()
 def lagrangian_triple_surgery(
     m: ManifoldDescriptor,
     triple_index: int,
@@ -579,17 +551,6 @@ def lagrangian_triple_surgery(
     witnesses.append(Witness(c1_name, c1_pairings))
 
     notes = (NOTE_FULL_CANONICAL, f"triple:{triple_index}", _RIM_TORI_POSSIBLE)
-    recipe = ConstructionRecipe(
-        "lagrangian_triple_surgery",
-        (
-            ("triple_index", triple_index),
-            ("a", a),
-            ("em", em),
-            ("h1", h1),
-            ("h2", h2),
-            ("sign", sign),
-        ),
-        (m.recipe,),
-        notes,
-    )
+    recipe = recipe_node(
+        "lagrangian_triple_surgery", (m.recipe,), (triple_index, a, em, h1, h2, sign), notes)
     return replace(step3, witness_items=tuple(witnesses), recipe=recipe)

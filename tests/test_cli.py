@@ -1,4 +1,5 @@
 import itertools
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -308,6 +309,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(bad))
         assert code == 2 and out == ""
         assert expected in err
+
+    def test_over_long_integer_exits_2_with_its_line(self, capsys, tmp_path):
+        bad = tmp_path / "bad.txt"
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        bad.write_text(f"version: 1\nop: knot_product\nh: {digits}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(bad))
+        assert (code, out) == (2, "") and "line 3: integer has more digits" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))

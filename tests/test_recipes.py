@@ -1,5 +1,8 @@
+import hashlib
 import inspect
 import random
+import sys
+import time
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -20,6 +23,7 @@ from symgeo.geography import (
 )
 from symgeo.manifolds import (
     CATALOG,
+    OPERATIONS,
     ConstructionRecipe,
     catalog,
     elliptic_surface,
@@ -166,6 +170,26 @@ class TestStrictParsing:
         text = "# provenance file\nversion: 1\n\nop: knot_product\nh: 2\n"
         assert parse_recipe(text).operation == "knot_product"
 
+    @pytest.mark.parametrize("op,line", [
+        ("knot_product", "h: {}"),
+        ("knot_surgery", "torus: 1,{}\nh: 1\nsign: +\ncomplement: true"),
+    ])
+    def test_over_long_integers_carry_line_numbers(self, op, line):
+        # int() refuses a string one digit past the interpreter's limit.
+        digits = "9" * (sys.get_int_max_str_digits() + 1)
+        text = f"version: 1\nop: {op}\n{line.format(digits)}\n"
+        with pytest.raises(RecipeError, match="^line 3: integer has more digits"):
+            parse_recipe(text)
+
+    def test_parse_time_is_linear_in_the_lines(self):
+        # A parser that copies the lines still to read at every line takes
+        # time quadratic in their number: 5.6 s for 40,000 note lines.
+        text = (GOLDEN_RECIPES / "knot_product_2.txt").read_text(encoding="utf-8")
+        start = time.perf_counter()
+        recipe = parse_recipe(text + "note: x\n" * 100_000)
+        assert time.perf_counter() - start < 5
+        assert len(recipe.notes) == 100_004 and recipe.notes[-1] == "x"
+
 
 from conftest import random_descriptor
 
@@ -264,28 +288,48 @@ def test_catalog_schema_follows_table_order():
 # Ops replayed by calling the constructor with the recipe parameters as
 # keywords, each with a sample descriptor it builds: every op but catalog.
 def _generic_samples():
+    # Parameters of one type take distinct values where they can, so a
+    # node that records two of them swapped writes different text.
     e1 = elliptic_surface(1, 1, 1)
     e2 = elliptic_surface(2, 1, 1)
     f1, f2 = e1.lattice.basis_vector("f"), e2.lattice.basis_vector("f")
     return {
-        "elliptic_surface": (elliptic_surface, e2),
+        "elliptic_surface": (elliptic_surface, elliptic_surface(2, 3, 5)),
         "knot_product": (knot_product, knot_product(2)),
-        "surface_bundle_Y": (surface_bundle_y, surface_bundle_y(2, 2)),
+        "surface_bundle_Y": (surface_bundle_y, surface_bundle_y(2, 3)),
         "singular_double_cover": (singular_double_cover, singular_double_cover(3, 5)),
         "log_transform": (log_transform, log_transform(e2, 3)),
         "blow_up": (blow_up, blow_up(e2)),
         "lagrangian_triple_surgery": (
-            lagrangian_triple_surgery, lagrangian_triple_surgery(e2, 1, 2, 3, 1, 1, "-")),
+            lagrangian_triple_surgery, lagrangian_triple_surgery(e2, 1, 2, 3, 4, 5, "-")),
         "branched_cover": (branched_cover, branched_cover(e2, 4, -4, 2)),
         "fibre_sum": (
             fibre_sum,
-            fibre_sum(e1, e2, 1, f1, "+", True, f2, "-", True, no_rim_tori=False)),
+            fibre_sum(e1, e2, 1, f1, "+", True, f2, "-", False, no_rim_tori=False)),
         "knot_surgery": (knot_surgery, knot_surgery(e2, f2, 3, "-", True)),
         # spin_surface(2, 1, 1) is a generalized knot surgery at the root.
         "generalized_knot_surgery": (generalized_knot_surgery, spin_surface(2, 1, 1)),
         "pluricanonical_cover": (
             pluricanonical_cover, pluricanonical_cover(catalog("barlow"), 2, 3)),
     }
+
+
+# sha256 of each sample's recipe text: a node that records two parameters
+# swapped, or under other names, writes different bytes.
+RECIPE_SHA256 = {
+    "elliptic_surface": "1b2e59649839f05e82861c1f9f7d1342f491fe124bd7fe4993564a66b43740f3",
+    "knot_product": "8799a92205269616f68e8178dfe89e46a073466a9850463020f15ed8041c0bb5",
+    "surface_bundle_Y": "e417b32b193ed6852c3d386c1026cb96c86cbac05376bc4293a6363e0cb09fc0",
+    "singular_double_cover": "aecc7bac297f00840ae1bff5fa14d371be20e64653ecc406f850159fa963f066",
+    "log_transform": "b70fe4ecae5ffea370058da114d1d79ce7e2f5dc74eb95ee3879db1be59d2b45",
+    "blow_up": "f7ccf53ea24df763e5fa24ad81ee1913791fe1dbefff8c3fb72cab1c528aaaeb",
+    "lagrangian_triple_surgery": "2a8c0c9fea6e1fa61d3e7dd848c0ac2df0862484f9cae1294c492a068669e99f",
+    "branched_cover": "041b3c7d5471274a4646525ec7d4db31896204b97c4af9bdd6da04b48580d202",
+    "fibre_sum": "e9e7c680ec74daf62b9f3282fe23cbd9f2c2fa0f03b1c47b69f7cdfd4dff5cb6",
+    "knot_surgery": "546b763abe101b60dffa452aed2f00fab56e6c087854d0f377dfe8fd419e86a2",
+    "generalized_knot_surgery": "945f3f6b305c94b97a313732d11333c7887aee17652a49647e7d01b070425532",
+    "pluricanonical_cover": "296eae90a84eac83289eb96cbc3021cc6435827b3a2f9e09d1963ad02055cba9",
+}
 
 
 def test_only_blow_up_count_is_optional():
@@ -304,7 +348,14 @@ def test_every_op_but_catalog_is_read_from_its_signature():
         if build.__qualname__.startswith("_signature_op.")
     }
     assert generic == set(REGISTRY) - {"catalog"}
-    assert set(_generic_samples()) == generic
+    assert set(_generic_samples()) == set(RECIPE_SHA256) == generic
+
+
+def test_registry_is_the_registered_operations_and_catalog():
+    assert set(REGISTRY) == set(OPERATIONS) | {"catalog"} and len(REGISTRY) == 13
+    # Registering returns the constructor itself, not a wrapper.
+    for op, (fn, _) in _generic_samples().items():
+        assert OPERATIONS[op].constructor is fn
 
 
 @pytest.mark.parametrize("op", sorted(set(REGISTRY) - {"catalog"}))
@@ -314,4 +365,5 @@ def test_generic_op_schema_is_constructor_signature(op):
     names = list(inspect.signature(fn).parameters)[arity:]
     assert [name for name, _, _ in schema] == names
     assert [key for key, _ in sample.recipe.params] == names
-    roundtrip(sample)
+    text = roundtrip(sample)
+    assert hashlib.sha256(text.encode()).hexdigest() == RECIPE_SHA256[op]
