@@ -188,12 +188,17 @@ def _construct_family(p: list[str], args) -> int:
     _write_recipe(args.recipe, w)
     _print_descriptor("inequivalent_family", " ".join(p), w)
     print("q_set: " + " ".join(str(q) for q in sorted(result.q, reverse=True)))
-    patterns, certs = [""], result.certificates
-    for _ in result.shifts:  # pattern mask at index mask, as in certs
-        patterns = [x + "+" for x in patterns] + [x + "-" for x in patterns]
+    certs = result.certificates
+    # Sign i of pattern m is "-" when bit i of m is set: its first half is
+    # low[m & mask], the rest high[m >> half], so the 2^N patterns are
+    # never held at once.
+    half = len(result.shifts) // 2
+    low, high = (["".join(p[::-1]) for p in itertools.product("+-", repeat=bits)]
+                 for bits in (half, len(result.shifts) - half))
+    mask = (1 << half) - 1
     tails = {c: f"divisibility {c.value} certified {_bool_str(c.certified)}" for c in set(certs)}
-    # One call, fed one line at a time: the 2^N lines are never held at once.
-    sys.stdout.writelines(f"pattern {x}: {tails[c]}\n" for x, c in zip(patterns, certs))
+    sys.stdout.writelines(
+        f"pattern {low[m & mask]}{high[m >> half]}: {tails[c]}\n" for m, c in enumerate(certs))
     realized = set(result.divisibilities)
     print(f"divisibilities: {' '.join(str(v) for v in sorted(realized, reverse=True))}")
     return 0 if realized == set(result.q) else 1

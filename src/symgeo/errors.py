@@ -32,3 +32,12 @@ class RecipeError(SymgeoError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def decimal(value: int, error: type[SymgeoError]) -> str:
+    """The decimal text of ``value``; ``error`` when it has more digits
+    than the interpreter converts (``sys.get_int_max_str_digits``)."""
+    try:
+        return str(value)
+    except ValueError:
+        raise error("integer has more digits than the interpreter converts") from None

@@ -12,15 +12,18 @@ so values are exact at any size.
 
 Lattices grow by a parameter in one place only: :func:`append_blocks`
 adds every run of repeated blocks (the nuclei of E(n), the split blocks
-of Y_{g,h}, the exceptional classes of blow-ups).  A lattice stores a run
-once, as one :class:`BlockRun`: the block, its name prefixes and the copy
-count.  The rank, a row, a name and the index of a name are computed
-from the run's offset, so building, pairing and validating do work per
-run, not per copy; the basis is read only through these accessors, and
-a reader of the whole basis (the fibre sum) calls them once per class.
-A lattice with runs and the fibre sum check the result's rank against
-``MAX_RANK`` before building anything, so an oversized request fails
-with a :class:`LatticeError` instead of exhausting memory.
+of Y_{g,h}, the exceptional classes of blow-ups).  A lattice is a head
+followed by mutually orthogonal pieces.  A run is stored once, as one
+:class:`BlockRun`: the block, its name prefixes, the copy count and the
+label spans of its copies.  A :class:`HeadPiece` holds a few named classes
+with rows of their own, as a fibre sum leaves them.  The rank, a row, a
+name and the index of a name are computed from a piece's offset, so
+building, pairing and validating do work per piece, not per copy.  A
+fibre sum drops the surface and its dual with :func:`pieces_without`,
+which rebuilds or splits only the piece that holds them and shares every
+other piece as it is.  A lattice and the fibre sum check the result's
+rank against ``MAX_RANK`` before building anything, so an oversized
+request fails with a :class:`LatticeError` instead of exhausting memory.
 
 Witnesses are stored the same way, as plain :class:`Witness` items and
 :class:`WitnessRun` items, each run one sphere per row of its choice in
@@ -37,11 +40,12 @@ the class meets, or the witnesses they report.  Only
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from .errors import LatticeError
+from .errors import LatticeError, decimal
 
 # Longest divisor tail q_set accepts: it bounds the divisor list of the
 # CLI's qset input.  inequivalent_family has its own limit,
@@ -195,15 +199,118 @@ def _free_spans(blocked: list[tuple[int, int]], count: int) -> tuple[tuple[int, 
     return (*spans, (j, j + count - 1))
 
 
-class BlockRun(NamedTuple):
-    """``count`` orthogonal copies of the square integer ``block``.  Row r
-    of a copy is the class ``{prefixes[r]}_{label}``; the lattice holding
-    the run checks the block and labels the copies by the rule of
-    :func:`append_blocks`."""
+def _checked(names, rows) -> tuple[tuple[str, ...], tuple[Entries, ...]]:
+    """``names`` and ``rows`` as tuples; raise unless the names are
+    distinct and the rows are those of a symmetric form over them."""
+    names, rows = tuple(names), tuple(map(tuple, rows))
+    if len(set(names)) != len(names):
+        raise LatticeError("basis names must be pairwise distinct")
+    if len(rows) != len(names):
+        raise LatticeError("intersection form must be square: one row per basis class")
+    _check_form(rows)
+    return names, rows
 
-    block: tuple[tuple[int, ...], ...]
-    prefixes: tuple[str, ...]
-    count: int
+
+class HeadPiece(namedtuple("HeadPiece", "names rows")):
+    """Named classes (``names``, a tuple of str) with sparse ``rows`` that
+    index from the piece's first class, orthogonal to the rest of the
+    lattice: the head, or one copy of a piece's rows.  The rows are checked
+    once, when the piece is made; ``_replace`` does not check again."""
+
+    __slots__ = ()
+    count = 1  # copies, as a run counts them
+
+    def __new__(cls, names, rows):
+        return super().__new__(cls, *_checked(names, rows))
+
+
+class BlockRun(namedtuple("BlockRun", "block prefixes count spans rows")):
+    """``count`` orthogonal copies of the square integer ``block``.  Row r
+    of a copy is the class ``{prefixes[r]}_{label}``, the copies taking
+    the labels of the ``(lo, hi)`` pairs of ``spans`` in order.  Empty
+    spans ask the lattice for the labels of :func:`append_blocks`' rule;
+    a lattice stores every run with its spans.  The block is checked, and
+    the ``rows`` of one copy built, once, when the run is made."""
+
+    __slots__ = ()
+
+    def __new__(cls, block, prefixes, count, spans=()):
+        block = tuple(map(tuple, block))
+        prefixes, rows = _checked(prefixes, block_diagonal([block]))
+        if count < 1:
+            raise LatticeError("a block run needs a positive copy count")
+        spans = _joined(spans)
+        if spans and sum(hi - lo + 1 for lo, hi in spans) != count:
+            raise LatticeError("a block run needs one label per copy")
+        return super().__new__(cls, block, prefixes, count, spans, rows)
+
+    def relabeled(self, count: int, spans: Iterable[tuple[int, int]],
+                  prefix: str = "") -> "BlockRun":
+        """``count`` copies of this run's block labeled by ``spans``, with
+        ``prefix`` put before each name prefix; the block is not checked
+        again."""
+        prefixes = tuple(prefix + p for p in self.prefixes) if prefix else self.prefixes
+        return self._replace(prefixes=prefixes, count=count, spans=_joined(spans))
+
+    def copies(self, first: int, stop: int) -> "BlockRun":
+        """The run of copies ``first`` to ``stop - 1`` of this one."""
+        spans, at = [], 0
+        for lo, hi in self.spans:
+            a, b = max(first - at, 0), min(stop - at, hi - lo + 1)
+            spans += [(lo + a, lo + b - 1)] if a < b else []
+            at += hi - lo + 1
+        return self.relabeled(stop - first, spans)
+
+
+Piece = BlockRun | HeadPiece
+
+
+def _joined(spans: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """``spans`` in order, each joined to the one before when it continues it."""
+    out: list[tuple[int, int]] = []
+    for lo, hi in spans:
+        if out and out[-1][1] + 1 == lo:
+            lo = out.pop()[0]
+        out.append((lo, hi))
+    return tuple(out)
+
+
+class NameSet:
+    """The names of some pieces, and some ``names`` besides, kept per
+    piece: each name of a head piece, and the label spans that runs and
+    such names take under each prefix."""
+
+    def __init__(self, pieces: Iterable[Piece], names: Iterable[str] = ()):
+        self.names: set[str] = set()
+        self.spans: dict[str, list[tuple[int, int]]] = {}
+        for name in names:
+            self.add(name)
+        for piece in pieces:
+            if isinstance(piece, HeadPiece):
+                for name in piece.names:
+                    self.add(name)
+            else:
+                for p in piece.prefixes:
+                    self.spans.setdefault(p, []).extend(piece.spans)
+
+    def add(self, name: str) -> None:
+        self.names.add(name)
+        split = _split_name(name)
+        if split:
+            self.spans.setdefault(split[0], []).append((split[1], split[1]))
+
+    def __contains__(self, name: str) -> bool:
+        prefix, label = _split_name(name) or (None, 0)
+        return name in self.names or any(lo <= label <= hi for lo, hi in self.spans.get(prefix, ()))
+
+    def meets(self, pieces: Iterable[Piece], prefix: str) -> bool:
+        """Whether a name of ``pieces``, with ``prefix`` put before it, is
+        in the set."""
+        return any(
+            any(prefix + name in self for name in piece.names) if isinstance(piece, HeadPiece)
+            else any(lo <= b and a <= hi for p in piece.prefixes
+                     for lo, hi in self.spans.get(prefix + p, ()) for a, b in piece.spans)
+            for piece in pieces)
 
 
 class WitnessRun(NamedTuple):
@@ -355,12 +462,15 @@ class IntersectionLattice:
     """Named basis classes with a symmetric integer intersection form.
 
     The basis is a head, the classes ``head_names`` with sparse rows
-    ``head_rows``, followed by the ``runs`` of repeated blocks, each
-    orthogonal to everything else.  A row lists the pairs ``(j, g_ij)``
-    with ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
-    :meth:`name` and :meth:`index_of` read a run from its block and its
-    label spans, and are the only readers of the basis.  Adjacent runs of
-    one block and one prefix tuple are stored as one.
+    ``head_rows``, followed by the ``pieces``, each orthogonal to the head
+    and to every other piece: runs of repeated blocks and head pieces.  A
+    row lists the pairs ``(j, g_ij)`` with ``g_ij != 0`` by increasing
+    ``j``.  ``rank``, :meth:`row`, :meth:`name` and :meth:`index_of` read a
+    piece from its offset, a run from its block and its label spans, and
+    are the only readers of the basis.  Adjacent runs of one block and one
+    prefix tuple are stored as one.  The names of the head and the head
+    pieces are checked distinct; a run given with spans is trusted to name
+    free classes, as the fibre sum's renaming ensures.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
@@ -370,101 +480,72 @@ class IntersectionLattice:
     head_names: tuple[str, ...]
     head_rows: tuple[Entries, ...]
     primitive_summand: bool = True
-    runs: tuple[BlockRun, ...] = ()
+    pieces: tuple[Piece, ...] = ()
     rank: int = field(init=False, repr=False, compare=False)
-    # The index of each head name; the first index of each run; the rows
-    # of one copy of each run at index 0, and the spans of its labels.
+    # The index of each name of the head and the head pieces, and the
+    # first index of each piece.
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    _placed: tuple[tuple[tuple, tuple], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = tuple(self.head_names)
-        rows = tuple(map(tuple, self.head_rows))
-        object.__setattr__(self, "head_names", names)
-        object.__setattr__(self, "head_rows", rows)
-        n = len(names)
-        index = dict(zip(names, range(n)))
-        if len(index) != n:
-            raise LatticeError("basis names must be pairwise distinct")
-        if len(rows) != n:
-            raise LatticeError("intersection form must be square: one row per basis class")
-        _check_form(rows)
-        object.__setattr__(self, "_index", index)
-        if self.runs:
-            self._place_runs()
-            return
-        object.__setattr__(self, "rank", n)
-        object.__setattr__(self, "_starts", ())
-        object.__setattr__(self, "_placed", ())
+        """Index the names, label runs given without spans, merge adjacent
+        runs and check the rank.  A run without spans takes, copy by copy,
+        the first label from 1 up at which no name of its prefixes is in an
+        earlier piece, as laying the copies out one by one would name them."""
+        names, rows = _checked(self.head_names, self.head_rows)
+        self.__dict__.update(head_names=names, head_rows=rows)
+        index = dict(zip(names, range(len(names))))
+        pieces: list[Piece] = []
+        starts: list[int] = []
+        stop = len(names)
+        for piece in self.pieces:
+            if isinstance(piece, HeadPiece):
+                for i, name in enumerate(piece.names, stop):
+                    if index.setdefault(name, i) != i:
+                        raise LatticeError("basis names must be pairwise distinct")
+            else:
+                if not piece.spans:
+                    taken = NameSet(pieces, index).spans
+                    blocked = [s for p in piece.prefixes for s in taken.get(p, ())]
+                    piece = piece.relabeled(piece.count, _free_spans(blocked, piece.count))
+                last = pieces[-1] if pieces else None
+                kind = (piece.block, piece.prefixes)
+                if isinstance(last, BlockRun) and (last.block, last.prefixes) == kind:
+                    pieces.pop()
+                    stop = starts.pop()
+                    piece = last.relabeled(last.count + piece.count, last.spans + piece.spans)
+            pieces.append(piece)
+            starts.append(stop)
+            stop += len(piece.rows) * piece.count
+        check_rank(stop)
+        self.__dict__.update(pieces=tuple(pieces), rank=stop, _index=index, _starts=tuple(starts))
 
-    def _place_runs(self) -> None:
-        """Check each run's block once, merge adjacent runs of one block
-        and prefix tuple, check the rank, and label each run's copies: a
-        copy takes the first label from 1 up at which no name of its
-        prefixes is in the head or in an earlier run, as laying the copies
-        out one by one would name them."""
-        runs: list[BlockRun] = []
-        run_rows: list[tuple[Entries, ...]] = []
-        for block, prefixes, count in self.runs:
-            block, prefixes = tuple(map(tuple, block)), tuple(prefixes)
-            rows = block_diagonal([block])
-            if len(set(prefixes)) != len(prefixes):
-                raise LatticeError("basis names must be pairwise distinct")
-            if len(prefixes) != len(rows):
-                raise LatticeError("intersection form must be square: one row per basis class")
-            _check_form(rows)
-            if count < 1:
-                raise LatticeError("a block run needs a positive copy count")
-            if runs and runs[-1][:2] == (block, prefixes):
-                count += runs.pop().count
-                run_rows.pop()
-            runs.append(BlockRun(block, prefixes, count))
-            run_rows.append(rows)
-        starts = [len(self.head_names)]
-        for run, rows in zip(runs, run_rows):
-            starts.append(starts[-1] + len(rows) * run.count)
-        check_rank(starts[-1])
-        # Label spans taken so far, by prefix.
-        taken: dict[str, list[tuple[int, int]]] = {}
-        for prefix, label in filter(None, map(_split_name, self.head_names)):
-            taken.setdefault(prefix, []).append((label, label))
-        placed = []
-        for run, rows in zip(runs, run_rows):
-            spans = _free_spans([s for p in run.prefixes for s in taken.get(p, ())], run.count)
-            for p in run.prefixes:
-                taken.setdefault(p, []).extend(spans)
-            placed.append((rows, spans))
-        object.__setattr__(self, "runs", tuple(runs))
-        object.__setattr__(self, "rank", starts.pop())
-        object.__setattr__(self, "_starts", tuple(starts))
-        object.__setattr__(self, "_placed", tuple(placed))
-
-    def _locate(self, i: int) -> tuple[BlockRun, tuple, int, int]:
-        """``(run, placed, copy, r)`` of run index ``i``: row r of a copy
-        of ``run``, whose entry in ``_placed`` is ``placed``."""
+    def _locate(self, i: int) -> tuple[int, int, int]:
+        """``(k, copy, r)`` of piece index ``i``: row r of a copy of piece k."""
         if not len(self.head_names) <= i < self.rank:
             raise IndexError(f"basis index {i} out of range")
         k = bisect_right(self._starts, i) - 1
-        placed = self._placed[k]
-        copy, r = divmod(i - self._starts[k], len(placed[0]))
-        return self.runs[k], placed, copy, r
+        copy, r = divmod(i - self._starts[k], len(self.pieces[k].rows))
+        return k, copy, r
 
     def row(self, i: int) -> Entries:
         """The sparse row of basis class ``i``, without laying out the runs."""
         if 0 <= i < len(self.head_rows):
             return self.head_rows[i]
-        _, (rows, _), _, r = self._locate(i)
-        return tuple([(i - r + j, g) for j, g in rows[r]])
+        k, _, r = self._locate(i)
+        return tuple([(i - r + j, g) for j, g in self.pieces[k].rows[r]])
 
     def name(self, i: int) -> str:
         """The name of basis class ``i``, without laying out the runs."""
         if 0 <= i < len(self.head_names):
             return self.head_names[i]
-        run, (_, spans), copy, r = self._locate(i)
-        for lo, hi in spans:
+        k, copy, r = self._locate(i)
+        piece = self.pieces[k]
+        if isinstance(piece, HeadPiece):
+            return piece.names[r]
+        for lo, hi in piece.spans:
             if copy <= hi - lo:
-                return f"{run.prefixes[r]}_{lo + copy}"
+                return f"{piece.prefixes[r]}_{lo + copy}"
             copy -= hi - lo + 1
 
     def index_of(self, name: str) -> int:
@@ -472,13 +553,13 @@ class IntersectionLattice:
         if i is not None:
             return i
         prefix, label = _split_name(name) or (None, 0)
-        for run, start, (rows, spans) in zip(self.runs, self._starts, self._placed):
-            if prefix in run.prefixes:
+        for run, start in zip(self.pieces, self._starts):
+            if isinstance(run, BlockRun) and prefix in run.prefixes:
                 copy = 0
-                for lo, hi in spans:
+                for lo, hi in run.spans:
                     if lo <= label <= hi:
                         copy += label - lo
-                        return start + copy * len(rows) + run.prefixes.index(prefix)
+                        return start + copy * len(run.prefixes) + run.prefixes.index(prefix)
                     copy += hi - lo + 1
         raise LatticeError(f"basis mismatch: no class named {name!r}")
 
@@ -497,6 +578,34 @@ class IntersectionLattice:
         if v.rank != self.rank:
             raise LatticeError("basis mismatch")
         return sparse_sum((c, self.row(i)) for i, c in v.entries)
+
+
+def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Piece, ...]:
+    """The head of ``lat`` as a head piece, then its nonempty pieces,
+    without the classes at the indices ``removed``, which pair with no
+    other class and lie in one copy of a run.  Only a piece holding some
+    is rebuilt, or split: a run into the copies before, the rest of that
+    copy as a one-copy run, and the copies after, each with its labels."""
+    removed = sorted(removed)
+    head = (HeadPiece(lat.head_names, lat.head_rows),)
+    out: list[Piece] = []
+    for piece, start in zip(head + lat.pieces, (0, *lat._starts)):
+        hit = [i - start for i in removed if start <= i < start + len(piece.rows) * piece.count]
+        if isinstance(piece, BlockRun) and hit:
+            copy, n = hit[0] // len(piece.rows), len(piece.rows)
+            keep = [j for j in range(n) if copy * n + j not in hit]
+            rest = BlockRun(tuple(tuple(piece.block[r][j] for j in keep) for r in keep),
+                            tuple(piece.prefixes[j] for j in keep), 1,
+                            piece.copies(copy, copy + 1).spans)
+            parts = (piece.copies(0, copy), rest, piece.copies(copy + 1, piece.count))
+            out += [p for p in parts if p.count and p.rows]
+        elif hit:
+            keep = [j for j in range(len(piece.names)) if j not in hit]
+            rows = [tuple((j - bisect_left(hit, j), g) for j, g in piece.rows[r]) for r in keep]
+            out.append(HeadPiece(tuple(piece.names[j] for j in keep), rows))
+        else:
+            out.append(piece)
+    return (out[0], *(p for p in out[1:] if p.rows))
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
@@ -532,7 +641,8 @@ def block_diagonal(
 def check_rank(rank: int) -> None:
     """Raise unless a lattice of ``rank`` classes fits the size budget."""
     if rank > MAX_RANK:
-        raise LatticeError(f"lattice rank {rank} exceeds the budget of {MAX_RANK} classes")
+        shown = decimal(rank, LatticeError)
+        raise LatticeError(f"lattice rank {shown} exceeds the budget of {MAX_RANK} classes")
 
 
 def append_blocks(
@@ -545,8 +655,8 @@ def append_blocks(
     offset.  The work does not grow with ``count``."""
     if not count:
         return lat
-    runs = lat.runs + (BlockRun(block, prefixes, count),)
-    return IntersectionLattice(lat.head_names, lat.head_rows, lat.primitive_summand, runs)
+    pieces = lat.pieces + (BlockRun(block, prefixes, count),)
+    return IntersectionLattice(lat.head_names, lat.head_rows, lat.primitive_summand, pieces)
 
 
 def coefficient_gcd(v: ClassVector) -> int:

@@ -6,14 +6,15 @@ the tracked fragment of the intersection lattice, the canonical class as
 a sparse integer vector over that fragment, a list of witness surfaces, and a
 provenance recipe that can be re-executed to reproduce the descriptor.
 
-The lattice stores repeated blocks as runs, and the witnesses store the
-spheres of repeated blocks as ``lattice.WitnessRun`` items: E(n) keeps
-one run for its 2(n - 1) dual spheres and ``blow_up`` one for its
-exceptional spheres.  Every surgery, the fibre sum and validation read
-the runs through the ``lattice`` witness functions, which lay out only
-the copies a surgery class or K meets, and carry the other copies on as
-runs.  The descriptor's ``witnesses`` property lays out every copy on
-first read; no operation reads it.
+The lattice stores repeated blocks as runs and a fibre sum's leftovers as
+head pieces, and the witnesses store the spheres of repeated blocks as
+``lattice.WitnessRun`` items: E(n) keeps one run for its 2(n - 1) dual
+spheres and ``blow_up`` one for its exceptional spheres.  Every surgery,
+the fibre sum and validation read the runs through the ``lattice``
+functions, which lay out only the copies a surgery class or K meets, and
+carry the other copies and pieces on as they are.  The descriptor's
+``witnesses`` property lays out every copy on first read; no operation
+reads it.
 
 Atomic pieces:
 
@@ -40,7 +41,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, NamedTuple
 
-from .errors import ConstructionError
+from .errors import ConstructionError, decimal
 from .lattice import (
     ClassVector,
     IntersectionLattice,
@@ -195,15 +196,14 @@ def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool 
     * a tracked class of odd square makes the form odd;
     * a spin signature is divisible by 16 (Rochlin's theorem).
 
-    The squares are read from the head rows and once from each run's block.
+    The squares are read from the head and once from each piece.
     """
     if coefficient_gcd(k) % 2 == 0:
         return True
     if lattice.primitive_summand:
         return False
-    squares = [g for i, row in enumerate(lattice.head_rows) for j, g in row if j == i]
-    squares += [row[r] for run in lattice.runs for r, row in enumerate(run.block)]
-    if any(g % 2 for g in squares):
+    rows = (lattice.head_rows, *(piece.rows for piece in lattice.pieces))
+    if any(g % 2 for one in rows for i, row in enumerate(one) for j, g in row if j == i):
         return False
     return None if sigma % 16 == 0 else False
 
@@ -315,7 +315,8 @@ def knot_product(h: int) -> ManifoldDescriptor:
         Witness("section_torus", lat.row(0), 1, 0),
         Witness("fibre", lat.row(1), h, 0),
     )
-    notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "T_K", "b1:2", f"fibre-genus:{h}")
+    genus = decimal(h, ConstructionError)
+    notes = (NOTE_FULL_CANONICAL, NOTE_PI1_SECTION + "T_K", "b1:2", f"fibre-genus:{genus}")
     recipe = recipe_node("knot_product", (), (h,), notes)
     return ManifoldDescriptor(
         e=0,

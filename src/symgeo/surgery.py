@@ -24,13 +24,18 @@ other intersection pattern keeps the pairing vector but forgets the genus.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Container, Iterable
 
-from .errors import ConstructionError, LatticeError
+from .errors import ConstructionError, LatticeError, decimal
 from .lattice import (
+    BlockRun,
     ClassVector,
+    Entries,
+    HeadPiece,
     IntersectionLattice,
+    NameSet,
     Witness,
     WitnessItems,
     WitnessRun,
@@ -39,7 +44,8 @@ from .lattice import (
     block_diagonal,
     check_rank,
     coefficient_gcd,
-    pairing,
+    pieces_without,
+    sparse_dot,
     sparse_sum,
     split_witnesses,
 )
@@ -64,13 +70,17 @@ def _check_sign(sign: str) -> None:
         raise ConstructionError("symplectic sign must be + or -")
 
 
-def _check_square_zero_indivisible(m: ManifoldDescriptor, surface: ClassVector) -> None:
+def _check_square_zero_indivisible(m: ManifoldDescriptor, surface: ClassVector) -> Entries:
+    """The pairing row of ``surface``, once it is checked indivisible and
+    of square zero; callers pair it with K rather than read it again."""
     if surface.rank != m.lattice.rank:
         raise ConstructionError("surface class does not live over the descriptor's lattice")
-    if pairing(m.lattice, surface, surface) != 0:
+    row = m.lattice.pairing_row(surface)
+    if sparse_dot(row, surface.entries) != 0:
         raise ConstructionError("surgery surface must have self-intersection zero")
     if coefficient_gcd(surface) != 1:
         raise ConstructionError("surgery surface class must be indivisible")
+    return row
 
 
 def _derive_minimal(primitive: bool, k: ClassVector) -> str:
@@ -103,15 +113,12 @@ class _Side:
     b_row: tuple[tuple[int, int], ...]  # nonzero pairings of the dual with the basis
     # The witness items split at the surface, each with its pairing.
     pieces: tuple[tuple[Witness | WitnessRun, int], ...]
-
-    @property
-    def kept(self) -> list[int]:
-        removed = (self.sigma_index, self.b_basis_index)
-        return [i for i in range(self.desc.lattice.rank) if i not in removed]
+    removed: tuple[int, ...]  # the surface and a tracked dual, by index
+    sigma_row: Entries  # nonzero pairings of the surface with the basis
 
 
 def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) -> _Side:
-    _check_square_zero_indivisible(desc, surface)
+    row = _check_square_zero_indivisible(desc, surface)
     lat = desc.lattice
     entries = surface.entries
     i = entries[0][0] if entries else 0
@@ -119,7 +126,7 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
         raise ConstructionError(
             f"fibre-sum surface on the {label} side must be a tracked basis class"
         )
-    partners = [(j, g) for j, g in lat.row(i) if j != i]
+    partners = [(j, g) for j, g in row if j != i]
     if len(partners) > 1:
         raise ConstructionError("fibre-sum surface pairs with more than one tracked class")
     pieces = tuple(split_witnesses(lat, desc.witness_items, surface))
@@ -138,13 +145,14 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
             (w.genus for w in meeting if w.pairings == row_j and w.genus is not None), None
         )
         b_square = next((g for k, g in row_j if k == j), 0)
-        return _Side(desc, i, j, None, b_square, b_genus, row_j, pieces)
+        removed = tuple(sorted((i, j)))
+        return _Side(desc, i, j, None, b_square, b_genus, row_j, pieces, removed, row)
     if not meeting:
         raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
     w = meeting[0]
     if w.self_intersection is None:
         raise ConstructionError("dual surface self-intersection unknown; cannot form fibre sum")
-    return _Side(desc, i, None, w, w.self_intersection, w.genus, w.pairings, pieces)
+    return _Side(desc, i, None, w, w.self_intersection, w.genus, w.pairings, pieces, (i,), row)
 
 
 def _fresh(base: str, taken: Container[str]) -> str:
@@ -186,6 +194,13 @@ def fibre_sum(
     B_X with B_X^2 the sum of the two dual squares.  The canonical class
     is K_m + K_n - (2g-2) B_X + 2 Sigma_X under the induced embeddings.
 
+    The lattice is m's head and pieces, the head piece (Sigma_X, B_X),
+    then n's head and pieces, renamed by the first ``N{k}.`` prefix that
+    keeps every name distinct.  Only a piece holding a surface or tracked
+    dual is split or rebuilt (``lattice.pieces_without``), and K, the
+    witness pairings and the dual's row move by a piecewise index shift,
+    so the work grows with the stored pieces, not with the rank.
+
     The symplectic signs ``sign_m`` and ``sign_n`` are checked and
     recorded but decide nothing.  They stay: every version-1 fibre-sum
     recipe carries them as required lines, and dropping them would need
@@ -198,69 +213,59 @@ def fibre_sum(
     g = genus
     side_m = _resolve_side(m, class_m, "first")
     side_n = _resolve_side(n, class_n, "second")
-    for desc, surface in ((m, class_m), (n, class_n)):
-        if pairing(desc.lattice, desc.canonical, surface) != 2 * g - 2:
+    for side in (side_m, side_n):
+        if sparse_dot(side.sigma_row, side.desc.canonical.entries) != 2 * g - 2:
             raise ConstructionError("fibre-sum surface violates the adjunction identity")
 
-    m_keep = side_m.kept
-    n_keep = side_n.kept
-    check_rank(len(m_keep) + 2 + len(n_keep))
-    m_names = [m.lattice.name(i) for i in m_keep]
-    sigma_name = m.lattice.name(side_m.sigma_index)
-    taken = set(m_names) | {sigma_name}
+    lat_m, lat_n = m.lattice, n.lattice
+    check_rank(lat_m.rank + 2 + lat_n.rank - len(side_m.removed) - len(side_n.removed))
+    m_head, *m_pieces = pieces_without(lat_m, side_m.removed)
+    n_pieces = [p for p in pieces_without(lat_n, side_n.removed) if p.rows]
+    sigma_name = lat_m.name(side_m.sigma_index)
+    taken = NameSet((m_head, *m_pieces), (sigma_name,))
     b_name = _fresh("B_" + sigma_name, taken)
     taken.add(b_name)
-
-    raw_n_names = [n.lattice.name(i) for i in n_keep]
     prefix = ""
-    if any(name in taken for name in raw_n_names):
-        k = 1
-        while True:
-            prefix = f"N{k}."
-            if all(prefix + name not in taken for name in raw_n_names):
-                break
-            k += 1
-    n_names = [prefix + name for name in raw_n_names]
-    new_names = tuple(m_names + [sigma_name, b_name] + n_names)
+    k = 0
+    while taken.meets(n_pieces, prefix):
+        k += 1
+        prefix = f"N{k}."
 
-    sigma_pos = len(m_keep)
+    sigma_pos = lat_m.rank - len(side_m.removed)
     b_pos = sigma_pos + 1
     b_square = side_m.b_square + side_n.b_square
-    # Old-to-new index of the kept classes of each side.
-    m_index = {i: pos for pos, i in enumerate(m_keep)}
-    n_index = {i: b_pos + 1 + pos for pos, i in enumerate(n_keep)}
-
-    def carry(pairs: tuple[tuple[int, int], ...], index: dict[int, int]) -> list:
-        """The entries of sparse ``pairs`` at kept classes, re-indexed."""
-        return [(index[i], p) for i, p in pairs if i in index]
-
-    # No kept class pairs with a removed one, so re-indexing the kept rows
-    # of each side loses no entry.
-    def kept_rows(side: _Side, index: dict[int, int]) -> tuple:
-        lat = side.desc.lattice
-        return tuple(tuple(carry(lat.row(i), index)) for i in index)
-
     lattice = IntersectionLattice(
-        new_names,
-        kept_rows(side_m, m_index)
-        + block_diagonal([((0, 1), (1, b_square))], sigma_pos)
-        + kept_rows(side_n, n_index),
-        m.lattice.primitive_summand and n.lattice.primitive_summand,
+        m_head.names,
+        m_head.rows,
+        lat_m.primitive_summand and lat_n.primitive_summand,
+        (
+            *m_pieces,
+            HeadPiece((sigma_name, b_name), block_diagonal([((0, 1), (1, b_square))])),
+            *(p.relabeled(p.count, p.spans, prefix) if isinstance(p, BlockRun)
+              else p._replace(names=tuple(prefix + x for x in p.names)) for p in n_pieces),
+        ),
     )
 
-    def sewn(side: _Side, index: dict[int, int]) -> dict[int, int]:
-        """``index`` extended by the surface, carried to Sigma_X, and a
-        tracked dual, carried to B_X."""
-        out = {**index, side.sigma_index: sigma_pos}
-        if side.b_basis_index is not None:
-            out[side.b_basis_index] = b_pos
+    def carry(pairs: Iterable[tuple[int, int]], side: _Side, offset: int, sew: bool) -> list:
+        """Sparse ``pairs`` of one side in the sum: an entry at a kept
+        class moves by ``offset`` less the removed classes below it; with
+        ``sew``, the surface's moves to Sigma_X and a tracked dual's to B_X,
+        else they are dropped."""
+        gone = side.removed
+        out = []
+        for i, p in pairs:
+            below = bisect_left(gone, i)
+            if below < len(gone) and gone[below] == i:
+                if sew:
+                    out.append((sigma_pos if i == side.sigma_index else b_pos, p))
+            else:
+                out.append((offset + i - below, p))
         return out
 
-    m_sewn, n_sewn = sewn(side_m, m_index), sewn(side_n, n_index)
     # K_m + K_n - (2g-2) B_X + 2 Sigma_X, the old Sigma and duals sewn.
-    canonical = ClassVector(len(new_names), sparse_sum([
-        (1, carry(m.canonical.entries, m_sewn)),
-        (1, carry(n.canonical.entries, n_sewn)),
+    canonical = ClassVector(lattice.rank, sparse_sum([
+        (1, carry(m.canonical.entries, side_m, 0, True)),
+        (1, carry(n.canonical.entries, side_n, b_pos + 1, True)),
         (1, ((sigma_pos, 2), (b_pos, 2 - 2 * g))),
     ]))
 
@@ -268,13 +273,14 @@ def fibre_sum(
     dropped: list[str] = []
     zero_notes = False
 
-    def embed_witnesses(side: _Side, index: dict[int, int], name_prefix: str) -> None:
+    def embed_witnesses(side: _Side, offset: int, name_prefix: str) -> None:
         """Carry the witnesses of one side that miss its surface; a witness
         pairing with a tracked dual pairs the same with B_X.  Every copy of
         a run that the surface meets was laid out, so a run piece lies in
         kept classes, contiguous and in order, and moves as a whole; its
         spheres take the ``name_prefix`` of their classes' new names.  It
-        joins the item before it when it continues that run."""
+        joins the item before it when it continues that run.  On the first
+        side, a witness below every removed class is kept as it is."""
         nonlocal zero_notes
         for w, t in side.pieces:
             if w is side.b_witness:
@@ -284,20 +290,23 @@ def fibre_sum(
                 continue
             zero_notes = zero_notes or side.b_basis_index is None
             if isinstance(w, WitnessRun):
-                run = w._replace(start=index[w.start])
-                witnesses[-1:] = append_witness_run(tuple(witnesses[-1:]), run)
-                continue
-            pairs = sorted(carry(w.pairings, index))
-            witnesses.append(Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))
+                start = offset + w.start - bisect_left(side.removed, w.start)
+                witnesses[-1:] = append_witness_run(tuple(witnesses[-1:]), w._replace(start=start))
+            elif not offset and (not w.pairings or w.pairings[-1][0] < side.removed[0]):
+                witnesses.append(w)
+            else:
+                pairs = sorted(carry(w.pairings, side, offset, True))
+                witnesses.append(
+                    Witness(name_prefix + w.name, pairs, w.genus, w.self_intersection))
 
-    embed_witnesses(side_m, m_sewn, "")
-    embed_witnesses(side_n, n_sewn, prefix)
+    embed_witnesses(side_m, 0, "")
+    embed_witnesses(side_n, b_pos + 1, prefix)
 
     b_pairings = (
-        carry(side_m.b_row, m_index)
+        carry(side_m.b_row, side_m, 0, False)
         + [(sigma_pos, 1)]
         + ([(b_pos, b_square)] if b_square else [])
-        + carry(side_n.b_row, n_index)
+        + carry(side_n.b_row, side_n, b_pos + 1, False)
     )
     b_genus = None
     if side_m.b_genus is not None and side_n.b_genus is not None:
@@ -369,14 +378,14 @@ def knot_surgery(
     if h < 0:
         raise ConstructionError("knot genus must be non-negative")
     _check_sign(sign)
-    _check_square_zero_indivisible(x, torus)
-    if pairing(x.lattice, x.canonical, torus) != 0:
+    row = _check_square_zero_indivisible(x, torus)
+    if sparse_dot(row, x.canonical.entries) != 0:
         raise ConstructionError("torus violates the adjunction identity")
     shift = torus.scaled(2 * h if sign == "+" else -2 * h)
     canonical = x.canonical + shift
     witnesses = _cap_witnesses(x, torus, h, sign)
     simply_connected = x.simply_connected and complement
-    notes = (NOTE_FULL_CANONICAL, f"fibred-knot-genus:{h}")
+    notes = (NOTE_FULL_CANONICAL, f"fibred-knot-genus:{decimal(h, ConstructionError)}")
     recipe = recipe_node("knot_surgery", (x.recipe,), (torus, h, sign, complement), notes)
     return ManifoldDescriptor(
         e=x.e,
@@ -405,12 +414,12 @@ def generalized_knot_surgery(
         raise ConstructionError("use knot_surgery")
     if h < 1:
         raise ConstructionError("knot genus must be positive")
-    _check_square_zero_indivisible(m, surface)
+    sigma_row = _check_square_zero_indivisible(m, surface)
     if not (m.simply_connected and complement):
         raise ConstructionError(
             "generalized knot surgery requires a simply-connected complement"
         )
-    if pairing(m.lattice, m.canonical, surface) != 2 * g - 2:
+    if sparse_dot(sigma_row, m.canonical.entries) != 2 * g - 2:
         raise ConstructionError("surface violates the adjunction identity")
 
     lattice = append_blocks(m.lattice, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
@@ -425,7 +434,6 @@ def generalized_knot_surgery(
             dropped.append(w.name)
             continue
         witnesses.append(w)
-    sigma_row = m.lattice.pairing_row(surface)
     sigma = _fresh("Sigma", _plain_names(witnesses))
     witnesses.append(Witness(sigma, sigma_row, g, 0))
 
@@ -457,8 +465,8 @@ def log_transform(x: ManifoldDescriptor, p: int) -> ManifoldDescriptor:
         raise ConstructionError("log transform requires an unsurgered elliptic surface")
     n = r.param("n")
     out = elliptic_surface(n, p, 1)
-    recipe = recipe_node(
-        "log_transform", (x.recipe,), (p,), out.recipe.notes + (f"multiple-fibre:{p}",))
+    note = f"multiple-fibre:{decimal(p, ConstructionError)}"
+    recipe = recipe_node("log_transform", (x.recipe,), (p,), out.recipe.notes + (note,))
     return replace(out, recipe=recipe)
 
 
@@ -513,34 +521,31 @@ def lagrangian_triple_surgery(
     t1, d1, r, dr = triple_names(triple_index)
     lat0 = m.lattice
     try:
-        for name in (t1, d1, r, dr):
-            lat0.index_of(name)
+        t1_0, d1_0, r_0, dr_0 = [lat0.basis_vector(name) for name in (t1, d1, r, dr)]
     except LatticeError:
         raise ConstructionError(f"undeclared triple {triple_index}") from None
-    tori = (lat0.basis_vector(t1), lat0.basis_vector(r))
-    if any(pairing(lat0, u, v) != 0 for u in tori for v in tori):
+    t1_row, r_row = lat0.pairing_row(t1_0), lat0.pairing_row(r_0)
+    if any(sparse_dot(row, v.entries) for row in (t1_row, r_row) for v in (t1_0, r_0)):
         raise ConstructionError(f"triple {triple_index} classes are not isotropic")
-    if (
-        pairing(lat0, tori[0], lat0.basis_vector(d1)) != 1
-        or pairing(lat0, tori[1], lat0.basis_vector(dr)) != 1
-    ):
+    if sparse_dot(t1_row, d1_0.entries) != 1 or sparse_dot(r_row, dr_0.entries) != 1:
         raise ConstructionError(f"triple {triple_index} lacks its dual spheres")
 
     base = elliptic_surface(em, 1, 1)
     summed = fibre_sum(
         m, base, 1,
-        lat0.basis_vector(r), "+", True,
+        r_0, "+", True,
         base.lattice.basis_vector("f"), "+", True,
         no_rim_tori=False,
     )
-    step2 = knot_surgery(summed, summed.lattice.basis_vector(t1), h1, sign, True)
+    # Knot surgery keeps the lattice, so the sum's classes serve every step.
+    lat = summed.lattice
+    t1_x = lat.basis_vector(t1)
+    step2 = knot_surgery(summed, t1_x, h1, sign, True)
 
     # The second triple torus is only determined after the sum: R_0 - a T_1.
-    t2_class = step2.lattice.basis_vector(r) - step2.lattice.basis_vector(t1).scaled(a)
-    step3 = knot_surgery(step2, t2_class, h2, "+", True)
+    step3 = knot_surgery(step2, lat.basis_vector(r) - t1_x.scaled(a), h2, "+", True)
 
     b_name = "B_" + r
-    lat = step3.lattice
     c1_pairings = lat.pairing_row(lat.basis_vector(d1) + lat.basis_vector(b_name).scaled(a))
     c2_name = f"C2_t{triple_index}"
     witnesses = [

@@ -206,6 +206,31 @@ class TestConstruct:
         assert code == 0
         assert [line for line in out.splitlines() if line.startswith("pattern ")] == expected
 
+    def test_family_pattern_lines_are_streamed(self, monkeypatch):
+        # The 4096 pattern lines go to a writer that keeps nothing, so the
+        # traced peak shows whether the 2^12 patterns are held at once.
+        lines = []
+
+        class Discard:
+            def write(self, text):
+                lines.append(text.count("\npattern ") + text.startswith("pattern "))
+                return len(text)
+
+            def writelines(self, texts):
+                for text in texts:
+                    self.write(text)
+
+        monkeypatch.setattr(sys, "stdout", Discard())
+        argv = ["construct", "inequivalent_family", "3", "3" + ",1" * 12, "c1sq_zero", "26"]
+        tracemalloc.start()
+        try:
+            code = run_command(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and sum(lines) == 4096
+        assert peak <= 300_000
+
     def test_family_c1sq_zero_takes_no_t(self, capsys):
         code, out, err = run(
             capsys, "construct", "inequivalent_family", "15", "15,5,3", "c1sq_zero", "5", "9"

@@ -478,6 +478,34 @@ class TestInequivalentFamily:
             expected.append(certify_class(m, class_vector(coeffs)))
         assert geography._pattern_certificates(m, shifts) == expected
 
+    @pytest.mark.parametrize("build, sizes", [
+        (lambda x: inequivalent_family(3, [3, 1], "c1sq_zero", n=x), (1000, 4000, 16000)),
+        (lambda x: inequivalent_family(8, [8, 2, 4], "spin_positive", m=6, t=x), (1, 4, 16, 64)),
+    ], ids=["c1sq_zero-n", "spin_positive-t"])
+    def test_storage_does_not_grow_with_the_rank(self, build, sizes):
+        # The stored entries (head rows, head-piece rows, one block per
+        # run, witness items) are equal over the range, and the traced
+        # peak of building and validating stays within 1.5 times.
+        def stored(m):
+            pieces = m.lattice.pieces
+            return len(m.lattice.head_rows) + len(m.witness_items) + sum(
+                1 if isinstance(p, lattice.BlockRun) else len(p.rows) for p in pieces)
+
+        counts, peaks, ranks = set(), [], []
+        for x in sizes:
+            tracemalloc.start()
+            try:
+                res = build(x)
+                report = validate(res.descriptor)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert report.ok
+            counts.add(stored(res.descriptor))
+            ranks.append(res.descriptor.lattice.rank)
+        assert len(counts) == 1 and ranks[-1] >= 16 * ranks[0] / 2
+        assert max(peaks) <= 1.5 * min(peaks)
+
     def test_pattern_work_is_linear_in_the_patterns(self, monkeypatch):
         # Doubling spends O(1) gcds per pattern and one _certificate per
         # distinct certificate; a per-pattern fold over the N bits would

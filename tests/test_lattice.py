@@ -228,7 +228,7 @@ def test_runs_match_a_flat_layout(head, specs, chain):
     once = IntersectionLattice(tuple(head), ((),) * len(head))
     for block, prefixes, count in merged:
         once = append_blocks(once, block, prefixes, count)
-    assert once == lat and len(lat.runs) == len(merged)
+    assert once == lat and len(lat.pieces) == len(merged)
 
     # Every accessor agrees with the flat reference.
     assert lat.rank == len(names)
@@ -255,7 +255,7 @@ def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
         with pytest.raises(LatticeError, match=message):
             append_blocks(H, block, prefixes, 10**5)
     with pytest.raises(LatticeError, match="positive copy count"):
-        IntersectionLattice(("a",), ((),), runs=(BlockRun(SPLIT_BLOCK, ("V", "W"), 0),))
+        IntersectionLattice(("a",), ((),), pieces=(BlockRun(SPLIT_BLOCK, ("V", "W"), 0),))
 
 
 def test_append_blocks_count_zero_returns_an_equal_lattice():

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,7 @@ from symgeo.geography import (
     negative_c1,
     spin_surface,
 )
-from symgeo.lattice import IntersectionLattice, Witness, WitnessRun, dot, pairing
+from symgeo.lattice import HeadPiece, IntersectionLattice, Witness, WitnessRun, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
 from symgeo.surgery import (
@@ -178,9 +179,9 @@ def test_fibre_sum_does_not_depend_on_run_storage(m, data):
     # flat copy agree.  The second side of a sum, E(n) or a blow-up of it,
     # carries sphere and exceptional runs that the sum renames.
     flat = flat_copy(m)
-    assert not flat.lattice.runs
+    assert not flat.lattice.pieces
     assert not any(isinstance(w, WitnessRun) for w in flat.witness_items)
-    triples = sum(run.count for run in m.lattice.runs if run.prefixes[0] == "T1")
+    triples = sum(run.count for run in m.lattice.pieces if run.prefixes[0] == "T1")
     along = data.draw(st.sampled_from(["f"] + [f"R_{i}" for i in range(1, triples + 1)]))
     n, r = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
     other = negative_c1(n, r) if r else elliptic_surface(n, 1, 1)
@@ -202,6 +203,105 @@ def test_fibre_sum_does_not_depend_on_run_storage(m, data):
         return lagrangian_triple_surgery(y, 3 - t, a, em, h1, h2, sign)
 
     assert outcome(triples_twice, m) == outcome(triples_twice, flat)
+    # A chain of sums along square-zero classes of the growing piece, on
+    # either side: its surface lies in the head, a run copy, a head piece
+    # an earlier sum made or a leftover one-copy run.
+    x = m
+    for _ in range(3):
+        lat = x.lattice
+        squares = [lat.name(i) for i in range(lat.rank) if dict(lat.row(i)).get(i, 0) == 0]
+        along, first = data.draw(st.sampled_from(squares)), data.draw(st.booleans())
+        y = data.draw(st.sampled_from([(1, 0), (2, 0), (1, 2)]))
+        y = negative_c1(*y) if y[1] else elliptic_surface(y[0], 1, 1)
+        got = outcome(sum_on_side, x, y, along, first)
+        assert got == outcome(sum_on_side, flat_copy(x), flat_copy(y), along, first)
+        x = x if isinstance(got, str) else sum_on_side(x, y, along, first)
+
+
+def sum_on_side(x, y, along, first):
+    """Fibre sum of ``x`` along its class ``along`` and ``y`` along its
+    fibre, ``x`` on the first side when ``first``."""
+    sides = [(x, x.lattice.basis_vector(along)), (y, fibre(y))]
+    (a, u), (b, v) = sides if first else sides[::-1]
+    return fibre_sum(a, b, 1, u, "+", True, v, "+", True, no_rim_tori=True)
+
+
+def stored_in(lat, name):
+    """Where the basis class ``name`` is stored: "head", "head piece",
+    "run copy" or "one-copy run"."""
+    i, stop = lat.index_of(name), len(lat.head_names)
+    if i < stop:
+        return "head"
+    for piece in lat.pieces:
+        stop += len(piece.rows) * piece.count
+        if i < stop:
+            if isinstance(piece, HeadPiece):
+                return "head piece"
+            return "run copy" if piece.count > 1 else "one-copy run"
+
+
+def test_chained_sums_meet_the_surface_in_every_kind_of_piece():
+    # Each sum splits or rebuilds the piece that holds its surface and
+    # shares the others; the result equals the sum of flat copies.
+    x = elliptic_surface(3, 1, 1)
+    steps = [
+        ("f", "head", True, negative_c1(1, 2)),
+        ("f", "head piece", False, elliptic_surface(1, 1, 1)),
+        ("R_1", "run copy", True, elliptic_surface(2, 1, 1)),
+        ("T1_1", "one-copy run", False, elliptic_surface(1, 1, 1)),
+    ]
+    for along, where, first, y in steps:
+        assert stored_in(x.lattice, along) == where
+        summed = sum_on_side(x, y, along, first)
+        flat = sum_on_side(flat_copy(x), flat_copy(y), along, first)
+        assert outcome(lambda: summed) == outcome(lambda: flat)
+        x = summed
+    kinds = {type(p).__name__ for p in x.lattice.pieces}
+    assert kinds == {"BlockRun", "HeadPiece"}
+
+
+@pytest.mark.parametrize("build", [
+    lambda big: blow_up(elliptic_surface(2, 1, 1), big),
+    lambda big: surface_bundle_y(2, big),
+    lambda big: generalized_knot_surgery(
+        *(lambda m: (m, m.lattice.basis_vector("R_1") + m.lattice.basis_vector("DR_1")))(
+            geography.surgered_homotopy_elliptic(2, 2)), 2, big, True),
+    lambda big: knot_product(big),
+    lambda big: knot_surgery(elliptic_surface(2, 1, 1), fibre(elliptic_surface(2, 1, 1)), big,
+                             "+", True),
+    lambda big: log_transform(elliptic_surface(2, 1, 1), big),
+], ids=["blow_up", "surface_bundle_Y", "generalized_knot_surgery", "knot_product",
+        "knot_surgery", "log_transform"])
+def test_an_integer_past_the_digit_limit_raises_a_symgeo_error(build):
+    # A rank or a note that would print the integer raises a SymgeoError,
+    # not the interpreter's ValueError.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(SymgeoError, match="more digits than the interpreter converts"):
+            build(10**4400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_split_run_keeps_the_labels_of_its_copies():
+    # Summing along W_1 removes both classes of Y's first copy; the other
+    # copies keep their labels instead of taking the first free ones.
+    y = surface_bundle_y(2, 2)
+    x = fibre_sum(
+        elliptic_surface(2, 1, 1), y, 1, fibre(elliptic_surface(2, 1, 1)), "+", True,
+        y.lattice.basis_vector("W_1"), "+", False, no_rim_tori=False,
+    )
+    assert lattice_names(x.lattice)[-6:] == ("V_2", "W_2", "V_3", "W_3", "V_4", "W_4")
+
+
+def test_the_new_dual_takes_the_name_of_the_removed_dual():
+    # The second sum along f removes the first sum's B_f, so its own new
+    # dual is named B_f again.
+    e2 = elliptic_surface(2, 1, 1)
+    x = sum_along_fibres(sum_along_fibres(e2, e2), e2)
+    names = lattice_names(x.lattice)
+    assert "B_f" in names and "B_f.2" not in names
 
 
 def test_fibre_sum_joins_runs_that_continue_each_other():
