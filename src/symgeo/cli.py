@@ -12,7 +12,6 @@ integer arithmetic.
 from __future__ import annotations
 
 import argparse
-import inspect
 import itertools
 import math
 import re
@@ -108,23 +107,11 @@ def _write_recipe(path: str | None, m: ManifoldDescriptor) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-# Constructors taking integer parameters only: CLI name -> (module, function).
-# The parameter names are read from the signature once, here; the function
-# is fetched from its module at each call, so a wrapper installed on the
-# module attribute sees the call.
-_INT_CONSTRUCTORS = {
-    "homotopy_elliptic": (geography, "homotopy_elliptic"),
-    "spin_surface": (geography, "spin_surface"),
-    "nonspin_surface": (geography, "nonspin_surface"),
-    "negative_c1": (geography, "negative_c1"),
-    "elliptic_surface": (manifolds, "elliptic_surface"),
-    "knot_product": (manifolds, "knot_product"),
-    "surface_bundle_Y": (manifolds, "surface_bundle_y"),
-    "singular_double_cover": (coverings, "singular_double_cover"),
-}
-_PARAMS = {
-    name: tuple(inspect.signature(getattr(module, attr)).parameters)
-    for name, (module, attr) in _INT_CONSTRUCTORS.items()
+# CLI name -> Operation of each constructor that takes integers only: the
+# recipe operations without inputs and the existence constructors.
+_CONSTRUCTORS = {
+    **{name: op for name, op in manifolds.OPERATIONS.items() if not op.arity},
+    **geography.EXISTENCE,
 }
 
 
@@ -151,12 +138,12 @@ def _cmd_construct(args) -> int:
         *base, d, degree = p
         m = coverings.pluricanonical_cover(_catalog(base), int(degree), int(d))
         params = f"base={' '.join(base)} d={d} m={degree}"
-    elif name in _INT_CONSTRUCTORS:
-        module, attr = _INT_CONSTRUCTORS[name]
-        if len(p) != len(_PARAMS[name]):
-            print(f"{name} needs {len(_PARAMS[name])} integer parameters", file=sys.stderr)
+    elif name in _CONSTRUCTORS:
+        op = _CONSTRUCTORS[name]
+        if len(p) != len(op.names):
+            print(f"{name} needs {len(op.names)} integer parameters", file=sys.stderr)
             return 2
-        m = getattr(module, attr)(*[int(x) for x in p])
+        m = op.constructor(*[int(x) for x in p])
         params = " ".join(p)
     else:
         print(f"unknown constructor {name!r}", file=sys.stderr)
@@ -215,8 +202,8 @@ def _cmd_scan(args) -> int:
     """CSV rows of the range points, in signature order, that the
     regime's constructor builds."""
     name = geography.FAMILIES[args.regime][0]
-    names = _PARAMS[name]
-    ranges = [_parse_range(getattr(args, p)) for p in names]
+    op = _CONSTRUCTORS[name]
+    ranges = [_parse_range(getattr(args, p)) for p in op.names]
     if math.prod(max(0, r.stop - r.start) for r in ranges) > MAX_SCAN_POINTS:
         print(f"scan ranges span more than {MAX_SCAN_POINTS} points", file=sys.stderr)
         return 2
@@ -226,10 +213,10 @@ def _cmd_scan(args) -> int:
         recipes_dir.mkdir(parents=True, exist_ok=True)
     for values in itertools.product(*ranges):
         try:
-            m = getattr(geography, name)(*values)
+            m = op.constructor(*values)
         except InadmissibleError:
             continue
-        params = ";".join(f"{p}={v}" for p, v in zip(names, values))
+        params = ";".join(f"{p}={v}" for p, v in zip(op.names, values))
         rows.append(_csv_row(name, params, m))
         if recipes_dir:
             stem = f"{name}_{params.replace('=', '').replace(';', '_')}.txt"

@@ -14,9 +14,10 @@ certificate.  ``certify_class`` computes the bounds of one class;
 ``inequivalent_family`` doubles per-bit gcds over the N positions where
 its 2^N sign patterns differ from one base class, in O(1) per pattern.
 
-Each existence constructor alone decides which parameters it builds.
-``realizable`` checks ``_OBSTRUCTIONS``, then tries the ``FAMILIES`` table,
-whose rows are also the CLI's ``scan`` regimes.
+Each existence constructor alone decides which parameters it builds.  They
+register in ``EXISTENCE`` with ``manifolds.operation``.  ``realizable``
+checks ``_OBSTRUCTIONS``, then tries the ``FAMILIES`` rows, which name an
+``EXISTENCE`` key and are also the CLI's ``scan`` regimes.
 """
 
 from __future__ import annotations
@@ -41,7 +42,9 @@ from .lattice import (
 )
 from .manifolds import (
     ManifoldDescriptor,
+    Operation,
     elliptic_surface,
+    operation,
     triple_names,
     with_recipe_notes,
 )
@@ -192,6 +195,10 @@ def validate(m: ManifoldDescriptor) -> ValidationReport:
 
 # --- constructors -----------------------------------------------------------
 
+# The existence constructors, name -> Operation.  They are not recipe
+# operations: a recipe replays the operations their results are built from.
+EXISTENCE: dict[str, Operation] = {}
+
 
 def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     """Homotopy elliptic surface with divisibility d built by knot surgery
@@ -226,6 +233,7 @@ def surgered_homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     return knot_surgery(step1, rim, g2, "+", True)
 
 
+@operation(table=EXISTENCE)
 def homotopy_elliptic(n: int, d: int) -> ManifoldDescriptor:
     """Simply-connected symplectic manifold with chi_h = n, c1^2 = 0 and
     certified canonical divisibility exactly d; rejects odd n with even d.
@@ -251,6 +259,7 @@ def _rim_neighbourhood_surface(m: ManifoldDescriptor) -> ClassVector:
     return m.lattice.basis_vector(r) + m.lattice.basis_vector(dr)
 
 
+@operation(table=EXISTENCE)
 def spin_surface(d: int, m: int, t: int) -> ManifoldDescriptor:
     """Spin manifold with c1^2 = 2 t d^2, e = t d^2 + 24 m, sigma = -16 m
     and certified divisibility d (d even)."""
@@ -263,6 +272,7 @@ def spin_surface(d: int, m: int, t: int) -> ManifoldDescriptor:
     return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), k + 1, t * k, True)
 
 
+@operation(table=EXISTENCE)
 def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
     """Non-spin manifold with c1^2 = 8 t d^2, e = 4 t d^2 + 12 n,
     sigma = -8 n and certified divisibility d (d odd, n >= 2)."""
@@ -274,6 +284,7 @@ def nonspin_surface(d: int, n: int, t: int) -> ManifoldDescriptor:
     return generalized_knot_surgery(base, _rim_neighbourhood_surface(base), d + 1, t * d, True)
 
 
+@operation(table=EXISTENCE)
 def negative_c1(n: int, r: int) -> ManifoldDescriptor:
     """(chi_h, c1^2) = (n, -r) by blowing up E(n) r times in one
     ``blow_up`` node; divisibility 1."""
@@ -413,6 +424,10 @@ def inequivalent_family(
     as a set, are exactly q_set(d, divisors).  They are certified from the
     base class and the N per-bit shifts, without building their classes.
     More than ``MAX_SIGN_PATTERNS`` patterns raise before anything is built.
+
+    Structures of different divisibility are inequivalent (arXiv:0901.2734):
+    a deformation keeps c1, and an orientation-preserving diffeomorphism
+    pulls c1 back, so both keep its divisibility.
     """
     divisors = list(divisors)
     q = q_set(d, divisors)
@@ -506,7 +521,7 @@ def _obstruction(chi_h: int, c1_sq: int, d: int) -> str | None:
     return next((msg for holds, msg in _OBSTRUCTIONS if not holds(chi_h, c1_sq, d)), None)
 
 
-# scan regime -> (constructor name, solve).  At a point that passes the
+# scan regime -> (EXISTENCE name, solve).  At a point that passes the
 # obstructions, solve(chi_h, c1^2, d) is None or parameters that the
 # constructor rejects or builds at that point; sigma is -16 m or -8 n.
 FAMILIES = {
@@ -532,9 +547,10 @@ def realizable(chi_h: int, c1_sq: int, d: int) -> Realizability:
         return Realizability("yes", "K3 surface, K = 0", singular_double_cover(2, 2))
     for name, solve in FAMILIES.values():
         params = solve(chi_h, c1_sq, d)
-        try:  # the module binding at call time, so a wrapper sees the call
+        try:
             if params is not None:
-                return Realizability("yes", f"{name}{params}", globals()[name](*params))
+                m = EXISTENCE[name].constructor(*params)
+                return Realizability("yes", f"{name}{params}", m)
         except InadmissibleError:
             pass
     return Realizability("unknown", "no constructor covers this point")

@@ -26,11 +26,13 @@ Atomic pieces:
 No constructor states a spin type: ``ManifoldDescriptor.spin`` is read
 off the canonical class by ``spin_type``, the one spin rule.
 
-Recipe operations register themselves with the ``operation`` decorator,
-which reads the constructor's signature once into ``OPERATIONS`` and
-returns the constructor unchanged; each builds its recipe node with
-``recipe_node`` from its parameter values in signature order.  The
-signature is thus the only copy of an operation's recipe schema.
+Constructors register with the ``operation`` decorator, which reads the
+signature once into an :class:`Operation`, the one record that the CLI,
+``realizable`` and recipe replay call a constructor through: recipe
+operations into ``OPERATIONS``, the existence constructors into
+``geography.EXISTENCE``.  A recipe operation builds its node with
+``recipe_node`` from its parameter values in signature order, so the
+signature is the only copy of its recipe schema.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import inspect
 from dataclasses import dataclass, replace
 from functools import cached_property
 from math import gcd
+from types import ModuleType
 from typing import Callable, NamedTuple
 
 from .errors import ConstructionError, decimal
@@ -145,32 +148,41 @@ class ManifoldDescriptor:
 
 
 class Operation(NamedTuple):
-    """A recipe operation as its constructor's signature declares it: the
-    leading ``ManifoldDescriptor`` parameters are the node's inputs, the
-    rest its parameters in order, each optional exactly when defaulted."""
+    """A constructor as its signature declares it: the leading
+    ``ManifoldDescriptor`` parameters are its inputs, the rest its
+    parameters in order, each optional exactly when defaulted.
+    ``constructor`` reads the module attribute at each call, so a wrapper
+    installed there sees the calls made through the tables."""
 
-    constructor: Callable[..., ManifoldDescriptor]
+    module: ModuleType
+    attr: str
     arity: int
     names: tuple[str, ...]
     kinds: tuple[type, ...]  # the annotations: int, str, bool or ClassVector
     required: tuple[bool, ...]
 
+    @property
+    def constructor(self) -> Callable[..., ManifoldDescriptor]:
+        return getattr(self.module, self.attr)
 
+
+# The recipe operations: op name -> Operation.
 OPERATIONS: dict[str, Operation] = {}
 
 
-def operation(name: str | None = None):
-    """Register the decorated constructor as the recipe operation ``name``
-    (its own name by default), reading its signature once; the constructor
-    is returned unchanged, so calls cost nothing extra."""
+def operation(name: str | None = None, table: dict[str, Operation] = OPERATIONS):
+    """Register the decorated constructor in ``table`` (the recipe
+    operations by default) as ``name`` (its own name by default), reading
+    its signature once; the constructor is returned unchanged, so calls
+    cost nothing extra."""
 
     def register(fn):
         params = list(inspect.signature(fn, eval_str=True).parameters.values())
         arity = sum(1 for p in params if p.annotation is ManifoldDescriptor)
         rest = params[arity:]
-        OPERATIONS[name or fn.__name__] = Operation(
-            fn, arity, tuple(p.name for p in rest), tuple(p.annotation for p in rest),
-            tuple(p.default is p.empty for p in rest))
+        table[name or fn.__name__] = Operation(
+            inspect.getmodule(fn), fn.__name__, arity, tuple(p.name for p in rest),
+            tuple(p.annotation for p in rest), tuple(p.default is p.empty for p in rest))
         return fn
 
     return register

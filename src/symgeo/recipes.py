@@ -12,8 +12,10 @@ syntax, so cyclic documents cannot be expressed; nesting is capped at 64.
 An operation's schema is its constructor's signature, registered with
 ``manifolds.operation`` where the constructor is defined: the leading
 descriptor parameters are the node's inputs, the rest its parameters in
-order, optional exactly when defaulted.  ``REGISTRY`` is read from those
-registrations; only ``catalog`` takes its parameters from its table.
+order, optional exactly when defaulted.  ``REGISTRY`` holds those
+``manifolds.Operation`` records as they are, and one for ``catalog``,
+which takes its parameters from its table; a node replays by calling its
+operation's constructor.
 Parsing walks the lines once, so its time is linear in the document.
 
 Executing a parsed recipe replays the construction and yields a
@@ -28,7 +30,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import replace
-from typing import Callable
 
 # ``coverings`` and ``surgery`` are imported so that their operations
 # register themselves in ``manifolds.OPERATIONS``.
@@ -40,48 +41,30 @@ from .manifolds import ConstructionRecipe, ManifoldDescriptor, ParamValue, gatin
 SCHEMA_VERSION = 1
 MAX_DEPTH = 64
 
-_Builder = Callable[[ConstructionRecipe, list[ManifoldDescriptor]], ManifoldDescriptor]
 
-
-def _signature_op(constructor: Callable[..., ManifoldDescriptor]) -> _Builder:
-    """Builder of a registered operation: calls its constructor with the
-    node's inputs and then its parameters as keywords, so a node that
-    omits an optional parameter replays with its default.  The constructor
-    is fetched from its module at each call, so a wrapper installed on
-    the module attribute sees recipe replays too."""
-    module, attr = sys.modules[constructor.__module__], constructor.__name__
-
-    def build(node, children):
-        return getattr(module, attr)(*children, **dict(node.params))
-
-    return build
-
-
-def _build_catalog(node, children):
-    name = node.param("name")
+def _catalog(name: str, **params: int) -> ManifoldDescriptor:
+    """Replay of a ``catalog`` node, which names exactly its entry's parameters."""
     entry = manifolds.CATALOG.get(name)
-    given = tuple(key for key, _ in node.params if key != "name")
-    if entry is not None and given != entry.params:
+    if entry is not None and tuple(params) != entry.params:
         raise RecipeError(
             f"catalog entry {name!r} takes parameters ({', '.join(entry.params)}), "
-            f"got ({', '.join(given)})"
+            f"got ({', '.join(params)})"
         )
-    return manifolds.catalog(name, *(node.param(key) for key in given))
+    return manifolds.catalog(name, *params.values())
 
 
 # Catalog parameters in table order; each entry takes exactly its own.
-_CATALOG_PARAMS = tuple(dict.fromkeys(p for e in manifolds.CATALOG.values() for p in e.params))
+_CATALOG_KEYS = tuple(dict.fromkeys(p for e in manifolds.CATALOG.values() for p in e.params))
 
-# op -> (ordered (param, kind, required), input arity, builder), a kind
-# being an annotation: int, str, bool or ClassVector.  The entries are read
-# from ``manifolds.OPERATIONS``, so a constructor's signature is the only
-# copy of its schema; ``catalog`` takes its parameters from its table.
-REGISTRY: dict[str, tuple[tuple[tuple[str, type, bool], ...], int, _Builder]] = {
-    op: (tuple(zip(o.names, o.kinds, o.required)), o.arity, _signature_op(o.constructor))
-    for op, o in manifolds.OPERATIONS.items()
+# op -> Operation: ``manifolds.OPERATIONS`` and ``catalog``.  A node replays
+# as its constructor called with its inputs, then its parameters as keywords:
+# a node that omits an optional parameter replays with its default.
+REGISTRY: dict[str, manifolds.Operation] = {
+    **manifolds.OPERATIONS,
+    "catalog": manifolds.Operation(
+        sys.modules[__name__], "_catalog", 0, ("name", *_CATALOG_KEYS),
+        (str,) + (int,) * len(_CATALOG_KEYS), (True,) + (False,) * len(_CATALOG_KEYS)),
 }
-REGISTRY["catalog"] = (
-    (("name", str, True),) + tuple((p, int, False) for p in _CATALOG_PARAMS), 0, _build_catalog)
 
 _STR_VALUE = re.compile(r"^[A-Za-z0-9_.+-]+$")
 _INT_VALUE = re.compile(r"^-?[0-9]+$")
@@ -111,19 +94,19 @@ def _serialize_node(node: ConstructionRecipe, depth: int, lines: list[str]) -> N
         raise RecipeError("recipe nesting exceeds the supported depth")
     if node.operation not in REGISTRY:
         raise RecipeError(f"unknown operation {node.operation!r}")
-    schema, arity, _ = REGISTRY[node.operation]
+    op = REGISTRY[node.operation]
     pad = "  " * depth
     lines.append(f"{pad}op: {node.operation}")
     given = dict(node.params)
-    for name, kind, required in schema:
+    for name, kind, required in zip(op.names, op.kinds, op.required):
         if name in given:
             lines.append(f"{pad}{name}: {_format_value(given[name], kind)}")
         elif required:
             raise RecipeError(f"operation {node.operation!r} missing parameter {name!r}")
     for note in node.notes:
         lines.append(f"{pad}note: {note}")
-    if len(node.inputs) != arity:
-        raise RecipeError(f"operation {node.operation!r} expects {arity} inputs")
+    if len(node.inputs) != op.arity:
+        raise RecipeError(f"operation {node.operation!r} expects {op.arity} inputs")
     for child in node.inputs:
         lines.append(f"{pad}input:")
         _serialize_node(child, depth + 1, lines)
@@ -219,7 +202,8 @@ def _parse_node(lines: list[_Line], start: int, depth: int) -> tuple[Constructio
     op = first.value
     if op not in REGISTRY:
         raise RecipeError(f"unknown operation {op!r}", first.number)
-    schema, arity, _ = REGISTRY[op]
+    schema = REGISTRY[op]
+    names, kinds, required = schema.names, schema.kinds, schema.required
 
     params: list[tuple[str, ParamValue]] = []
     notes: list[str] = []
@@ -253,25 +237,24 @@ def _parse_node(lines: list[_Line], start: int, depth: int) -> tuple[Constructio
             continue
         if stage != "params":
             raise RecipeError("parameters must precede notes and inputs", line.number)
-        while cursor < len(schema) and schema[cursor][0] != line.key:
-            if schema[cursor][2]:
+        while cursor < len(names) and names[cursor] != line.key:
+            if required[cursor]:
                 raise RecipeError(
-                    f"operation {op!r} missing parameter {schema[cursor][0]!r}", line.number)
+                    f"operation {op!r} missing parameter {names[cursor]!r}", line.number)
             cursor += 1
-        if cursor >= len(schema):
+        if cursor >= len(names):
             raise RecipeError(f"unknown or out-of-order parameter {line.key!r}", line.number)
-        name, kind, _ = schema[cursor]
-        params.append((name, _parse_value(kind, line.value, line.number)))
+        params.append((line.key, _parse_value(kinds[cursor], line.value, line.number)))
         cursor += 1
         at += 1
-    while cursor < len(schema):
-        if schema[cursor][2]:
-            raise RecipeError(f"operation {op!r} missing parameter {schema[cursor][0]!r}",
+    while cursor < len(names):
+        if required[cursor]:
+            raise RecipeError(f"operation {op!r} missing parameter {names[cursor]!r}",
                               first.number)
         cursor += 1
-    if len(inputs) != arity:
+    if len(inputs) != schema.arity:
         raise RecipeError(
-            f"operation {op!r} expects {arity} inputs, got {len(inputs)}", first.number)
+            f"operation {op!r} expects {schema.arity} inputs, got {len(inputs)}", first.number)
     return ConstructionRecipe(op, tuple(params), tuple(inputs), tuple(notes)), at
 
 
@@ -282,11 +265,11 @@ def execute_recipe(recipe: ConstructionRecipe, _depth: int = 0) -> ManifoldDescr
         raise RecipeError("recipe nesting exceeds the supported depth")
     if recipe.operation not in REGISTRY:
         raise RecipeError(f"unknown operation {recipe.operation!r}")
-    schema, arity, builder = REGISTRY[recipe.operation]
-    if len(recipe.inputs) != arity:
-        raise RecipeError(f"operation {recipe.operation!r} expects {arity} inputs")
+    op = REGISTRY[recipe.operation]
+    if len(recipe.inputs) != op.arity:
+        raise RecipeError(f"operation {recipe.operation!r} expects {op.arity} inputs")
     children = [execute_recipe(child, _depth + 1) for child in recipe.inputs]
-    descriptor = builder(recipe, children)
+    descriptor = op.constructor(*children, **dict(recipe.params))
     given, replayed = gating_notes(recipe.notes), gating_notes(descriptor.recipe.notes)
     if given != replayed:
         raise RecipeError(

@@ -106,6 +106,26 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "octonion_surface")
         assert code == 2
 
+    @pytest.mark.parametrize("name, k", [
+        ("homotopy_elliptic", 2), ("spin_surface", 3), ("nonspin_surface", 3),
+        ("negative_c1", 2), ("elliptic_surface", 3), ("knot_product", 1),
+        ("surface_bundle_Y", 2), ("singular_double_cover", 2),
+    ])
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_integer_constructor_parameter_count(self, capsys, name, k, extra):
+        params = ["1"] * (k + extra)
+        code, out, err = run(capsys, "construct", name, *params)
+        assert (code, out, err) == (2, "", f"{name} needs {k} integer parameters\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        # An operation with inputs is a recipe op, not a CLI constructor.
+        (("fibre_sum", "2"), "unknown constructor 'fibre_sum'"),
+        (("catalog",), "catalog needs an entry name"),
+    ])
+    def test_usage_messages(self, capsys, argv, message):
+        code, out, err = run(capsys, "construct", *argv)
+        assert (code, out, err) == (2, "", message + "\n")
+
     def test_catalog_rejects_extra_parameter(self, capsys):
         code, out, err = run(capsys, "construct", "catalog", "barlow", "7")
         assert code == 2 and out == ""
@@ -298,6 +318,21 @@ class TestVerify:
         bad.write_text("version: 1\nop: wizardry\n", encoding="utf-8")
         code, _, err = run(capsys, "verify", str(bad))
         assert code == 2 and "unknown operation" in err
+
+    @pytest.mark.parametrize("op, body", [
+        ("homotopy_elliptic", "n: 4\nd: 2\n"),
+        ("spin_surface", "d: 2\nm: 1\nt: 1\n"),
+        ("nonspin_surface", "d: 3\nn: 2\nt: 1\n"),
+        ("negative_c1", "n: 1\nr: 1\n"),
+    ])
+    def test_existence_constructors_are_not_recipe_operations(self, capsys, tmp_path, op,
+                                                              body):
+        # The CLI builds them, but a recipe replays only the operations
+        # their results are made of.
+        path = tmp_path / "r.txt"
+        path.write_text(f"version: 1\nop: {op}\n{body}", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, "") and f"unknown operation {op!r}" in err
 
     @pytest.mark.parametrize(
         "body,expected",
@@ -514,3 +549,37 @@ class TestSharedParser:
         assert run(capsys, "construct")[0] == 2
         assert run(capsys, "scan", "--regime", "bogus")[0] == 2
         assert run(capsys, *argv) == alone
+
+
+class TestCallTimeLookup:
+    def test_every_caller_calls_the_module_attribute(self, capsys, monkeypatch, tmp_path):
+        # A wrapper installed on a constructor's module attribute, as the
+        # benchmark's tracer installs one, sees each call made through the
+        # constructor table; none calls a function captured at import.
+        from symgeo import manifolds
+
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(geography, "spin_surface")
+        counting(manifolds, "elliptic_surface")
+        assert run(capsys, "construct", "spin_surface", "2", "1", "1")[0] == 0
+        assert calls == ["spin_surface"]
+        calls.clear()
+        assert geography.realizable(6, 32, 4).status == "yes"
+        assert calls == ["spin_surface"]
+        calls.clear()
+        recipe = tmp_path / "e.txt"
+        assert run(capsys, "construct", "elliptic_surface", "2", "1", "1",
+                   "--recipe", str(recipe))[0] == 0
+        assert calls == ["elliptic_surface"]
+        calls.clear()
+        assert run(capsys, "verify", str(recipe))[0] == 0
+        assert calls == ["elliptic_surface"]

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 from conftest import class_vector, dense, dense_dot, random_descriptor
@@ -34,6 +35,7 @@ from symgeo.manifolds import (
     derived_invariants,
     elliptic_surface,
 )
+from symgeo.recipes import execute_recipe
 from symgeo.surgery import knot_surgery
 
 
@@ -332,9 +334,9 @@ class TestNegativeC1:
 
 
 @st.composite
-def family_inputs(draw):
-    """Admissible (d, divisor list, regime, parameters) with N <= 4."""
-    regime = draw(st.sampled_from(["c1sq_zero", "spin_positive", "nonspin_positive"]))
+def family_inputs(draw, regimes=("c1sq_zero", "spin_positive", "nonspin_positive"), max_n=4):
+    """Admissible (d, divisor list, regime, parameters) with N <= max_n."""
+    regime = draw(st.sampled_from(regimes))
     if regime == "spin_positive":
         d = draw(st.sampled_from([2, 4, 6, 8, 10, 12]))
     elif regime == "nonspin_positive":
@@ -342,7 +344,7 @@ def family_inputs(draw):
     else:
         d = draw(st.integers(1, 24))
     divs = [x for x in range(1, d + 1) if d % x == 0 and (d % 2 == 1 or x % 2 == 0)]
-    big_n = draw(st.integers(1, 4))
+    big_n = draw(st.integers(1, max_n))
     tail = draw(st.lists(st.sampled_from(divs), min_size=big_n, max_size=big_n))
     extra = draw(st.integers(0, 2))
     if regime == "spin_positive":
@@ -355,6 +357,27 @@ def family_inputs(draw):
         n = 3 * big_n + 1 + extra
         params = {"n": n + n % 2}
     return d, [d] + tail, regime, params
+
+
+def build_pattern(res, mask):
+    """The manifold of sign pattern ``mask`` of the family ``res``, built
+    by the steps that built ``res.descriptor``: its recipe, replayed with
+    sign ``-`` on the triple surgery of bit i for each set bit i.  Bit i
+    is the i-th triple in surgery order, as in ``FamilyResult``."""
+    triples = []
+
+    def signed(node):
+        inputs = tuple(signed(child) for child in node.inputs)
+        if node.operation != "lagrangian_triple_surgery":
+            return replace(node, inputs=inputs)
+        triples.append(node.param("triple_index"))
+        sign = "-" if mask >> (len(triples) - 1) & 1 else "+"
+        params = tuple((k, sign if k == "sign" else v) for k, v in node.params)
+        return replace(node, inputs=inputs, params=params)
+
+    recipe = signed(res.descriptor.recipe)
+    assert len(triples) == len(res.shifts) and triples == sorted(triples)
+    return execute_recipe(recipe)
 
 
 class TestInequivalentFamily:
@@ -447,6 +470,21 @@ class TestInequivalentFamily:
         for vec, cert in zip(res.canonical_classes, res.certificates):
             assert certify_class(res.descriptor, vec) == cert
         assert set(res.divisibilities) == q_set(d, divisors)
+
+    @pytest.mark.parametrize("regime", ["c1sq_zero", "spin_positive", "nonspin_positive"])
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_pattern_built_has_its_class_and_certificate(self, regime, data):
+        # The paper's inequivalence claim on built manifolds: the manifold
+        # built with sign - on the triples of a pattern has the class and
+        # certificate the family gives that pattern, and validates.
+        d, divisors, regime, params = data.draw(family_inputs((regime,), max_n=3))
+        res = inequivalent_family(d, divisors, regime, **params)
+        for mask, (k, cert) in enumerate(zip(res.canonical_classes, res.certificates)):
+            m = build_pattern(res, mask)
+            assert m.lattice == res.descriptor.lattice and m.canonical == k, mask
+            report = validate(m)
+            assert report.certificate == cert and report.ok, (mask, report.failures())
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
@@ -577,12 +615,11 @@ class TestRealizable:
         # Each table row's solve inverts its constructor, and realizable
         # says "yes" wherever the constructor builds.
         name, solve = geography.FAMILIES[regime]
-        constructor = getattr(geography, name)
-        arity = constructor.__code__.co_argcount
+        op = geography.EXISTENCE[name]
         built = 0
-        for params in itertools.product(range(-1, 5), repeat=arity):
+        for params in itertools.product(range(-1, 5), repeat=len(op.names)):
             try:
-                m = constructor(*params)
+                m = op.constructor(*params)
             except InadmissibleError:
                 continue
             built += 1

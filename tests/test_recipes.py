@@ -281,8 +281,9 @@ def test_catalog_rejects_wrong_parameter_count():
 
 
 def test_catalog_schema_follows_table_order():
-    schema, _, _ = REGISTRY["catalog"]
-    assert [name for name, _, _ in schema] == ["name", "k_sq", "p_g", "r", "s", "x", "y"]
+    op = REGISTRY["catalog"]
+    assert op.names == ("name", "k_sq", "p_g", "r", "s", "x", "y")
+    assert op.kinds == (str,) + (int,) * 6 and op.required == (True,) + (False,) * 6
 
 
 # Ops replayed by calling the constructor with the recipe parameters as
@@ -336,17 +337,14 @@ def test_only_blow_up_count_is_optional():
     # A missing optional parameter replays with its constructor default,
     # so a default is a recipe-format decision: blow_up's count is the one.
     optional = {
-        (op, name) for op, (schema, _, _) in REGISTRY.items() if op != "catalog"
-        for name, _, required in schema if not required
+        (op, name) for op, o in REGISTRY.items() if op != "catalog"
+        for name, required in zip(o.names, o.required) if not required
     }
     assert optional == {("blow_up", "count")}
 
 
 def test_every_op_but_catalog_is_read_from_its_signature():
-    generic = {
-        op for op, (_, _, build) in REGISTRY.items()
-        if build.__qualname__.startswith("_signature_op.")
-    }
+    generic = {op for op in REGISTRY if REGISTRY[op] is OPERATIONS.get(op)}
     assert generic == set(REGISTRY) - {"catalog"}
     assert set(_generic_samples()) == set(RECIPE_SHA256) == generic
 
@@ -361,9 +359,8 @@ def test_registry_is_the_registered_operations_and_catalog():
 @pytest.mark.parametrize("op", sorted(set(REGISTRY) - {"catalog"}))
 def test_generic_op_schema_is_constructor_signature(op):
     fn, sample = _generic_samples()[op]
-    schema, arity, _ = REGISTRY[op]
-    names = list(inspect.signature(fn).parameters)[arity:]
-    assert [name for name, _, _ in schema] == names
+    names = list(inspect.signature(fn).parameters)[REGISTRY[op].arity:]
+    assert list(REGISTRY[op].names) == names
     assert [key for key, _ in sample.recipe.params] == names
     text = roundtrip(sample)
     assert hashlib.sha256(text.encode()).hexdigest() == RECIPE_SHA256[op]

@@ -49,7 +49,7 @@ def flat_replay(recipe):
     spheres (elliptic_surface, log_transform and blow_up) are given them
     one Witness per copy, built copy by copy from the lattice."""
     children = [flat_replay(child) for child in recipe.inputs]
-    out = REGISTRY[recipe.operation][2](recipe, children)
+    out = REGISTRY[recipe.operation].constructor(*children, **dict(recipe.params))
     if recipe.operation in ("elliptic_surface", "log_transform"):
         flat = out.witness_items[:1] + _flat_spheres(out.lattice, 2)
     elif recipe.operation == "blow_up":
