@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import ConstructionError, CoveringError
-from .lattice import IntersectionLattice, Witness, block_diagonal, coefficient_gcd
+from .lattice import HeadPiece, IntersectionLattice, Witness, block_diagonal, coefficient_gcd
 from .manifolds import (
     NOTE_FULL_CANONICAL,
     NOTE_GENERAL_TYPE,
@@ -111,7 +111,7 @@ def branched_cover(
         return m_desc
     e, c1 = _cover_invariants(m_desc.e, m_desc.c1_squared, deg, d_square, k_dot_d)
 
-    lat = IntersectionLattice(("pullback",), block_diagonal([((c1,),)]), primitive_summand=False)
+    lat = IntersectionLattice((HeadPiece(("pullback",), block_diagonal([((c1,),)])),), False)
     canonical = lat.vector({"pullback": 1})
     notes = [NOTE_FULL_CANONICAL]
     if m_desc.simply_connected and d_square > 0:
@@ -195,8 +195,7 @@ def pluricanonical_cover(
     # The cover's coefficient gcd bounds its divisibility only where the
     # base's did: a base with open divisibility leaves the cover's open.
     lat = IntersectionLattice(
-        ("phiA",),
-        block_diagonal([((m * c // (delta * delta),),)]),
+        (HeadPiece(("phiA",), block_diagonal([((m * c // (delta * delta),),)])),),
         m_desc.lattice.primitive_summand,
     )
     canonical = lat.vector({"phiA": d * delta})
@@ -278,7 +277,7 @@ def singular_double_cover(n: int, m: int) -> ManifoldDescriptor:
     if n < 1 or m < 1:
         raise ConstructionError("line counts must be positive")
     e = 6 + 2 * (2 * m - 1) * (2 * n - 1)
-    lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
+    lat = IntersectionLattice((HeadPiece(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))])),))
     canonical = lat.vector({"F_1": n - 2, "F_2": m - 2})
     witnesses: tuple[Witness, ...] = ()
     notes = [NOTE_FULL_CANONICAL, "divisibility-claim:gcd of fibre multiplicities"]

@@ -32,7 +32,6 @@ from .lattice import (
     WitnessRun,
     coefficient_gcd,
     dot,
-    gcd_all,
     odd_part,
     q_set,
     sparse_sum,
@@ -348,7 +347,7 @@ def _pattern_certificates(
     """
     base = dict(w.canonical.entries)
     moved = {pos: (bit, shift) for bit, (pos, shift) in enumerate(shifts)}
-    lower_fixed = gcd_all(c for i, c in base.items() if i not in moved)
+    lower_fixed = gcd(*(c for i, c in base.items() if i not in moved))
     fixed, several, upper_pairs = [], [], [(0, 0)] * len(shifts)
     at_shifts = ClassVector(w.lattice.rank, tuple((pos, 1) for pos in sorted(moved)))
     for wit, _ in split_witnesses(w.lattice, w.witness_items, at_shifts):

@@ -12,18 +12,19 @@ so values are exact at any size.
 
 Lattices grow by a parameter in one place only: :func:`append_blocks`
 adds every run of repeated blocks (the nuclei of E(n), the split blocks
-of Y_{g,h}, the exceptional classes of blow-ups).  A lattice is a head
-followed by mutually orthogonal pieces.  A run is stored once, as one
-:class:`BlockRun`: the block, its name prefixes, the copy count and the
-label spans of its copies.  A :class:`HeadPiece` holds a few named classes
-with rows of their own, as a fibre sum leaves them.  The rank, a row, a
-name and the index of a name are computed from a piece's offset, so
-building, pairing and validating do work per piece, not per copy.  A
-fibre sum drops the surface and its dual with :func:`pieces_without`,
-which rebuilds or splits only the piece that holds them and shares every
-other piece as it is.  A lattice and the fibre sum check the result's
-rank against ``MAX_RANK`` before building anything, so an oversized
-request fails with a :class:`LatticeError` instead of exhausting memory.
+of Y_{g,h}, the exceptional classes of blow-ups).  A lattice is an ordered
+list of mutually orthogonal pieces.  A :class:`HeadPiece` holds a few
+named classes with rows of their own: a constructor's classes, or what a
+fibre sum leaves of a surface's neighbourhood.  A run is stored once, as
+one :class:`BlockRun`: the block, its name prefixes, the copy count and
+the label spans of its copies.  The rank, a row, a name and the index of
+a name are computed from a piece's offset, so building, pairing and
+validating do work per piece, not per copy.  A fibre sum drops the
+surface and its dual with :func:`pieces_without`, which rebuilds or
+splits only the piece that holds them and shares every other piece as it
+is.  A lattice checks its rank against ``MAX_RANK`` before building
+anything that grows with the rank, so an oversized request fails with a
+:class:`LatticeError` instead of exhausting memory.
 
 Witnesses are stored the same way, as plain :class:`Witness` items and
 :class:`WitnessRun` items, each run one sphere per row of its choice in
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -214,8 +215,8 @@ def _checked(names, rows) -> tuple[tuple[str, ...], tuple[Entries, ...]]:
 class HeadPiece(namedtuple("HeadPiece", "names rows")):
     """Named classes (``names``, a tuple of str) with sparse ``rows`` that
     index from the piece's first class, orthogonal to the rest of the
-    lattice: the head, or one copy of a piece's rows.  The rows are checked
-    once, when the piece is made; ``_replace`` does not check again."""
+    lattice.  The rows are checked once, when the piece is made;
+    ``_replace`` does not check again."""
 
     __slots__ = ()
     count = 1  # copies, as a run counts them
@@ -227,20 +228,19 @@ class HeadPiece(namedtuple("HeadPiece", "names rows")):
 class BlockRun(namedtuple("BlockRun", "block prefixes count spans rows")):
     """``count`` orthogonal copies of the square integer ``block``.  Row r
     of a copy is the class ``{prefixes[r]}_{label}``, the copies taking
-    the labels of the ``(lo, hi)`` pairs of ``spans`` in order.  Empty
-    spans ask the lattice for the labels of :func:`append_blocks`' rule;
-    a lattice stores every run with its spans.  The block is checked, and
-    the ``rows`` of one copy built, once, when the run is made."""
+    the labels of the ``(lo, hi)`` pairs of ``spans`` in order.  The block
+    is checked, and the ``rows`` of one copy built, once, when the run is
+    made."""
 
     __slots__ = ()
 
-    def __new__(cls, block, prefixes, count, spans=()):
+    def __new__(cls, block, prefixes, count, spans):
         block = tuple(map(tuple, block))
         prefixes, rows = _checked(prefixes, block_diagonal([block]))
         if count < 1:
             raise LatticeError("a block run needs a positive copy count")
         spans = _joined(spans)
-        if spans and sum(hi - lo + 1 for lo, hi in spans) != count:
+        if sum(hi - lo + 1 for lo, hi in spans) != count:
             raise LatticeError("a block run needs one label per copy")
         return super().__new__(cls, block, prefixes, count, spans, rows)
 
@@ -302,6 +302,15 @@ class NameSet:
     def __contains__(self, name: str) -> bool:
         prefix, label = _split_name(name) or (None, 0)
         return name in self.names or any(lo <= label <= hi for lo, hi in self.spans.get(prefix, ()))
+
+    def overlaps(self) -> bool:
+        """Whether two spans under one prefix share a label.  Sorted by
+        their first labels, two spans do exactly when two neighbours do."""
+        for spans in self.spans.values():
+            spans = sorted(spans)
+            if any(lo <= hi for (_, hi), (lo, _) in zip(spans, spans[1:])):
+                return True
+        return False
 
     def meets(self, pieces: Iterable[Piece], prefix: str) -> bool:
         """Whether a name of ``pieces``, with ``prefix`` put before it, is
@@ -461,53 +470,45 @@ def witness_failures(
 class IntersectionLattice:
     """Named basis classes with a symmetric integer intersection form.
 
-    The basis is a head, the classes ``head_names`` with sparse rows
-    ``head_rows``, followed by the ``pieces``, each orthogonal to the head
-    and to every other piece: runs of repeated blocks and head pieces.  A
-    row lists the pairs ``(j, g_ij)`` with ``g_ij != 0`` by increasing
-    ``j``.  ``rank``, :meth:`row`, :meth:`name` and :meth:`index_of` read a
-    piece from its offset, a run from its block and its label spans, and
-    are the only readers of the basis.  Adjacent runs of one block and one
-    prefix tuple are stored as one.  The names of the head and the head
-    pieces are checked distinct; a run given with spans is trusted to name
-    free classes, as the fibre sum's renaming ensures.
+    The basis is an ordered list of ``pieces``, each orthogonal to every
+    other: head pieces, named classes with rows of their own, and runs of
+    repeated blocks.  A row lists the pairs ``(j, g_ij)`` with
+    ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
+    :meth:`name` and :meth:`index_of` read a piece from its offset, a run
+    from its block and its label spans, and are the only readers of the
+    basis.  Empty pieces are dropped, and adjacent runs of one block and
+    one prefix tuple are stored as one.  No name may be in two pieces,
+    whether a head piece lists it or a run's label spans cover it.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
     the coefficient gcd of a class vector a valid divisibility bound.
     """
 
-    head_names: tuple[str, ...]
-    head_rows: tuple[Entries, ...]
+    pieces: tuple[Piece, ...]
     primitive_summand: bool = True
-    pieces: tuple[Piece, ...] = ()
     rank: int = field(init=False, repr=False, compare=False)
-    # The index of each name of the head and the head pieces, and the
-    # first index of each piece.
+    # The index of each name of the head pieces, and the first index of
+    # each piece.
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _starts: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Index the names, label runs given without spans, merge adjacent
-        runs and check the rank.  A run without spans takes, copy by copy,
-        the first label from 1 up at which no name of its prefixes is in an
-        earlier piece, as laying the copies out one by one would name them."""
-        names, rows = _checked(self.head_names, self.head_rows)
-        self.__dict__.update(head_names=names, head_rows=rows)
-        index = dict(zip(names, range(len(names))))
+        """Drop empty pieces, index the head pieces' names, merge adjacent
+        runs, check that no name is in two pieces (a name ``{prefix}_{j}``
+        takes label j as a run's span does) and check the rank."""
+        index: dict[str, int] = {}
+        named = 0
         pieces: list[Piece] = []
         starts: list[int] = []
-        stop = len(names)
+        stop = 0
         for piece in self.pieces:
+            if not piece.rows or not piece.count:
+                continue
             if isinstance(piece, HeadPiece):
-                for i, name in enumerate(piece.names, stop):
-                    if index.setdefault(name, i) != i:
-                        raise LatticeError("basis names must be pairwise distinct")
+                index.update(zip(piece.names, range(stop, stop + len(piece.names))))
+                named += len(piece.names)
             else:
-                if not piece.spans:
-                    taken = NameSet(pieces, index).spans
-                    blocked = [s for p in piece.prefixes for s in taken.get(p, ())]
-                    piece = piece.relabeled(piece.count, _free_spans(blocked, piece.count))
                 last = pieces[-1] if pieces else None
                 kind = (piece.block, piece.prefixes)
                 if isinstance(last, BlockRun) and (last.block, last.prefixes) == kind:
@@ -517,28 +518,28 @@ class IntersectionLattice:
             pieces.append(piece)
             starts.append(stop)
             stop += len(piece.rows) * piece.count
+        if len(index) < named or NameSet(pieces).overlaps():
+            raise LatticeError("basis names must be pairwise distinct")
         check_rank(stop)
         self.__dict__.update(pieces=tuple(pieces), rank=stop, _index=index, _starts=tuple(starts))
 
     def _locate(self, i: int) -> tuple[int, int, int]:
-        """``(k, copy, r)`` of piece index ``i``: row r of a copy of piece k."""
-        if not len(self.head_names) <= i < self.rank:
+        """``(k, copy, r)`` of basis index ``i``: row r of a copy of piece k."""
+        if not 0 <= i < self.rank:
             raise IndexError(f"basis index {i} out of range")
         k = bisect_right(self._starts, i) - 1
         copy, r = divmod(i - self._starts[k], len(self.pieces[k].rows))
         return k, copy, r
 
     def row(self, i: int) -> Entries:
-        """The sparse row of basis class ``i``, without laying out the runs."""
-        if 0 <= i < len(self.head_rows):
-            return self.head_rows[i]
+        """The sparse row of basis class ``i``, without laying out the runs;
+        a row of a copy at index 0 is the stored one."""
         k, _, r = self._locate(i)
-        return tuple([(i - r + j, g) for j, g in self.pieces[k].rows[r]])
+        row = self.pieces[k].rows[r]
+        return tuple([(i - r + j, g) for j, g in row]) if i - r else row
 
     def name(self, i: int) -> str:
         """The name of basis class ``i``, without laying out the runs."""
-        if 0 <= i < len(self.head_names):
-            return self.head_names[i]
         k, copy, r = self._locate(i)
         piece = self.pieces[k]
         if isinstance(piece, HeadPiece):
@@ -581,15 +582,15 @@ class IntersectionLattice:
 
 
 def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Piece, ...]:
-    """The head of ``lat`` as a head piece, then its nonempty pieces,
-    without the classes at the indices ``removed``, which pair with no
-    other class and lie in one copy of a run.  Only a piece holding some
-    is rebuilt, or split: a run into the copies before, the rest of that
-    copy as a one-copy run, and the copies after, each with its labels."""
+    """The pieces of ``lat`` without the classes at the indices
+    ``removed``, which pair with no other class and lie in one copy of a
+    run.  Only a piece holding some is rebuilt, or split: a run into the
+    copies before, the rest of that copy as a one-copy run, and the copies
+    after, each with its labels.  The parts may be empty; a lattice drops
+    them."""
     removed = sorted(removed)
-    head = (HeadPiece(lat.head_names, lat.head_rows),)
     out: list[Piece] = []
-    for piece, start in zip(head + lat.pieces, (0, *lat._starts)):
+    for piece, start in zip(lat.pieces, lat._starts):
         hit = [i - start for i in removed if start <= i < start + len(piece.rows) * piece.count]
         if isinstance(piece, BlockRun) and hit:
             copy, n = hit[0] // len(piece.rows), len(piece.rows)
@@ -597,15 +598,14 @@ def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Pi
             rest = BlockRun(tuple(tuple(piece.block[r][j] for j in keep) for r in keep),
                             tuple(piece.prefixes[j] for j in keep), 1,
                             piece.copies(copy, copy + 1).spans)
-            parts = (piece.copies(0, copy), rest, piece.copies(copy + 1, piece.count))
-            out += [p for p in parts if p.count and p.rows]
+            out += (piece.copies(0, copy), rest, piece.copies(copy + 1, piece.count))
         elif hit:
             keep = [j for j in range(len(piece.names)) if j not in hit]
             rows = [tuple((j - bisect_left(hit, j), g) for j, g in piece.rows[r]) for r in keep]
             out.append(HeadPiece(tuple(piece.names[j] for j in keep), rows))
         else:
             out.append(piece)
-    return (out[0], *(p for p in out[1:] if p.rows))
+    return tuple(out)
 
 
 def pairing(lat: IntersectionLattice, v: ClassVector, w: ClassVector) -> int:
@@ -651,17 +651,20 @@ def append_blocks(
     """``lat`` with ``count`` orthogonal copies of the square ``block``
     appended as one run.  A copy is named ``{prefix}_{j}`` for each prefix,
     at the first index j above the previous copy's where all of these
-    names are free; its rows are the rows of one copy, shifted to its
-    offset.  The work does not grow with ``count``."""
+    names are free, as laying the copies out one by one would name them;
+    its rows are the rows of one copy, shifted to its offset.  The work
+    does not grow with ``count``."""
     if not count:
         return lat
-    pieces = lat.pieces + (BlockRun(block, prefixes, count),)
-    return IntersectionLattice(lat.head_names, lat.head_rows, lat.primitive_summand, pieces)
+    taken = NameSet(lat.pieces).spans
+    blocked = [s for p in prefixes for s in taken.get(p, ())]
+    run = BlockRun(block, prefixes, count, _free_spans(blocked, count))
+    return replace(lat, pieces=lat.pieces + (run,))
 
 
 def coefficient_gcd(v: ClassVector) -> int:
     """Gcd of the coefficients; zero exactly for the zero vector."""
-    return gcd_all(c for _, c in v.entries)
+    return gcd(*(c for _, c in v.entries))
 
 
 def _validate_divisor_list(d: int, divisors: list[int]) -> None:
@@ -705,8 +708,3 @@ def odd_part(n: int) -> int:
     while n and n % 2 == 0:
         n //= 2
     return n
-
-
-def gcd_all(values: Iterable[int]) -> int:
-    """Non-negative gcd of the values; zero when all are zero or none is given."""
-    return gcd(*values)

@@ -6,8 +6,9 @@ the tracked fragment of the intersection lattice, the canonical class as
 a sparse integer vector over that fragment, a list of witness surfaces, and a
 provenance recipe that can be re-executed to reproduce the descriptor.
 
-The lattice stores repeated blocks as runs and a fibre sum's leftovers as
-head pieces, and the witnesses store the spheres of repeated blocks as
+The lattice is an ordered list of pieces: a constructor's named classes
+and a fibre sum's leftovers are head pieces, repeated blocks are runs.
+The witnesses store the spheres of repeated blocks as
 ``lattice.WitnessRun`` items: E(n) keeps one run for its 2(n - 1) dual
 spheres and ``blow_up`` one for its exceptional spheres.  Every surgery,
 the fibre sum and validation read the runs through the ``lattice``
@@ -47,6 +48,7 @@ from typing import Callable, NamedTuple
 from .errors import ConstructionError, decimal
 from .lattice import (
     ClassVector,
+    HeadPiece,
     IntersectionLattice,
     Witness,
     WitnessItems,
@@ -208,13 +210,13 @@ def spin_type(lattice: IntersectionLattice, k: ClassVector, sigma: int) -> bool 
     * a tracked class of odd square makes the form odd;
     * a spin signature is divisible by 16 (Rochlin's theorem).
 
-    The squares are read from the head and once from each piece.
+    The squares are read once from each piece.
     """
     if coefficient_gcd(k) % 2 == 0:
         return True
     if lattice.primitive_summand:
         return False
-    rows = (lattice.head_rows, *(piece.rows for piece in lattice.pieces))
+    rows = (piece.rows for piece in lattice.pieces)
     if any(g % 2 for one in rows for i, row in enumerate(one) for j, g in row if j == i):
         return False
     return None if sigma % 16 == 0 else False
@@ -273,7 +275,7 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
     if gcd(p, q) != 1:
         raise ConstructionError("multiple fibres not coprime")
     nucleus_pair = ((0, 1, 0, 0), (1, -2, 0, 0), (0, 0, 0, 1), (0, 0, 1, -2))
-    head = IntersectionLattice(("f",), ((),))
+    head = IntersectionLattice((HeadPiece(("f",), ((),)),))
     lat = append_blocks(head, nucleus_pair, _TRIPLE_PREFIXES, n - 1)
     k_coeff = n * p * q - p - q
     canonical = lat.vector({"f": k_coeff})
@@ -321,7 +323,7 @@ def knot_product(h: int) -> ManifoldDescriptor:
     """
     if h < 0:
         raise ConstructionError("fibre genus must be non-negative")
-    lat = IntersectionLattice(("T_K", "B_K"), block_diagonal([((0, 1), (1, 0))]))
+    lat = IntersectionLattice((HeadPiece(("T_K", "B_K"), block_diagonal([((0, 1), (1, 0))])),))
     canonical = lat.vector({"T_K": 2 * h - 2})
     witnesses = (
         Witness("section_torus", lat.row(0), 1, 0),
@@ -351,8 +353,8 @@ def surface_bundle_y(g: int, h: int) -> ManifoldDescriptor:
     hyperbolic (section, fibre) pair."""
     if g < 1 or h < 1:
         raise ConstructionError("bundle genera must be positive")
-    pair = IntersectionLattice(("Sigma_S", "Sigma_F"), block_diagonal([((0, 1), (1, 0))]))
-    lat = append_blocks(pair, SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
+    pair = HeadPiece(("Sigma_S", "Sigma_F"), block_diagonal([((0, 1), (1, 0))]))
+    lat = append_blocks(IntersectionLattice((pair,)), SPLIT_BLOCK, ("V", "W"), 2 * h * (g - 1))
     canonical = lat.vector({"Sigma_S": 2 * h - 2, "Sigma_F": 2 * g - 2})
     witnesses = (
         Witness("section", lat.row(0), g, 0),
@@ -451,7 +453,8 @@ def catalog(name: str, *params: int) -> ManifoldDescriptor:
     if c1_sq % (d * d) != 0:
         raise ConstructionError("catalog divisibility inconsistent with c1^2")
     lat = IntersectionLattice(
-        (entry.basis,), block_diagonal([((c1_sq // (d * d),),)]), primitive_summand=entry.primitive
+        (HeadPiece((entry.basis,), block_diagonal([((c1_sq // (d * d),),)])),),
+        primitive_summand=entry.primitive,
     )
     notes = (NOTE_FULL_CANONICAL, NOTE_GENERAL_TYPE) + entry.notes
     witnesses: tuple[Witness, ...] = ()

@@ -42,7 +42,6 @@ from .lattice import (
     append_blocks,
     append_witness_run,
     block_diagonal,
-    check_rank,
     coefficient_gcd,
     pieces_without,
     sparse_dot,
@@ -194,12 +193,12 @@ def fibre_sum(
     B_X with B_X^2 the sum of the two dual squares.  The canonical class
     is K_m + K_n - (2g-2) B_X + 2 Sigma_X under the induced embeddings.
 
-    The lattice is m's head and pieces, the head piece (Sigma_X, B_X),
-    then n's head and pieces, renamed by the first ``N{k}.`` prefix that
-    keeps every name distinct.  Only a piece holding a surface or tracked
-    dual is split or rebuilt (``lattice.pieces_without``), and K, the
-    witness pairings and the dual's row move by a piecewise index shift,
-    so the work grows with the stored pieces, not with the rank.
+    The lattice is an ordered list of pieces: m's pieces, the head piece
+    (Sigma_X, B_X), then n's pieces, renamed by the first ``N{k}.`` prefix
+    that keeps every name distinct.  Only a piece holding a surface or
+    tracked dual is split or rebuilt (``lattice.pieces_without``), and K,
+    the witness pairings and the dual's row move by a piecewise index
+    shift, so the work grows with the stored pieces, not with the rank.
 
     The symplectic signs ``sign_m`` and ``sign_n`` are checked and
     recorded but decide nothing.  They stay: every version-1 fibre-sum
@@ -218,11 +217,10 @@ def fibre_sum(
             raise ConstructionError("fibre-sum surface violates the adjunction identity")
 
     lat_m, lat_n = m.lattice, n.lattice
-    check_rank(lat_m.rank + 2 + lat_n.rank - len(side_m.removed) - len(side_n.removed))
-    m_head, *m_pieces = pieces_without(lat_m, side_m.removed)
-    n_pieces = [p for p in pieces_without(lat_n, side_n.removed) if p.rows]
+    m_pieces = pieces_without(lat_m, side_m.removed)
+    n_pieces = pieces_without(lat_n, side_n.removed)
     sigma_name = lat_m.name(side_m.sigma_index)
-    taken = NameSet((m_head, *m_pieces), (sigma_name,))
+    taken = NameSet(m_pieces, (sigma_name,))
     b_name = _fresh("B_" + sigma_name, taken)
     taken.add(b_name)
     prefix = ""
@@ -235,15 +233,13 @@ def fibre_sum(
     b_pos = sigma_pos + 1
     b_square = side_m.b_square + side_n.b_square
     lattice = IntersectionLattice(
-        m_head.names,
-        m_head.rows,
-        lat_m.primitive_summand and lat_n.primitive_summand,
         (
             *m_pieces,
             HeadPiece((sigma_name, b_name), block_diagonal([((0, 1), (1, b_square))])),
             *(p.relabeled(p.count, p.spans, prefix) if isinstance(p, BlockRun)
               else p._replace(names=tuple(prefix + x for x in p.names)) for p in n_pieces),
         ),
+        lat_m.primitive_summand and lat_n.primitive_summand,
     )
 
     def carry(pairs: Iterable[tuple[int, int]], side: _Side, offset: int, sew: bool) -> list:

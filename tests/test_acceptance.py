@@ -29,7 +29,7 @@ from symgeo.geography import (
     spin_surface,
     validate,
 )
-from symgeo.lattice import IntersectionLattice, block_diagonal, dot, pairing, q_set
+from symgeo.lattice import HeadPiece, IntersectionLattice, block_diagonal, dot, pairing, q_set
 from symgeo.manifolds import (
     ConstructionRecipe,
     ManifoldDescriptor,
@@ -333,7 +333,8 @@ def test_criterion_6_cross_construction_oracles(capsys):
                 failures.append(("bundle K^2", g, h))
 
     # Double covers of the quadric against the closed resolution forms.
-    quadric_lat = IntersectionLattice(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))]))
+    quadric_pair = HeadPiece(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))]))
+    quadric_lat = IntersectionLattice((quadric_pair,))
     quadric = ManifoldDescriptor(
         e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=quadric_lat,

@@ -20,7 +20,7 @@ from symgeo.coverings import (
 )
 from symgeo.errors import CoveringError
 from symgeo.geography import divisibility, spin_surface, validate
-from symgeo.lattice import IntersectionLattice, block_diagonal
+from symgeo.lattice import HeadPiece, IntersectionLattice, block_diagonal
 from symgeo.manifolds import (
     CATALOG,
     ConstructionRecipe,
@@ -33,7 +33,7 @@ from symgeo.surgery import blow_up
 
 def quadric():
     """CP^1 x CP^1 with K = -2 S_1 - 2 S_2 over the hyperbolic lattice."""
-    lat = IntersectionLattice(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))]))
+    lat = IntersectionLattice((HeadPiece(("S_1", "S_2"), block_diagonal([((0, 1), (1, 0))])),))
     return ManifoldDescriptor(
         e=4, sigma=0, simply_connected=True, symplectic=True,
         minimal="no", lattice=lat, canonical=lat.vector({"S_1": -2, "S_2": -2}),

@@ -23,6 +23,7 @@ from symgeo.geography import (
     validate,
 )
 from symgeo.lattice import (
+    HeadPiece,
     IntersectionLattice,
     Witness,
     block_diagonal,
@@ -40,9 +41,8 @@ from symgeo.surgery import knot_surgery
 
 
 def synthetic(e, sigma, *, sc=True, canonical=(), gram=(), witnesses=(), primitive=True):
-    lat = IntersectionLattice(
-        tuple(f"g{i}" for i in range(len(gram))), block_diagonal([gram]), primitive
-    )
+    names = tuple(f"g{i}" for i in range(len(gram)))
+    lat = IntersectionLattice((HeadPiece(names, block_diagonal([gram])),), primitive)
     return ManifoldDescriptor(
         e=e, sigma=sigma, simply_connected=sc, symplectic=True,
         minimal="unknown", lattice=lat, canonical=class_vector(canonical),
@@ -521,13 +521,12 @@ class TestInequivalentFamily:
         (lambda x: inequivalent_family(8, [8, 2, 4], "spin_positive", m=6, t=x), (1, 4, 16, 64)),
     ], ids=["c1sq_zero-n", "spin_positive-t"])
     def test_storage_does_not_grow_with_the_rank(self, build, sizes):
-        # The stored entries (head rows, head-piece rows, one block per
-        # run, witness items) are equal over the range, and the traced
-        # peak of building and validating stays within 1.5 times.
+        # The stored entries (head-piece rows, one block per run, witness
+        # items) are equal over the range, and the traced peak of
+        # building and validating stays within 1.5 times.
         def stored(m):
-            pieces = m.lattice.pieces
-            return len(m.lattice.head_rows) + len(m.witness_items) + sum(
-                1 if isinstance(p, lattice.BlockRun) else len(p.rows) for p in pieces)
+            return len(m.witness_items) + sum(
+                1 if isinstance(p, lattice.BlockRun) else len(p.rows) for p in m.lattice.pieces)
 
         counts, peaks, ranks = set(), [], []
         for x in sizes:

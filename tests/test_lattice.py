@@ -11,6 +11,7 @@ from symgeo.errors import LatticeError
 from symgeo.lattice import (
     BlockRun,
     ClassVector,
+    HeadPiece,
     IntersectionLattice,
     Witness,
     append_blocks,
@@ -22,7 +23,7 @@ from symgeo.lattice import (
 )
 from symgeo.manifolds import SPLIT_BLOCK, elliptic_surface, surface_bundle_y
 
-H = IntersectionLattice(("a", "b"), block_diagonal([((0, 1), (1, 0))]))
+H = IntersectionLattice((HeadPiece(("a", "b"), block_diagonal([((0, 1), (1, 0))])),))
 
 
 def dense_pairing(gram, v, w):
@@ -39,7 +40,7 @@ def test_hyperbolic_pairing():
 
 
 def test_even_two_form_square():
-    lat = IntersectionLattice(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))]))
+    lat = IntersectionLattice((HeadPiece(("F_1", "F_2"), block_diagonal([((0, 2), (2, 0))])),))
     for n, m in [(4, 4), (3, 5), (1, 2), (7, 3)]:
         v = class_vector((n - 2, m - 2))
         assert pairing(lat, v, v) == 4 * (n - 2) * (m - 2)
@@ -71,7 +72,7 @@ def test_pairing_bilinear_symmetric_random():
             for j in range(i, r):
                 entries[i][j] = entries[j][i] = rng.randint(-5, 5)
         lat = IntersectionLattice(
-            tuple(f"x{i}" for i in range(r)), block_diagonal([entries])
+            (HeadPiece(tuple(f"x{i}" for i in range(r)), block_diagonal([entries])),)
         )
         v = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
         w = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
@@ -89,7 +90,8 @@ def test_pairing_row_matches_dense_random():
         for i in range(r):
             for j in range(i, r):
                 entries[i][j] = entries[j][i] = rng.choice([0, 0, rng.randint(-5, 5)])
-        lat = IntersectionLattice(tuple(f"x{i}" for i in range(r)), block_diagonal([entries]))
+        names = tuple(f"x{i}" for i in range(r))
+        lat = IntersectionLattice((HeadPiece(names, block_diagonal([entries])),))
         assert gram(lat) == tuple(map(tuple, entries))
         v = class_vector(tuple(rng.randint(-9, 9) for _ in range(r)))
         units = [tuple(int(i == j) for i in range(r)) for j in range(r)]
@@ -134,9 +136,9 @@ def test_rows_must_be_sorted_nonzero_and_in_range():
         (((1, 1),), ((0, 1), (0, 1))),  # repeated index
     ]:
         with pytest.raises(LatticeError, match="increasing index"):
-            IntersectionLattice(("a", "b"), rows)
+            IntersectionLattice((HeadPiece(("a", "b"), rows),))
     with pytest.raises(LatticeError, match="symmetric"):
-        IntersectionLattice(("a", "b"), (((1, 1),), ()))
+        IntersectionLattice((HeadPiece(("a", "b"), (((1, 1),), ())),))
     with pytest.raises(LatticeError, match="square"):
         block_diagonal([((0, 1),)])
 
@@ -157,15 +159,15 @@ def test_witness_pairings_must_be_sorted_nonzero_and_non_negative(pairs):
 
 def test_gram_must_be_symmetric_and_square():
     with pytest.raises(LatticeError, match="symmetric"):
-        IntersectionLattice(("a", "b"), block_diagonal([((0, 1), (2, 0))]))
+        IntersectionLattice((HeadPiece(("a", "b"), block_diagonal([((0, 1), (2, 0))])),))
     with pytest.raises(LatticeError, match="square"):
-        IntersectionLattice(("a", "b"), block_diagonal([((0,),)]))
+        IntersectionLattice((HeadPiece(("a", "b"), block_diagonal([((0,),)])),))
     with pytest.raises(LatticeError, match="distinct"):
-        IntersectionLattice(("a", "a"), block_diagonal([((0, 1), (1, 0))]))
+        IntersectionLattice((HeadPiece(("a", "a"), block_diagonal([((0, 1), (1, 0))])),))
 
 
 def test_append_blocks_skips_an_index_with_any_prefix_name_taken():
-    lat = IntersectionLattice(("W_1",), ((),))
+    lat = IntersectionLattice((HeadPiece(("W_1",), ((),)),))
     grown = append_blocks(lat, SPLIT_BLOCK, ("V", "W"), 2)
     assert lattice_names(grown) == ("W_1", "V_2", "W_2", "V_3", "W_3")
     assert lattice_rows(grown) == ((), ((1, 2), (2, 1)), ((1, 1),), ((3, 2), (4, 1)), ((3, 1),))
@@ -212,8 +214,8 @@ def block_specs(draw):
 @example(head=["f", "T1_1", "E_2", "R_1", "DR_1"], specs=[(((-1,),), ("E",))], chain=[(0, 2)])
 @example(head=["f", "E_2"], specs=[(((-1,),), ("E",))], chain=[(0, 1), (0, 1)])
 def test_runs_match_a_flat_layout(head, specs, chain):
-    lat = IntersectionLattice(tuple(head), ((),) * len(head))
-    names, rows = tuple(head), lat.head_rows
+    names, rows = tuple(head), ((),) * len(head)
+    lat = IntersectionLattice((HeadPiece(names, rows),))
     merged, last = [], None
     for pick, count in chain:
         block, prefixes = specs[pick % len(specs)]
@@ -225,10 +227,10 @@ def test_runs_match_a_flat_layout(head, specs, chain):
             merged.append((block, prefixes, count))
         last = (block, prefixes)
     # Appends of one block and prefix tuple in a row equal one append.
-    once = IntersectionLattice(tuple(head), ((),) * len(head))
+    once = IntersectionLattice((HeadPiece(tuple(head), ((),) * len(head)),))
     for block, prefixes, count in merged:
         once = append_blocks(once, block, prefixes, count)
-    assert once == lat and len(lat.pieces) == len(merged)
+    assert once == lat and len(lat.pieces) == bool(head) + len(merged)
 
     # Every accessor agrees with the flat reference.
     assert lat.rank == len(names)
@@ -242,7 +244,7 @@ def test_runs_match_a_flat_layout(head, specs, chain):
     for name in near - set(names):
         with pytest.raises(LatticeError, match="no class named"):
             lat.index_of(name)
-    assert gram(lat) == gram(IntersectionLattice(names, rows))
+    assert gram(lat) == gram(IntersectionLattice((HeadPiece(names, rows),)))
 
 
 def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
@@ -255,13 +257,33 @@ def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
         with pytest.raises(LatticeError, match=message):
             append_blocks(H, block, prefixes, 10**5)
     with pytest.raises(LatticeError, match="positive copy count"):
-        IntersectionLattice(("a",), ((),), pieces=(BlockRun(SPLIT_BLOCK, ("V", "W"), 0),))
+        IntersectionLattice((HeadPiece(("a",), ((),)), BlockRun(SPLIT_BLOCK, ("V", "W"), 0, ())))
 
+
+
+def test_a_name_in_two_pieces_is_refused():
+    # A name a head piece lists, or a label a run's spans cover, may be in
+    # no other piece, whichever of the two comes first.
+    def split_run(*spans):
+        return BlockRun(SPLIT_BLOCK, ("V", "W"), sum(hi - lo + 1 for lo, hi in spans), spans)
+
+    between = BlockRun(((-1,),), ("E",), 1, ((1, 1),))
+    for pieces in [
+        (HeadPiece(("V_1",), ((),)), split_run((1, 1))),
+        (split_run((1, 2)), HeadPiece(("W_2",), ((),))),
+        (split_run((1, 2)), between, split_run((2, 3))),
+        (split_run((1, 2), (2, 3)),),
+    ]:
+        with pytest.raises(LatticeError, match="basis names must be pairwise distinct"):
+            IntersectionLattice(pieces)
+    apart = IntersectionLattice((split_run((1, 2)), between, split_run((3, 4))))
+    assert lattice_names(apart) == ("V_1", "W_1", "V_2", "W_2", "E_1", "V_3", "W_3", "V_4", "W_4")
 
 def test_append_blocks_count_zero_returns_an_equal_lattice():
     assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 0) == H
-    assert elliptic_surface(1, 1, 1).lattice == IntersectionLattice(("f",), ((),))
-    assert surface_bundle_y(1, 3).lattice == IntersectionLattice(("Sigma_S", "Sigma_F"), H.head_rows)
+    assert elliptic_surface(1, 1, 1).lattice == IntersectionLattice((HeadPiece(("f",), ((),)),))
+    pair = HeadPiece(("Sigma_S", "Sigma_F"), H.pieces[0].rows)
+    assert surface_bundle_y(1, 3).lattice == IntersectionLattice((pair,))
 
 
 def test_append_blocks_checks_the_budget_first(monkeypatch):

@@ -6,6 +6,7 @@ from conftest import class_vector, dense, lattice_names
 from symgeo.errors import ConstructionError
 from symgeo.lattice import (
     ClassVector,
+    HeadPiece,
     IntersectionLattice,
     Witness,
     append_blocks,
@@ -27,9 +28,9 @@ from symgeo.manifolds import (
 class TestSpinType:
     def test_each_rule(self):
         form = block_diagonal([((0, 1), (1, 0))])
-        summand = IntersectionLattice(("a", "b"), form)
-        fragment = IntersectionLattice(("a", "b"), form, primitive_summand=False)
-        odd_form = IntersectionLattice(("a",), (((0, 1),),), primitive_summand=False)
+        summand = IntersectionLattice((HeadPiece(("a", "b"), form),))
+        fragment = IntersectionLattice((HeadPiece(("a", "b"), form),), primitive_summand=False)
+        odd_form = IntersectionLattice((HeadPiece(("a",), (((0, 1),),)),), primitive_summand=False)
         # An even coefficient gcd, 0 included, is spin on any lattice.
         assert spin_type(summand, class_vector((0, 0)), -8) is True
         assert spin_type(fragment, class_vector((2, -4)), -8) is True
@@ -42,7 +43,7 @@ class TestSpinType:
 
     def test_odd_square_in_a_run(self):
         # A run's block is read once for the odd-square rule.
-        head = IntersectionLattice(("a",), ((),), primitive_summand=False)
+        head = IntersectionLattice((HeadPiece(("a",), ((),)),), primitive_summand=False)
         odd = append_blocks(head, ((2, 1), (1, 1)), ("V", "W"), 5)
         even = append_blocks(head, ((2, 1), (1, 0)), ("V", "W"), 5)
         k = ClassVector(odd.rank, ((0, 1),))
@@ -269,7 +270,7 @@ class TestDerivedInvariants:
         from symgeo.manifolds import ManifoldDescriptor, ConstructionRecipe
         from symgeo.lattice import IntersectionLattice, ClassVector
 
-        lat = IntersectionLattice((), ())
+        lat = IntersectionLattice(())
         m = ManifoldDescriptor(
             e=42, sigma=-22, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),
@@ -282,7 +283,7 @@ class TestDerivedInvariants:
         from symgeo.manifolds import ManifoldDescriptor, ConstructionRecipe
         from symgeo.lattice import IntersectionLattice, ClassVector
 
-        lat = IntersectionLattice((), ())
+        lat = IntersectionLattice(())
         m = ManifoldDescriptor(
             e=3, sigma=0, simply_connected=True, symplectic=True,
             minimal="unknown", lattice=lat, canonical=ClassVector(0),

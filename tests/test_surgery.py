@@ -20,7 +20,7 @@ from symgeo.geography import (
     negative_c1,
     spin_surface,
 )
-from symgeo.lattice import HeadPiece, IntersectionLattice, Witness, WitnessRun, dot, pairing
+from symgeo.lattice import BlockRun, HeadPiece, IntersectionLattice, Witness, WitnessRun, dot, pairing
 from symgeo.manifolds import elliptic_surface, knot_product, surface_bundle_y
 from symgeo.recipes import execute_recipe, parse_recipe, serialize_recipe
 from symgeo.surgery import (
@@ -139,11 +139,12 @@ class TestFibreSum:
 
 
 def flat_copy(m):
-    """``m`` with its lattice rebuilt as one head, read class by class
-    through ``name`` and ``row``, with no runs, and one Witness stored per
-    witness surface."""
+    """``m`` with its lattice rebuilt as one head piece, read class by
+    class through ``name`` and ``row``, with no runs, and one Witness
+    stored per witness surface."""
     lat = m.lattice
-    flat = IntersectionLattice(lattice_names(lat), lattice_rows(lat), lat.primitive_summand)
+    head = HeadPiece(lattice_names(lat), lattice_rows(lat))
+    flat = IntersectionLattice((head,), lat.primitive_summand)
     return replace(m, lattice=flat, witness_items=m.witnesses)
 
 
@@ -179,9 +180,10 @@ def test_fibre_sum_does_not_depend_on_run_storage(m, data):
     # flat copy agree.  The second side of a sum, E(n) or a blow-up of it,
     # carries sphere and exceptional runs that the sum renames.
     flat = flat_copy(m)
-    assert not flat.lattice.pieces
+    assert [type(p) for p in flat.lattice.pieces] == [HeadPiece]
     assert not any(isinstance(w, WitnessRun) for w in flat.witness_items)
-    triples = sum(run.count for run in m.lattice.pieces if run.prefixes[0] == "T1")
+    triples = sum(run.count for run in m.lattice.pieces
+                  if isinstance(run, BlockRun) and run.prefixes[0] == "T1")
     along = data.draw(st.sampled_from(["f"] + [f"R_{i}" for i in range(1, triples + 1)]))
     n, r = data.draw(st.integers(1, 2)), data.draw(st.integers(0, 3))
     other = negative_c1(n, r) if r else elliptic_surface(n, 1, 1)
@@ -227,16 +229,14 @@ def sum_on_side(x, y, along, first):
 
 
 def stored_in(lat, name):
-    """Where the basis class ``name`` is stored: "head", "head piece",
-    "run copy" or "one-copy run"."""
-    i, stop = lat.index_of(name), len(lat.head_names)
-    if i < stop:
-        return "head"
-    for piece in lat.pieces:
+    """Where the basis class ``name`` is stored: "head" (the first
+    piece), "head piece", "run copy" or "one-copy run"."""
+    i, stop = lat.index_of(name), 0
+    for k, piece in enumerate(lat.pieces):
         stop += len(piece.rows) * piece.count
         if i < stop:
             if isinstance(piece, HeadPiece):
-                return "head piece"
+                return "head piece" if k else "head"
             return "run copy" if piece.count > 1 else "one-copy run"
 
 
@@ -508,7 +508,8 @@ class TestBlowUp:
     def test_count_takes_the_first_free_names(self):
         base = elliptic_surface(2, 1, 1)
         names = tuple("E_2" if n == "D1_1" else n for n in lattice_names(base.lattice))
-        m = replace(base, lattice=IntersectionLattice(names, lattice_rows(base.lattice)))
+        lat = IntersectionLattice((HeadPiece(names, lattice_rows(base.lattice)),))
+        m = replace(base, lattice=lat)
         up = blow_up(m, 2)
         assert lattice_names(up.lattice)[-2:] == ("E_1", "E_3")
         chain = blow_up(blow_up(m))
