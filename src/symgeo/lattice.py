@@ -16,15 +16,15 @@ of Y_{g,h}, the exceptional classes of blow-ups).  A lattice is an ordered
 list of mutually orthogonal pieces.  A :class:`HeadPiece` holds a few
 named classes with rows of their own: a constructor's classes, or what a
 fibre sum leaves of a surface's neighbourhood.  A run is stored once, as
-one :class:`BlockRun`: the block, its name prefixes, the copy count and
-the label spans of its copies.  The rank, a row, a name and the index of
-a name are computed from a piece's offset, so building, pairing and
-validating do work per piece, not per copy.  A fibre sum drops the
-surface and its dual with :func:`pieces_without`, which rebuilds or
-splits only the piece that holds them and shares every other piece as it
-is.  A lattice checks its rank against ``MAX_RANK`` before building
-anything that grows with the rank, so an oversized request fails with a
-:class:`LatticeError` instead of exhausting memory.
+one :class:`BlockRun`: the sparse rows of one copy, its name prefixes,
+the copy count and the label spans of its copies.  The rank, a row, a
+name and a name's index are computed from a piece's offset, so building,
+pairing and validating do work per piece, not per copy.  A fibre sum
+drops the surface and its dual with :func:`pieces_without`, which
+rebuilds or splits only the piece that holds them and shares every other
+piece as it is.  A lattice checks its rank against ``MAX_RANK`` before
+building anything that grows with the rank, so an oversized request
+fails with a :class:`LatticeError` instead of exhausting memory.
 
 Witnesses are stored the same way, as plain :class:`Witness` items and
 :class:`WitnessRun` items, each run one sphere per row of its choice in
@@ -225,30 +225,28 @@ class HeadPiece(namedtuple("HeadPiece", "names rows")):
         return super().__new__(cls, *_checked(names, rows))
 
 
-class BlockRun(namedtuple("BlockRun", "block prefixes count spans rows")):
-    """``count`` orthogonal copies of the square integer ``block``.  Row r
-    of a copy is the class ``{prefixes[r]}_{label}``, the copies taking
-    the labels of the ``(lo, hi)`` pairs of ``spans`` in order.  The block
-    is checked, and the ``rows`` of one copy built, once, when the run is
-    made."""
+class BlockRun(namedtuple("BlockRun", "rows prefixes count spans")):
+    """``count`` orthogonal copies of one block, stored as the sparse
+    ``rows`` of one copy, indexed from the copy's first class.  Row r of a
+    copy is the class ``{prefixes[r]}_{label}``, the copies taking the
+    labels of the ``(lo, hi)`` pairs of ``spans`` in order.  The rows are
+    checked once, when the run is made, as a head piece's are."""
 
     __slots__ = ()
 
-    def __new__(cls, block, prefixes, count, spans):
-        block = tuple(map(tuple, block))
-        prefixes, rows = _checked(prefixes, block_diagonal([block]))
+    def __new__(cls, rows, prefixes, count, spans):
+        prefixes, rows = _checked(prefixes, rows)
         if count < 1:
             raise LatticeError("a block run needs a positive copy count")
         spans = _joined(spans)
         if sum(hi - lo + 1 for lo, hi in spans) != count:
             raise LatticeError("a block run needs one label per copy")
-        return super().__new__(cls, block, prefixes, count, spans, rows)
+        return super().__new__(cls, rows, prefixes, count, spans)
 
     def relabeled(self, count: int, spans: Iterable[tuple[int, int]],
                   prefix: str = "") -> "BlockRun":
-        """``count`` copies of this run's block labeled by ``spans``, with
-        ``prefix`` put before each name prefix; the block is not checked
-        again."""
+        """``count`` copies labeled by ``spans``, with ``prefix`` put before
+        each name prefix; the rows are not checked again."""
         prefixes = tuple(prefix + p for p in self.prefixes) if prefix else self.prefixes
         return self._replace(prefixes=prefixes, count=count, spans=_joined(spans))
 
@@ -324,10 +322,11 @@ class NameSet:
 
 class WitnessRun(NamedTuple):
     """The sphere witnesses of ``count`` consecutive copies of a block run,
-    the first copy at basis index ``start``.  For each ``(r, named)`` of
-    ``spheres``, in order, the class in row r of a copy is an embedded
-    sphere: genus 0, square ``block[r][r]``, pairings that row of the copy,
-    named as row ``named`` of the copy with ``prefix`` put after the last
+    the first copy at basis index ``start``, whose ``rows`` are the sparse
+    rows of one copy that the lattice's run holds.  For each ``(r, named)``
+    of ``spheres``, the class in row r of a copy is an embedded sphere:
+    genus 0, square the entry at r of row r, pairings that row shifted to
+    the copy, named as row ``named`` with ``prefix`` put after the last
     ``.``.  A run class's name holds a ``.`` only from the ``N{k}.`` that a
     fibre sum puts before its second side's names, so a run carried there
     names a sphere ``N1.sphere_T1_1``, as the sum names a laid-out one.
@@ -336,35 +335,39 @@ class WitnessRun(NamedTuple):
 
     start: int
     count: int
-    block: tuple[tuple[int, ...], ...]
+    rows: tuple[Entries, ...]
     spheres: tuple[tuple[int, int], ...]
     prefix: str
 
     @property
     def stop(self) -> int:
         """The basis index after the last copy."""
-        return self.start + self.count * len(self.block)
+        return self.start + self.count * len(self.rows)
+
+    def square(self, s: int) -> int:
+        """The square of sphere s: the entry at r of its row r."""
+        r = self.spheres[s][0]
+        return dict(self.rows[r]).get(r, 0)
 
     def witness(self, lat: "IntersectionLattice", k: int) -> Witness:
         """Witness k of the run, laid out over ``lat``."""
         copy, s = divmod(k, len(self.spheres))
-        base = self.start + copy * len(self.block)
+        base = self.start + copy * len(self.rows)
         r, named = self.spheres[s]
-        row = self.block[r]
-        pairs = tuple([(base + j, g) for j, g in enumerate(row) if g])
+        pairs = tuple([(base + j, g) for j, g in self.rows[r]])
         path, sep, name = lat.name(base + named).rpartition(".")
-        return Witness(path + sep + self.prefix + name, pairs, 0, row[r])
+        return Witness(path + sep + self.prefix + name, pairs, 0, self.square(s))
 
     def copies(self, first: int, stop: int) -> "WitnessRun":
         """The run of copies ``first`` to ``stop - 1`` of this one."""
-        return self._replace(start=self.start + first * len(self.block), count=stop - first)
+        return self._replace(start=self.start + first * len(self.rows), count=stop - first)
 
     def dots(self, entries: Entries) -> list[tuple[int, int]]:
         """``(k, v . w_k)`` for the witnesses k of every copy in which the
         class with sparse ``entries`` has an entry, by increasing k; the
         other witnesses pair 0 with it.  Only those entries are read."""
-        size, n = len(self.block), len(self.spheres)
-        rows = [tuple((j, g) for j, g in enumerate(self.block[r]) if g) for r, _ in self.spheres]
+        size, n = len(self.rows), len(self.spheres)
+        rows = [self.rows[r] for r, _ in self.spheres]
         out, stop = [], self.stop
         j, end = bisect_left(entries, (self.start,)), len(entries)
         while j < end and entries[j][0] < stop:
@@ -458,9 +461,9 @@ def witness_failures(
                 if fails(w.genus, w.self_intersection, value):
                     bad.append(w.name)
             continue
-        squares = [w.block[r][r] for r, _ in w.spheres]
+        n = len(w.spheres)
+        squares = [w.square(s) for s in range(n)]
         values = dict(value)
-        n = len(squares)
         ks = range(w.count * n) if any(fails(0, s, 0) for s in squares) else values
         bad += [w.witness(lat, k).name for k in ks if fails(0, squares[k % n], values.get(k, 0))]
     return bad
@@ -475,8 +478,8 @@ class IntersectionLattice:
     repeated blocks.  A row lists the pairs ``(j, g_ij)`` with
     ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
     :meth:`name` and :meth:`index_of` read a piece from its offset, a run
-    from its block and its label spans, and are the only readers of the
-    basis.  Empty pieces are dropped, and adjacent runs of one block and
+    from its rows and its label spans, and are the only readers of the
+    basis.  Empty pieces are dropped, and adjacent runs of equal rows and
     one prefix tuple are stored as one.  No name may be in two pieces,
     whether a head piece lists it or a run's label spans cover it.
 
@@ -510,8 +513,7 @@ class IntersectionLattice:
                 named += len(piece.names)
             else:
                 last = pieces[-1] if pieces else None
-                kind = (piece.block, piece.prefixes)
-                if isinstance(last, BlockRun) and (last.block, last.prefixes) == kind:
+                if isinstance(last, BlockRun) and last[:2] == piece[:2]:  # rows, prefixes
                     pieces.pop()
                     stop = starts.pop()
                     piece = last.relabeled(last.count + piece.count, last.spans + piece.spans)
@@ -584,27 +586,27 @@ class IntersectionLattice:
 def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Piece, ...]:
     """The pieces of ``lat`` without the classes at the indices
     ``removed``, which pair with no other class and lie in one copy of a
-    run.  Only a piece holding some is rebuilt, or split: a run into the
-    copies before, the rest of that copy as a one-copy run, and the copies
-    after, each with its labels.  The parts may be empty; a lattice drops
-    them."""
+    piece.  Only that copy's rows are rebuilt, reindexed past the removed
+    classes, as a head piece or as a one-copy run between the run's copies
+    before and after it, each with its labels.  The parts may be empty; a
+    lattice drops them."""
     removed = sorted(removed)
     out: list[Piece] = []
     for piece, start in zip(lat.pieces, lat._starts):
-        hit = [i - start for i in removed if start <= i < start + len(piece.rows) * piece.count]
-        if isinstance(piece, BlockRun) and hit:
-            copy, n = hit[0] // len(piece.rows), len(piece.rows)
-            keep = [j for j in range(n) if copy * n + j not in hit]
-            rest = BlockRun(tuple(tuple(piece.block[r][j] for j in keep) for r in keep),
-                            tuple(piece.prefixes[j] for j in keep), 1,
+        n = len(piece.rows)
+        hit = [i - start for i in removed if start <= i < start + n * piece.count]
+        if not hit:
+            out.append(piece)
+            continue
+        copy, hit = hit[0] // n, [j % n for j in hit]
+        keep = [r for r in range(n) if r not in hit]
+        rows = [tuple((j - bisect_left(hit, j), g) for j, g in piece.rows[r]) for r in keep]
+        if isinstance(piece, HeadPiece):
+            out.append(HeadPiece([piece.names[r] for r in keep], rows))
+        else:
+            rest = BlockRun(rows, [piece.prefixes[r] for r in keep], 1,
                             piece.copies(copy, copy + 1).spans)
             out += (piece.copies(0, copy), rest, piece.copies(copy + 1, piece.count))
-        elif hit:
-            keep = [j for j in range(len(piece.names)) if j not in hit]
-            rows = [tuple((j - bisect_left(hit, j), g) for j, g in piece.rows[r]) for r in keep]
-            out.append(HeadPiece(tuple(piece.names[j] for j in keep), rows))
-        else:
-            out.append(piece)
     return tuple(out)
 
 
@@ -651,14 +653,14 @@ def append_blocks(
     """``lat`` with ``count`` orthogonal copies of the square ``block``
     appended as one run.  A copy is named ``{prefix}_{j}`` for each prefix,
     at the first index j above the previous copy's where all of these
-    names are free, as laying the copies out one by one would name them;
-    its rows are the rows of one copy, shifted to its offset.  The work
-    does not grow with ``count``."""
+    names are free, as laying the copies out one by one would name them.
+    The block is made the sparse rows of one copy once; a copy's rows are
+    those, shifted to its offset.  The work does not grow with ``count``."""
     if not count:
         return lat
     taken = NameSet(lat.pieces).spans
     blocked = [s for p in prefixes for s in taken.get(p, ())]
-    run = BlockRun(block, prefixes, count, _free_spans(blocked, count))
+    run = BlockRun(block_diagonal([block]), prefixes, count, _free_spans(blocked, count))
     return replace(lat, pieces=lat.pieces + (run,))
 
 

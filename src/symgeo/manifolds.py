@@ -292,7 +292,7 @@ def elliptic_surface(n: int, p: int, q: int) -> ManifoldDescriptor:
         notes.append("axiomatic-dual:fibre_dual")
     # In each nucleus the dual spheres D1 and DR (rows 1, 3) are named
     # after the torus they meet (rows 0, 2).
-    spheres = WitnessRun(head.rank, n - 1, nucleus_pair, ((1, 0), (3, 2)), "sphere_")
+    spheres = WitnessRun(head.rank, n - 1, lat.pieces[-1].rows, ((1, 0), (3, 2)), "sphere_")
     witnesses = append_witness_run(witnesses, spheres)
     notes.append("assumed-disjoint:cross-nucleus pairings set to zero")
 

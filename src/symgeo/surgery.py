@@ -103,10 +103,8 @@ def _pi1_collapses(desc: ManifoldDescriptor, surface: ClassVector, complement: b
 class _Side:
     """Resolved data of one summand of a fibre sum."""
 
-    desc: ManifoldDescriptor
     sigma_index: int
-    b_basis_index: int | None  # dual surface tracked as a basis class
-    b_witness: Witness | None  # or known only as a witness
+    b_witness: Witness | None  # the dual known only as a witness, else tracked
     b_square: int
     b_genus: int | None
     b_row: tuple[tuple[int, int], ...]  # nonzero pairings of the dual with the basis
@@ -145,13 +143,13 @@ def _resolve_side(desc: ManifoldDescriptor, surface: ClassVector, label: str) ->
         )
         b_square = next((g for k, g in row_j if k == j), 0)
         removed = tuple(sorted((i, j)))
-        return _Side(desc, i, j, None, b_square, b_genus, row_j, pieces, removed, row)
+        return _Side(i, None, b_square, b_genus, row_j, pieces, removed, row)
     if not meeting:
         raise ConstructionError("no tracked dual surface meets the fibre-sum surface once")
     w = meeting[0]
     if w.self_intersection is None:
         raise ConstructionError("dual surface self-intersection unknown; cannot form fibre sum")
-    return _Side(desc, i, None, w, w.self_intersection, w.genus, w.pairings, pieces, (i,), row)
+    return _Side(i, w, w.self_intersection, w.genus, w.pairings, pieces, (i,), row)
 
 
 def _fresh(base: str, taken: Container[str]) -> str:
@@ -212,8 +210,8 @@ def fibre_sum(
     g = genus
     side_m = _resolve_side(m, class_m, "first")
     side_n = _resolve_side(n, class_n, "second")
-    for side in (side_m, side_n):
-        if sparse_dot(side.sigma_row, side.desc.canonical.entries) != 2 * g - 2:
+    for side, desc in ((side_m, m), (side_n, n)):
+        if sparse_dot(side.sigma_row, desc.canonical.entries) != 2 * g - 2:
             raise ConstructionError("fibre-sum surface violates the adjunction identity")
 
     lat_m, lat_n = m.lattice, n.lattice
@@ -284,7 +282,7 @@ def fibre_sum(
             if t != 0:
                 dropped.append(name_prefix + w.name)
                 continue
-            zero_notes = zero_notes or side.b_basis_index is None
+            zero_notes = zero_notes or side.b_witness is not None
             if isinstance(w, WitnessRun):
                 start = offset + w.start - bisect_left(side.removed, w.start)
                 witnesses[-1:] = append_witness_run(tuple(witnesses[-1:]), w._replace(start=start))
@@ -474,11 +472,10 @@ def blow_up(m: ManifoldDescriptor, count: int = 1) -> ManifoldDescriptor:
     witness, and adds their sum to the canonical class."""
     if count < 1:
         raise ConstructionError("blow-up count must be positive")
-    exceptional = ((-1,),)
-    lattice = append_blocks(m.lattice, exceptional, ("E",), count)
+    lattice = append_blocks(m.lattice, ((-1,),), ("E",), count)
     new = range(m.lattice.rank, lattice.rank)
     canonical = ClassVector(lattice.rank, m.canonical.entries + tuple((i, 1) for i in new))
-    spheres = WitnessRun(m.lattice.rank, count, exceptional, ((0, 0),), "exceptional_")
+    spheres = WitnessRun(m.lattice.rank, count, lattice.pieces[-1].rows, ((0, 0),), "exceptional_")
     witnesses = append_witness_run(m.witness_items, spheres)
     recipe = recipe_node("blow_up", (m.recipe,), (count,), (NOTE_FULL_CANONICAL,))
     return ManifoldDescriptor(

@@ -257,7 +257,8 @@ def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
         with pytest.raises(LatticeError, match=message):
             append_blocks(H, block, prefixes, 10**5)
     with pytest.raises(LatticeError, match="positive copy count"):
-        IntersectionLattice((HeadPiece(("a",), ((),)), BlockRun(SPLIT_BLOCK, ("V", "W"), 0, ())))
+        IntersectionLattice((HeadPiece(("a",), ((),)),
+                             BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), 0, ())))
 
 
 
@@ -265,9 +266,10 @@ def test_a_name_in_two_pieces_is_refused():
     # A name a head piece lists, or a label a run's spans cover, may be in
     # no other piece, whichever of the two comes first.
     def split_run(*spans):
-        return BlockRun(SPLIT_BLOCK, ("V", "W"), sum(hi - lo + 1 for lo, hi in spans), spans)
+        count = sum(hi - lo + 1 for lo, hi in spans)
+        return BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), count, spans)
 
-    between = BlockRun(((-1,),), ("E",), 1, ((1, 1),))
+    between = BlockRun(block_diagonal([((-1,),)]), ("E",), 1, ((1, 1),))
     for pieces in [
         (HeadPiece(("V_1",), ((),)), split_run((1, 1))),
         (split_run((1, 2)), HeadPiece(("W_2",), ((),))),
@@ -278,6 +280,23 @@ def test_a_name_in_two_pieces_is_refused():
             IntersectionLattice(pieces)
     apart = IntersectionLattice((split_run((1, 2)), between, split_run((3, 4))))
     assert lattice_names(apart) == ("V_1", "W_1", "V_2", "W_2", "E_1", "V_3", "W_3", "V_4", "W_4")
+
+
+def test_a_run_checks_its_rows_with_the_messages_of_a_head_piece():
+    for rows, names, message in [
+        (((), ()), ("V",), "one row per basis class"),
+        ((((1, 1),), ((0, 2),)), ("V", "W"), "symmetric"),
+        ((((1, 1), (0, 1)), ((0, 1),)), ("V", "W"), "increasing index"),
+        ((((0, 0),), ()), ("V", "W"), "increasing index"),
+        ((((2, 1),), ()), ("V", "W"), "increasing index"),
+        (((), ()), ("V", "V"), "distinct"),
+    ]:
+        messages = []
+        for make in (HeadPiece, lambda names, rows: BlockRun(rows, names, 2, ((1, 2),))):
+            with pytest.raises(LatticeError, match=message) as raised:
+                make(names, rows)
+            messages.append(str(raised.value))
+        assert messages[0] == messages[1]
 
 def test_append_blocks_count_zero_returns_an_equal_lattice():
     assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 0) == H

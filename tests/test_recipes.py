@@ -1,8 +1,11 @@
+import gc
 import hashlib
+import importlib
 import inspect
 import random
 import sys
 import time
+import weakref
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -364,3 +367,24 @@ def test_generic_op_schema_is_constructor_signature(op):
     assert [key for key, _ in sample.recipe.params] == names
     text = roundtrip(sample)
     assert hashlib.sha256(text.encode()).hexdigest() == RECIPE_SHA256[op]
+
+
+def test_a_fresh_import_of_symgeo_is_garbage_collected():
+    # A cache outside symgeo that holds one of its classes, such as a
+    # module-level typing subscript, would keep a fresh copy of the whole
+    # package alive after its modules are dropped.
+    def ours():
+        return [name for name in sys.modules if name == "symgeo" or name.startswith("symgeo.")]
+
+    saved = {name: sys.modules.pop(name) for name in ours()}
+    try:
+        fresh = importlib.import_module("symgeo.cli")
+        assert fresh.manifolds is not saved["symgeo.manifolds"]
+        ref = weakref.ref(fresh.manifolds.ManifoldDescriptor)
+        del fresh
+    finally:
+        for name in ours():
+            del sys.modules[name]
+        sys.modules.update(saved)
+    gc.collect()
+    assert ref() is None

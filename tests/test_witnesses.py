@@ -143,7 +143,7 @@ def test_a_run_past_the_rank_is_rejected():
 
 
 def test_only_a_continued_run_joins_the_last_one():
-    run = WitnessRun(1, 2, ((-1,),), ((0, 0),), "exceptional_")
+    run = WitnessRun(1, 2, (((0, -1),),), ((0, 0),), "exceptional_")
     assert append_witness_run((run,), run._replace(start=3)) == (run._replace(count=4),)
     assert append_witness_run((run,), run._replace(start=4)) == (run, run._replace(start=4))
     assert append_witness_run((run,), run._replace(start=3, count=0)) == (run,)
