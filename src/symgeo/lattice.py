@@ -17,14 +17,15 @@ list of mutually orthogonal pieces.  A :class:`HeadPiece` holds a few
 named classes with rows of their own: a constructor's classes, or what a
 fibre sum leaves of a surface's neighbourhood.  A run is stored once, as
 one :class:`BlockRun`: the sparse rows of one copy, its name prefixes,
-the copy count and the label spans of its copies.  The rank, a row, a
-name and a name's index are computed from a piece's offset, so building,
-pairing and validating do work per piece, not per copy.  A fibre sum
-drops the surface and its dual with :func:`pieces_without`, which
-rebuilds or splits only the piece that holds them and shares every other
-piece as it is.  A lattice checks its rank against ``MAX_RANK`` before
-building anything that grows with the rank, so an oversized request
-fails with a :class:`LatticeError` instead of exhausting memory.
+the copy count and a first label; the copies take consecutive labels.
+The rank, a row, a name and a name's index are computed from a piece's
+offset, so building, pairing and validating do work per piece, not per
+copy.  A fibre sum drops the surface and its dual with
+:func:`pieces_without`, which rebuilds or splits only the piece that
+holds them and shares every other piece as it is.  A lattice checks its
+rank against ``MAX_RANK`` before building anything that grows with the
+rank, so an oversized request fails with a :class:`LatticeError` instead
+of exhausting memory.
 
 Witnesses are stored the same way, as plain :class:`Witness` items and
 :class:`WitnessRun` items, each run one sphere per row of its choice in
@@ -225,58 +226,36 @@ class HeadPiece(namedtuple("HeadPiece", "names rows")):
         return super().__new__(cls, *_checked(names, rows))
 
 
-class BlockRun(namedtuple("BlockRun", "rows prefixes count spans")):
+class BlockRun(namedtuple("BlockRun", "rows prefixes count first")):
     """``count`` orthogonal copies of one block, stored as the sparse
-    ``rows`` of one copy, indexed from the copy's first class.  Row r of a
-    copy is the class ``{prefixes[r]}_{label}``, the copies taking the
-    labels of the ``(lo, hi)`` pairs of ``spans`` in order.  The rows are
-    checked once, when the run is made, as a head piece's are."""
+    ``rows`` of one copy, indexed from the copy's first class.  Row r of
+    copy c is the class ``{prefixes[r]}_{first + c}``: the copies take
+    consecutive labels from ``first``.  The rows are checked once, when
+    the run is made, as a head piece's are."""
 
     __slots__ = ()
 
-    def __new__(cls, rows, prefixes, count, spans):
+    def __new__(cls, rows, prefixes, count, first):
         prefixes, rows = _checked(prefixes, rows)
         if count < 1:
             raise LatticeError("a block run needs a positive copy count")
-        spans = _joined(spans)
-        if sum(hi - lo + 1 for lo, hi in spans) != count:
-            raise LatticeError("a block run needs one label per copy")
-        return super().__new__(cls, rows, prefixes, count, spans)
+        if first < 1:
+            raise LatticeError("a block run needs a positive first label")
+        return super().__new__(cls, rows, prefixes, count, first)
 
-    def relabeled(self, count: int, spans: Iterable[tuple[int, int]],
-                  prefix: str = "") -> "BlockRun":
-        """``count`` copies labeled by ``spans``, with ``prefix`` put before
-        each name prefix; the rows are not checked again."""
-        prefixes = tuple(prefix + p for p in self.prefixes) if prefix else self.prefixes
-        return self._replace(prefixes=prefixes, count=count, spans=_joined(spans))
-
-    def copies(self, first: int, stop: int) -> "BlockRun":
-        """The run of copies ``first`` to ``stop - 1`` of this one."""
-        spans, at = [], 0
-        for lo, hi in self.spans:
-            a, b = max(first - at, 0), min(stop - at, hi - lo + 1)
-            spans += [(lo + a, lo + b - 1)] if a < b else []
-            at += hi - lo + 1
-        return self.relabeled(stop - first, spans)
+    def copies(self, a: int, b: int) -> "BlockRun":
+        """The run of copies ``a`` to ``b - 1`` of this one."""
+        return self._replace(count=b - a, first=self.first + a)
 
 
 Piece = BlockRun | HeadPiece
 
 
-def _joined(spans: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
-    """``spans`` in order, each joined to the one before when it continues it."""
-    out: list[tuple[int, int]] = []
-    for lo, hi in spans:
-        if out and out[-1][1] + 1 == lo:
-            lo = out.pop()[0]
-        out.append((lo, hi))
-    return tuple(out)
-
-
 class NameSet:
     """The names of some pieces, and some ``names`` besides, kept per
-    piece: each name of a head piece, and the label spans that runs and
-    such names take under each prefix."""
+    piece: each name of a head piece, and the ``(lo, hi)`` label spans
+    that runs and such names take under each prefix; a run takes a first
+    label, and its copies the consecutive labels after it."""
 
     def __init__(self, pieces: Iterable[Piece], names: Iterable[str] = ()):
         self.names: set[str] = set()
@@ -288,8 +267,9 @@ class NameSet:
                 for name in piece.names:
                     self.add(name)
             else:
+                span = (piece.first, piece.first + piece.count - 1)
                 for p in piece.prefixes:
-                    self.spans.setdefault(p, []).extend(piece.spans)
+                    self.spans.setdefault(p, []).append(span)
 
     def add(self, name: str) -> None:
         self.names.add(name)
@@ -315,8 +295,8 @@ class NameSet:
         in the set."""
         return any(
             any(prefix + name in self for name in piece.names) if isinstance(piece, HeadPiece)
-            else any(lo <= b and a <= hi for p in piece.prefixes
-                     for lo, hi in self.spans.get(prefix + p, ()) for a, b in piece.spans)
+            else any(lo < piece.first + piece.count and piece.first <= hi
+                     for p in piece.prefixes for lo, hi in self.spans.get(prefix + p, ()))
             for piece in pieces)
 
 
@@ -478,10 +458,11 @@ class IntersectionLattice:
     repeated blocks.  A row lists the pairs ``(j, g_ij)`` with
     ``g_ij != 0`` by increasing ``j``.  ``rank``, :meth:`row`,
     :meth:`name` and :meth:`index_of` read a piece from its offset, a run
-    from its rows and its label spans, and are the only readers of the
-    basis.  Empty pieces are dropped, and adjacent runs of equal rows and
-    one prefix tuple are stored as one.  No name may be in two pieces,
-    whether a head piece lists it or a run's label spans cover it.
+    from its rows and its first label (the copies take consecutive
+    labels), and are the only readers of the basis.  Empty pieces are
+    dropped, and adjacent runs of equal rows and one prefix tuple whose
+    labels continue are stored as one.  No name may be in two pieces,
+    whether a head piece lists it or a run's labels cover it.
 
     ``primitive_summand`` asserts that the basis spans a primitive direct
     summand of the ambient unimodular second cohomology; it is what makes
@@ -498,8 +479,9 @@ class IntersectionLattice:
 
     def __post_init__(self):
         """Drop empty pieces, index the head pieces' names, merge adjacent
-        runs, check that no name is in two pieces (a name ``{prefix}_{j}``
-        takes label j as a run's span does) and check the rank."""
+        runs whose labels continue, check that no name is in two pieces (a
+        name ``{prefix}_{j}`` takes label j as a run's copy does) and check
+        the rank."""
         index: dict[str, int] = {}
         named = 0
         pieces: list[Piece] = []
@@ -513,10 +495,11 @@ class IntersectionLattice:
                 named += len(piece.names)
             else:
                 last = pieces[-1] if pieces else None
-                if isinstance(last, BlockRun) and last[:2] == piece[:2]:  # rows, prefixes
+                if (isinstance(last, BlockRun) and last[:2] == piece[:2]  # rows, prefixes
+                        and last.first + last.count == piece.first):
                     pieces.pop()
                     stop = starts.pop()
-                    piece = last.relabeled(last.count + piece.count, last.spans + piece.spans)
+                    piece = last._replace(count=last.count + piece.count)
             pieces.append(piece)
             starts.append(stop)
             stop += len(piece.rows) * piece.count
@@ -546,10 +529,7 @@ class IntersectionLattice:
         piece = self.pieces[k]
         if isinstance(piece, HeadPiece):
             return piece.names[r]
-        for lo, hi in piece.spans:
-            if copy <= hi - lo:
-                return f"{piece.prefixes[r]}_{lo + copy}"
-            copy -= hi - lo + 1
+        return f"{piece.prefixes[r]}_{piece.first + copy}"
 
     def index_of(self, name: str) -> int:
         i = self._index.get(name)
@@ -557,13 +537,9 @@ class IntersectionLattice:
             return i
         prefix, label = _split_name(name) or (None, 0)
         for run, start in zip(self.pieces, self._starts):
-            if isinstance(run, BlockRun) and prefix in run.prefixes:
-                copy = 0
-                for lo, hi in run.spans:
-                    if lo <= label <= hi:
-                        copy += label - lo
-                        return start + copy * len(run.prefixes) + run.prefixes.index(prefix)
-                    copy += hi - lo + 1
+            copy = label - run.first if isinstance(run, BlockRun) else -1
+            if 0 <= copy < run.count and prefix in run.prefixes:
+                return start + copy * len(run.prefixes) + run.prefixes.index(prefix)
         raise LatticeError(f"basis mismatch: no class named {name!r}")
 
     def basis_vector(self, name: str) -> ClassVector:
@@ -588,8 +564,9 @@ def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Pi
     ``removed``, which pair with no other class and lie in one copy of a
     piece.  Only that copy's rows are rebuilt, reindexed past the removed
     classes, as a head piece or as a one-copy run between the run's copies
-    before and after it, each with its labels.  The parts may be empty; a
-    lattice drops them."""
+    before and after it; each part keeps the labels its copies had, so the
+    one-copy run takes the first label plus the copy's place.  The parts
+    may be empty; a lattice drops them."""
     removed = sorted(removed)
     out: list[Piece] = []
     for piece, start in zip(lat.pieces, lat._starts):
@@ -604,8 +581,7 @@ def pieces_without(lat: IntersectionLattice, removed: Iterable[int]) -> tuple[Pi
         if isinstance(piece, HeadPiece):
             out.append(HeadPiece([piece.names[r] for r in keep], rows))
         else:
-            rest = BlockRun(rows, [piece.prefixes[r] for r in keep], 1,
-                            piece.copies(copy, copy + 1).spans)
+            rest = BlockRun(rows, [piece.prefixes[r] for r in keep], 1, piece.first + copy)
             out += (piece.copies(0, copy), rest, piece.copies(copy + 1, piece.count))
     return tuple(out)
 
@@ -651,17 +627,21 @@ def append_blocks(
     lat: IntersectionLattice, block: tuple, prefixes: tuple[str, ...], count: int
 ) -> IntersectionLattice:
     """``lat`` with ``count`` orthogonal copies of the square ``block``
-    appended as one run.  A copy is named ``{prefix}_{j}`` for each prefix,
-    at the first index j above the previous copy's where all of these
-    names are free, as laying the copies out one by one would name them.
-    The block is made the sparse rows of one copy once; a copy's rows are
-    those, shifted to its offset.  The work does not grow with ``count``."""
+    appended.  A copy is named ``{prefix}_{j}`` for each prefix, at the
+    first index j above the previous copy's where all of these names are
+    free, as laying the copies out one by one would name them.  A run's
+    copies take consecutive labels, so the copies are one run per range of
+    free labels: one run, unless a name already taken leaves a gap.  The
+    block is made the sparse rows of one copy once, and every run shares
+    them; a copy's rows are those, shifted to its offset.  The work does
+    not grow with ``count``."""
     if not count:
         return lat
     taken = NameSet(lat.pieces).spans
     blocked = [s for p in prefixes for s in taken.get(p, ())]
-    run = BlockRun(block_diagonal([block]), prefixes, count, _free_spans(blocked, count))
-    return replace(lat, pieces=lat.pieces + (run,))
+    run = BlockRun(block_diagonal([block]), prefixes, count, 1)
+    runs = [run._replace(count=hi - lo + 1, first=lo) for lo, hi in _free_spans(blocked, count)]
+    return replace(lat, pieces=(*lat.pieces, *runs))
 
 
 def coefficient_gcd(v: ClassVector) -> int:

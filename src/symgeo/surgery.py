@@ -234,7 +234,7 @@ def fibre_sum(
         (
             *m_pieces,
             HeadPiece((sigma_name, b_name), block_diagonal([((0, 1), (1, b_square))])),
-            *(p.relabeled(p.count, p.spans, prefix) if isinstance(p, BlockRun)
+            *(p._replace(prefixes=tuple(prefix + x for x in p.prefixes)) if isinstance(p, BlockRun)
               else p._replace(names=tuple(prefix + x for x in p.names)) for p in n_pieces),
         ),
         lat_m.primitive_summand and lat_n.primitive_summand,

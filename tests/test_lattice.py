@@ -226,11 +226,17 @@ def test_runs_match_a_flat_layout(head, specs, chain):
         else:
             merged.append((block, prefixes, count))
         last = (block, prefixes)
-    # Appends of one block and prefix tuple in a row equal one append.
+    # Appends of one block and prefix tuple in a row equal one append,
+    # stored as one run per range of consecutive labels its copies take.
     once = IntersectionLattice((HeadPiece(tuple(head), ((),) * len(head)),))
+    flat, runs = tuple(head), 0
     for block, prefixes, count in merged:
         once = append_blocks(once, block, prefixes, count)
-    assert once == lat and len(lat.pieces) == bool(head) + len(merged)
+        grown = flat_append(flat, (), block, prefixes, count)[0]
+        labels = [int(name.rpartition("_")[2]) for name in grown[len(flat)::len(prefixes)]]
+        runs += 1 + sum(b != a + 1 for a, b in zip(labels, labels[1:]))
+        flat = grown
+    assert once == lat and len(lat.pieces) == bool(head) + runs
 
     # Every accessor agrees with the flat reference.
     assert lat.rank == len(names)
@@ -258,27 +264,27 @@ def test_a_run_is_checked_once_with_the_messages_of_a_flat_lattice():
             append_blocks(H, block, prefixes, 10**5)
     with pytest.raises(LatticeError, match="positive copy count"):
         IntersectionLattice((HeadPiece(("a",), ((),)),
-                             BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), 0, ())))
+                             BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), 0, 1)))
 
 
 
 def test_a_name_in_two_pieces_is_refused():
-    # A name a head piece lists, or a label a run's spans cover, may be in
-    # no other piece, whichever of the two comes first.
-    def split_run(*spans):
-        count = sum(hi - lo + 1 for lo, hi in spans)
-        return BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), count, spans)
+    # A name a head piece lists, or a label a run's copies take, may be in
+    # no other piece, whichever of the two comes first.  Adjacent runs of
+    # one block whose labels overlap are refused, not merged.
+    def split_run(lo, hi):
+        return BlockRun(block_diagonal([SPLIT_BLOCK]), ("V", "W"), hi - lo + 1, lo)
 
-    between = BlockRun(block_diagonal([((-1,),)]), ("E",), 1, ((1, 1),))
+    between = BlockRun(block_diagonal([((-1,),)]), ("E",), 1, 1)
     for pieces in [
-        (HeadPiece(("V_1",), ((),)), split_run((1, 1))),
-        (split_run((1, 2)), HeadPiece(("W_2",), ((),))),
-        (split_run((1, 2)), between, split_run((2, 3))),
-        (split_run((1, 2), (2, 3)),),
+        (HeadPiece(("V_1",), ((),)), split_run(1, 1)),
+        (split_run(1, 2), HeadPiece(("W_2",), ((),))),
+        (split_run(1, 2), between, split_run(2, 3)),
+        (split_run(1, 2), split_run(2, 3)),
     ]:
         with pytest.raises(LatticeError, match="basis names must be pairwise distinct"):
             IntersectionLattice(pieces)
-    apart = IntersectionLattice((split_run((1, 2)), between, split_run((3, 4))))
+    apart = IntersectionLattice((split_run(1, 2), between, split_run(3, 4)))
     assert lattice_names(apart) == ("V_1", "W_1", "V_2", "W_2", "E_1", "V_3", "W_3", "V_4", "W_4")
 
 
@@ -292,11 +298,23 @@ def test_a_run_checks_its_rows_with_the_messages_of_a_head_piece():
         (((), ()), ("V", "V"), "distinct"),
     ]:
         messages = []
-        for make in (HeadPiece, lambda names, rows: BlockRun(rows, names, 2, ((1, 2),))):
+        for make in (HeadPiece, lambda names, rows: BlockRun(rows, names, 2, 1)):
             with pytest.raises(LatticeError, match=message) as raised:
                 make(names, rows)
             messages.append(str(raised.value))
         assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("first", [0, -2])
+def test_a_run_refuses_a_first_label_below_1(first):
+    # index_of reads only positive labels, so a run that named a class
+    # E_0 or E_-2 could not find it again.
+    rows = block_diagonal([((-1,),)])
+    with pytest.raises(LatticeError, match="positive first label"):
+        BlockRun(rows, ("E",), 1, first)
+    with pytest.raises(LatticeError, match="positive copy count"):
+        BlockRun(rows, ("E",), 0, first)
+
 
 def test_append_blocks_count_zero_returns_an_equal_lattice():
     assert append_blocks(H, SPLIT_BLOCK, ("V", "W"), 0) == H

@@ -295,6 +295,27 @@ def test_a_split_run_keeps_the_labels_of_its_copies():
     assert lattice_names(x.lattice)[-6:] == ("V_2", "W_2", "V_3", "W_3", "V_4", "W_4")
 
 
+def test_an_append_takes_a_label_that_a_sum_freed():
+    # The sum along W_1 frees the label 1 of the split run.  The surgery's
+    # append takes it first, then the label past V_2/W_2: three runs of
+    # one block whose labels do not continue each other.
+    k, s = knot_product(2), spin_surface(2, 1, 1)
+    x = fibre_sum(
+        k, s, 1, k.lattice.basis_vector("T_K"), "+", True,
+        s.lattice.basis_vector("W_1"), "+", True, no_rim_tori=False,
+    )
+    with pytest.raises(LatticeError, match="no class named"):
+        x.lattice.index_of("V_1")
+    surface = x.lattice.basis_vector("R_1") + x.lattice.basis_vector("DR_1")
+    y = generalized_knot_surgery(x, surface, 2, 1, True)
+    lat = y.lattice
+    assert [n for n in lattice_names(lat) if n[0] in "VW"] == [
+        "V_2", "W_2", "V_1", "W_1", "V_3", "W_3"]
+    assert all(lat.index_of(lat.name(i)) == i for i in range(lat.rank))
+    assert gram(lat) == gram(flat_copy(y).lattice)
+    assert geography.validate(y).ok
+
+
 def test_the_new_dual_takes_the_name_of_the_removed_dual():
     # The second sum along f removes the first sum's B_f, so its own new
     # dual is named B_f again.
